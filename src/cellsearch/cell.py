@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor
-from .ops import OP_ORDER, apply_op
+from .ops import OP_ORDER, apply_op, edge_terms
 from .tensor import ShapeError, Value
 
 
@@ -134,21 +134,15 @@ def mixed_edge_forward(alpha_vec: Value, x: Value,
     """Softmax-weighted sum of every candidate operation applied to x.
 
     The softmax runs over the whole ``op_set``, zero included, so the zero
-    logit still shapes the other weights even though its term vanishes.
+    logit still shapes the other weights even though its term vanishes. The
+    whole edge is one ``mixed-edge`` tape record.
     """
     if alpha_vec.ndim != 1 or alpha_vec.shape[0] != len(op_set):
         raise ShapeError(
             f"mixed-edge: logit vector {alpha_vec.shape} does not match {len(op_set)} ops"
         )
-    edge_op_params = edge_op_params or {}
-    weights = tensor.softmax(alpha_vec, axis=0)
-    out = None
-    for idx, kind in enumerate(op_set):
-        term = tensor.multiply(
-            tensor.select(weights, idx), apply_op(kind, edge_op_params.get(kind), x)
-        )
-        out = term if out is None else tensor.add(out, term)
-    return out
+    terms, matrices = edge_terms(op_set, edge_op_params or {})
+    return tensor.mixed_edge(alpha_vec, x, matrices, terms)
 
 
 def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
@@ -336,9 +330,12 @@ def parse_alpha(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
         raise CellError("logit snapshot must start with an 'edge' header row")
     op_names = header[1:]
     alpha: dict[str, np.ndarray] = {}
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split("\t")
         if len(parts) != len(header):
             raise CellError(f"snapshot row has {len(parts)} columns, expected {len(header)}")
-        alpha[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        try:
+            alpha[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise CellError(f"snapshot row {row} (edge {parts[0]}): {exc}") from None
     return alpha, op_names

@@ -166,6 +166,23 @@ def _case_for(kind: str, rng):
             return tensor.cross_entropy(vals[0], Value(labels))
 
         return [logits], build_ce
+    if kind == "mixed-edge":
+        terms = tuple(rng.permutation(["zero", "identity", *tensor.ACTIVATION_RULES]))
+        rows, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        logits = rng.normal(size=len(terms))
+        # keep relu pre-activations away from the kink so the FD step cannot cross it
+        relu_margin = 0.0
+        while relu_margin < 0.1:
+            x = rng.normal(size=(rows, d))
+            mats = {term: rng.normal(size=(d, d))
+                    for term in terms if term in tensor.ACTIVATION_RULES}
+            relu_margin = np.min(np.abs(x @ mats["relu"]))
+        coeffs = _coeffs(rng, (rows, d))
+
+        def build_me(vals):
+            return _scalarize(tensor.mixed_edge(vals[0], vals[1], vals[2:], terms), coeffs)
+
+        return [logits, x, *mats.values()], build_me
     raise ValueError(f"no gradient-check case for kind {kind!r}")
 
 

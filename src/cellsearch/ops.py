@@ -12,6 +12,8 @@ with one ``(hidden, hidden)`` weight matrix owned per edge-op; ``zero`` and
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 import numpy as np
 
 from . import tensor
@@ -25,6 +27,16 @@ _ACTIVATIONS = {
     "linear_tanh": tensor.tanh,
     "linear_relu": tensor.relu,
     "linear_sigmoid": tensor.sigmoid,
+}
+
+# What each kind adds to a fused mixed edge (``tensor.mixed_edge``): nothing,
+# its input, or an activation of its input times the kind's matrix.
+EDGE_TERMS = {
+    "zero": "zero",
+    "identity": "identity",
+    "linear_tanh": "tanh",
+    "linear_relu": "relu",
+    "linear_sigmoid": "sigmoid",
 }
 
 
@@ -52,6 +64,22 @@ def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
             raise OpError(f"{kind}: operation requires a weight matrix")
         return _ACTIVATIONS[kind](tensor.matmul(x, weights))
     raise OpError(f"unknown operation kind: {kind!r}")
+
+
+def edge_terms(op_set: Sequence[str], weights: Mapping[str, Value]
+               ) -> tuple[tuple[str, ...], list[Value]]:
+    """The mixed-edge term of each kind in ``op_set`` and, in the same order,
+    the weight matrices of its parameterized kinds."""
+    terms, matrices = [], []
+    for kind in op_set:
+        if kind not in EDGE_TERMS:
+            raise OpError(f"unknown operation kind: {kind!r}")
+        if kind in PARAMETERIZED_OPS:
+            if weights.get(kind) is None:
+                raise OpError(f"{kind}: operation requires a weight matrix")
+            matrices.append(weights[kind])
+        terms.append(EDGE_TERMS[kind])
+    return tuple(terms), matrices
 
 
 def init_scale(fan_in: int) -> float:

@@ -182,7 +182,11 @@ def save_delimited(dataset: Dataset, path) -> None:
 
 
 def load_delimited(path, schema: list[str] | None = None) -> Dataset:
-    """Parse a dataset file, reporting malformed rows with their line number."""
+    """Parse a dataset file, reporting malformed rows with their line number.
+
+    Features must be finite, and the labels of its C classes (at least two)
+    must be the ids 0..C-1, so that no label indexes the wrong logit.
+    """
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
@@ -227,11 +231,20 @@ def load_delimited(path, schema: list[str] | None = None) -> Dataset:
             tags.append(tag)
     if not features:
         raise DataError(f"{path}: dataset has a header but no rows")
-    return Dataset(
-        np.asarray(features, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64),
-        np.asarray(tags, dtype="<U5"),
-    )
+    features = np.asarray(features, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: line {bad[0] + 2}: non-finite feature value")
+    n_classes = len(set(labels))
+    if n_classes < 2:
+        raise DataError(f"{path}: every row has label {labels[0]}; need at least two classes")
+    for row, label in enumerate(labels):
+        if not 0 <= label < n_classes:
+            raise DataError(
+                f"{path}: line {row + 2}: label {label} out of range: "
+                f"the {n_classes} classes must be numbered 0..{n_classes - 1}"
+            )
+    return Dataset(features, np.asarray(labels, dtype=np.int64), np.asarray(tags, dtype="<U5"))
 
 
 # ---------------------------------------------------------------------------

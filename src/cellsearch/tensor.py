@@ -323,49 +323,143 @@ def matmul(a: Value, b: Value) -> Value:
     return _emit("matrix-multiply", (a, b), ad @ bd, back)
 
 
-def tanh(x: Value) -> Value:
+# Elementwise activation rules: ``forward(z) -> y`` and ``backward(g, z, y)``
+# giving the gradient with respect to z. The activation primitives and the
+# fused mixed edge both apply them.
+
+
+def _tanh_forward(z):
+    return np.tanh(z)
+
+
+def _tanh_backward(g, z, y):
+    return g * (1.0 - y * y)
+
+
+def _relu_forward(z):
+    return np.where(z > 0.0, z, 0.0)
+
+
+def _relu_backward(g, z, y):
+    return g * (z > 0.0)
+
+
+def _sigmoid_forward(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _sigmoid_backward(g, z, y):
+    return g * y * (1.0 - y)
+
+
+ACTIVATION_RULES = {
+    "tanh": (_tanh_forward, _tanh_backward),
+    "relu": (_relu_forward, _relu_backward),
+    "sigmoid": (_sigmoid_forward, _sigmoid_backward),
+}
+
+
+def _activation(kind: str, x: Value) -> Value:
     x = _as_value(x)
-    y = np.tanh(x.data)
+    forward, backward_rule = ACTIVATION_RULES[kind]
+    z = x.data
+    y = forward(z)
 
     def back(g):
-        return (g * (1.0 - y * y),)
+        return (backward_rule(g, z, y),)
 
-    return _emit("tanh", (x,), y, back)
+    return _emit(kind, (x,), y, back)
+
+
+def tanh(x: Value) -> Value:
+    return _activation("tanh", x)
 
 
 def relu(x: Value) -> Value:
-    x = _as_value(x)
-    mask = x.data > 0.0
-
-    def back(g):
-        return (g * mask,)
-
-    return _emit("relu", (x,), np.where(mask, x.data, 0.0), back)
+    return _activation("relu", x)
 
 
 def sigmoid(x: Value) -> Value:
-    x = _as_value(x)
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    return _activation("sigmoid", x)
 
-    def back(g):
-        return (g * y * (1.0 - y),)
 
-    return _emit("sigmoid", (x,), y, back)
+def _softmax_forward(z: np.ndarray, axis) -> np.ndarray:
+    shifted = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray, axis) -> np.ndarray:
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
 
 
 def softmax(x: Value, axis: int = -1) -> Value:
     """Softmax along one axis; stable under large logits."""
     x = _as_value(x)
     _shape_guard("softmax-over-axis", x.ndim >= 1, x.shape)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_forward(x.data, axis)
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_backward(g, y, axis),)
 
     return _emit("softmax-over-axis", (x,), y, back)
+
+
+def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
+               terms: Sequence[str]) -> Value:
+    """Softmax-weighted sum of candidate terms of one input, as one record.
+
+    ``terms[i]`` names what ``softmax(logits)[i]`` weights: ``"zero"``
+    (nothing), ``"identity"`` (``x`` itself) or an activation kind of
+    ``ACTIVATION_RULES`` applied to ``x @ W``, where each activation term
+    takes the next square matrix of ``matrices`` in order. The matrices are
+    multiplied as one ``(d, n * d)`` block. The zero term is skipped, which
+    is exact for finite ``x``; its logit still counts in the softmax.
+    """
+    logits, x = _as_value(logits), _as_value(x)
+    matrices = [_as_value(m) for m in matrices]
+    n_act = sum(term in ACTIVATION_RULES for term in terms)
+    d = x.shape[1] if x.ndim == 2 else -1
+    _shape_guard(
+        "mixed-edge",
+        logits.ndim == 1 and logits.shape[0] == len(terms) and x.ndim == 2
+        and len(matrices) == n_act and all(m.shape == (d, d) for m in matrices),
+        logits.shape, x.shape, *(m.shape for m in matrices),
+    )
+    xd = x.data
+    w = _softmax_forward(logits.data, 0)
+    wcat = np.concatenate([m.data for m in matrices], axis=1) if matrices else np.zeros((d, 0))
+    z = xd @ wcat
+    parts = []  # (logit index, activation rules or None for identity, columns of z, term)
+    col = 0
+    for i, term in enumerate(terms):
+        if term == "identity":
+            parts.append((i, None, None, xd))
+        elif term != "zero":
+            rules, cols = ACTIVATION_RULES[term], slice(col, col + d)
+            parts.append((i, rules, cols, rules[0](z[:, cols])))
+            col += d
+    out = np.zeros_like(xd)
+    for i, _, _, y in parts:
+        out = out + w[i] * y
+
+    def back(g):
+        dw = np.zeros_like(w)
+        dz = np.empty_like(z)
+        for i, rules, cols, y in parts:
+            dw[i] = (g * y).sum()
+            if rules is not None:
+                dz[:, cols] = rules[1](g * w[i], z[:, cols], y)
+        dx = dz @ wcat.T
+        for i, rules, _, _ in parts:
+            if rules is None:
+                dx = dx + g * w[i]
+        dwcat = xd.T @ dz
+        dmats = [dwcat[:, k * d:(k + 1) * d] for k in range(n_act)]
+        return (_softmax_backward(dw, w, 0), dx, *dmats)
+
+    return _emit("mixed-edge", (logits, x, *matrices), out, back)
 
 
 def concatenate(values: Sequence[Value], axis: int = 0) -> Value:
@@ -503,6 +597,7 @@ PRIMITIVES: dict[str, Callable] = {
     "select-index": select,
     "mean-squared-error": mse_loss,
     "softmax-cross-entropy": cross_entropy,
+    "mixed-edge": mixed_edge,
 }
 
 

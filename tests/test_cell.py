@@ -19,7 +19,7 @@ from cellsearch.cell import (
     softmax_weights,
     uniform_entropy,
 )
-from cellsearch.ops import NON_ZERO_OPS, OP_ORDER, init_op_params
+from cellsearch.ops import NON_ZERO_OPS, OP_ORDER, apply_op, init_op_params
 from cellsearch.tensor import Tape, Value, backward, finite_difference, relative_error
 
 
@@ -77,6 +77,70 @@ def test_mixed_edge_weights_sum_to_one():
 def test_mixed_edge_rejects_wrong_logit_length():
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
         mixed_edge_forward(Value([0.0, 0.0]), rows(1.0), op_set=OP_ORDER)
+
+
+def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
+    """Reference only: the mixed edge as one record per softmax, select,
+    multiply, operation and add, with the zero term included."""
+    weights = tensor.softmax(alpha_vec, axis=0)
+    out = None
+    for idx, kind in enumerate(op_set):
+        term = tensor.multiply(
+            tensor.select(weights, idx), apply_op(kind, edge_op_params.get(kind), x)
+        )
+        out = term if out is None else tensor.add(out, term)
+    return out
+
+
+FUSION_RTOL = 1e-12  # float64: the two differ only in summation order
+FUSION_OP_SETS = [
+    OP_ORDER,
+    ("zero", "identity"),
+    ("identity", "zero"),
+    ("linear_sigmoid", "identity", "linear_relu", "zero", "linear_tanh"),
+]
+
+
+def edge_output_and_grads(edge_fn, logits, x, mats, coeffs, op_set):
+    with Tape():
+        params = [Value.param(logits), Value.param(x)]
+        weights = {kind: Value.param(m) for kind, m in mats.items()}
+        out = edge_fn(params[0], params[1], weights, op_set)
+        loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)))
+    inputs = params + list(weights.values())
+    backward(loss, wrt=inputs)
+    return out.data, [p.grad for p in inputs]
+
+
+@pytest.mark.parametrize("op_set", FUSION_OP_SETS)
+@pytest.mark.parametrize("saturate", [False, True])
+def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        rows, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        logits = rng.normal(scale=2.0, size=len(op_set))
+        if saturate:
+            logits = saturated(op_set, op_set[int(rng.integers(len(op_set)))], -40.0, 40.0)
+        x = rng.normal(size=(rows, hidden))
+        mats = {kind: rng.normal(size=(hidden, hidden))
+                for kind in op_set if kind.startswith("linear_")}
+        coeffs = rng.normal(size=(rows, hidden))
+        fused = edge_output_and_grads(mixed_edge_forward, logits, x, mats, coeffs, op_set)
+        ref = edge_output_and_grads(unfused_mixed_edge, logits, x, mats, coeffs, op_set)
+        assert relative_error(fused[0], ref[0]) <= FUSION_RTOL
+        for g_fused, g_ref in zip(fused[1], ref[1]):
+            assert relative_error(g_fused, g_ref) <= FUSION_RTOL
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_mixed_edge_non_finite_input_gives_non_finite_output(bad):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 3))
+    x[1, 2] = bad
+    params = {kind: Value(rng.normal(size=(3, 3))) for kind in NON_ZERO_OPS[1:]}
+    out = mixed_edge_forward(Value(np.zeros(len(OP_ORDER))), Value(x), params)
+    assert not np.all(np.isfinite(out.data))
 
 
 # --- cell forward -----------------------------------------------------------

@@ -337,6 +337,38 @@ def test_count_rejects_unsupported_retained(capsys):
     assert main(["count", "--intermediates", "4", "--ops", "7", "--retained", "3"]) == 2
 
 
+# --- malformed inputs at the boundaries ---------------------------------------
+
+SNAPSHOT_HEADER = "edge\tzero\tidentity\tlinear_tanh\tlinear_relu\tlinear_sigmoid\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("derive", SNAPSHOT_HEADER + "0->2\t0.0\t0.1\toops\t0.0\t0.0\n",
+     "snapshot row 1 (edge 0->2)"),
+    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,-1\n2.0,0.0,1\n", "line 3: label -1 out of range"),
+    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,7\n", "line 3: label 7 out of range"),
+    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,nan,1\n", "line 3: non-finite feature"),
+    ("search", "x0,x1,label\n1.0,inf,0\n0.5,1.0,1\n", "line 2: non-finite feature"),
+    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,0\n", "need at least two classes"),
+], ids=["snapshot-non-numeric", "negative-label", "label-above-classes", "nan-feature",
+        "inf-feature", "single-class"])
+def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("data_dims = 4", "data_dims = 2")
+                   + f"data_path = {path}\n")
+    if command == "derive":
+        argv = ["derive", "--alpha", str(path), "--config", str(cfg),
+                "--out", str(tmp_path / "g.json")]
+    else:
+        argv = ["search", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1, err
+
+
 # --- grad-check command --------------------------------------------------------------
 
 

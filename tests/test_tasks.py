@@ -1,7 +1,12 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cellsearch.cell import CellSpec
+from cellsearch.cell import CellSpec, sample_genotype
+from cellsearch.cli import build_problem, load_config
+from cellsearch.ops import PARAMETERIZED_OPS
 from cellsearch.tasks import (
     DataConfig,
     DataError,
@@ -234,3 +239,40 @@ def test_data_config_loading_from_file(tmp_path):
     save_delimited(ds, path)
     built = DataConfig(path=str(path), seed=11).build()
     assert built.size("train") > 0 and built.size("val") > 0 and built.size("test") > 0
+
+
+# --- records per taped pass ----------------------------------------------------
+
+DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+
+
+def recorded_kinds(build) -> Counter:
+    with Tape() as tape:
+        build()
+    return Counter(record[0] for record in tape.records)
+
+
+def test_relaxed_desk_pass_is_one_record_per_mixed_edge():
+    task = build_problem(load_config(DESK_CFG))
+    weights = {k: Value.param(v) for k, v in task.init_weights(0).items()}
+    alpha = {k: Value.param(v) for k, v in task.init_alpha().items()}
+    batch = task.batch("train", 48, np.random.default_rng(0))
+    kinds = recorded_kinds(lambda: task.loss("train", weights, alpha, batch))
+    # 9 edges; 6 node sums + 2 reduction adds; 2 stems + head; the mean; the loss
+    assert kinds == {"mixed-edge": 9, "add": 8, "matrix-multiply": 3,
+                     "scale-by-constant": 1, "softmax-cross-entropy": 1}
+    assert sum(kinds.values()) == 22
+
+
+def test_discrete_desk_pass_records_two_per_linear_edge():
+    task = build_problem(load_config(DESK_CFG))
+    rng = np.random.default_rng(4)
+    batch = task.batch("train", 48, rng)
+    for _ in range(8):
+        genotype = sample_genotype(task.spec, rng)
+        linear = sum(kind in PARAMETERIZED_OPS for pairs in genotype.nodes for _, kind in pairs)
+        weights = {k: Value.param(v)
+                   for k, v in task.model.init_genotype_weights(genotype, 0).items()}
+        kinds = recorded_kinds(lambda: task.discrete_loss(weights, genotype, batch))
+        assert kinds["matrix-multiply"] == 3 + linear
+        assert sum(kinds.values()) == 10 + 2 * linear
