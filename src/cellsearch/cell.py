@@ -31,6 +31,9 @@ class CellError(ValueError):
     """Invalid cell specification, logits, or genotype."""
 
 
+REDUCTIONS = ("mean", "concat")
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """Static shape of a cell.
@@ -59,7 +62,7 @@ class CellSpec:
             raise CellError(f"k must be in [1, input_arity], got k={self.k}")
         if self.hidden < 1:
             raise CellError("hidden size must be positive")
-        if self.reduction not in ("mean", "concat"):
+        if self.reduction not in REDUCTIONS:
             raise CellError(f"unknown reduction {self.reduction!r}")
 
     @property
@@ -106,8 +109,7 @@ def init_alpha(spec: CellSpec, op_set: Sequence[str] = OP_ORDER) -> dict[str, np
 
 
 def softmax_weights(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    return tensor._softmax_forward(logits, 0)
 
 
 def alpha_entropy(alpha: Mapping[str, np.ndarray]) -> float:
@@ -335,7 +337,10 @@ def parse_alpha(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
         if len(parts) != len(header):
             raise CellError(f"snapshot row has {len(parts)} columns, expected {len(header)}")
         try:
-            alpha[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise CellError(f"snapshot row {row} (edge {parts[0]}): {exc}") from None
+        if not np.all(np.isfinite(vec)):
+            raise CellError(f"snapshot row {row} (edge {parts[0]}): non-finite logit")
+        alpha[parts[0]] = vec
     return alpha, op_names

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .cell import (
+    REDUCTIONS,
     CellError,
     CellSpec,
     Genotype,
@@ -34,6 +36,10 @@ from .gradcheck import check_all_primitives
 from .ops import OP_ORDER
 from .optim import OptimizerError
 from .search import (
+    ARCH_OPTIMIZERS,
+    BILEVEL_MODES,
+    JOINT_SUBMODES,
+    MODES,
     IterationRecord,
     NumericalError,
     SearchConfig,
@@ -78,48 +84,39 @@ def _cast_choice(*choices):
     return cast
 
 
+# Config key -> field name, for the dataclasses whose keys carry a prefix.
+# The cell's input arity is fixed at 2 and is not a key.
+CELL_KEYS = {"cell_nodes": "nodes", "cell_hidden": "hidden", "cell_k": "k",
+             "cell_reduction": "reduction"}
+DATA_KEYS = {"data_n": "n", "data_dims": "dims", "data_classes": "classes",
+             "data_noise": "noise", "data_seed": "seed", "data_clusters": "clusters_per_class",
+             "data_path": "path", "test_fraction": "test_fraction",
+             "val_fraction": "val_fraction"}
+# Every search field is a key of its own name, except the Adam betas.
+SEARCH_KEYS = {f.name: f.name for f in dataclasses.fields(SearchConfig) if f.name != "adam_betas"}
+
+_CHOICES = {"mode": MODES, "joint_submode": JOINT_SUBMODES,
+            "arch_optimizer": ARCH_OPTIMIZERS, "reduction": REDUCTIONS}
+_CASTS = {"int": int, "float": float, "bool": _cast_bool, "str | None": str,
+          "float | None": _cast_optional_float}
+
+
+def _casts(cls, keys: dict) -> dict:
+    """Config key -> cast, from the annotations of the fields ``keys`` names."""
+    by_name = {f.name: f for f in dataclasses.fields(cls)}
+    return {key: _cast_choice(*_CHOICES[name]) if name in _CHOICES
+            else _CASTS[by_name[name].type]
+            for key, name in keys.items()}
+
+
 CONFIG_KEYS = {
-    # task selection and data shape
     "task": _cast_choice("synthetic", "toy"),
-    "data_n": int,
-    "data_dims": int,
-    "data_classes": int,
-    "data_noise": float,
-    "data_seed": int,
-    "data_clusters": int,
-    "data_path": str,
-    "test_fraction": float,
-    "val_fraction": float,
-    # cell shape
-    "cell_nodes": int,
-    "cell_hidden": int,
-    "cell_k": int,
-    "cell_reduction": _cast_choice("mean", "concat"),
-    # search hyperparameters
-    "mode": _cast_choice("second-order", "first-order", "joint", "random"),
-    "steps": int,
-    "batch_size": int,
-    "seed": int,
-    "weight_lr": float,
-    "arch_lr": float,
-    "momentum": float,
-    "weight_decay_weights": float,
-    "weight_decay_alpha": float,
+    **_casts(DataConfig, DATA_KEYS),
+    **_casts(CellSpec, CELL_KEYS),
+    **_casts(SearchConfig, SEARCH_KEYS),
     "adam_beta1": float,
     "adam_beta2": float,
-    "arch_optimizer": _cast_choice("adam", "sgd"),
-    "unroll_lr": _cast_optional_float,
-    "hvp_epsilon_scale": float,
-    "anneal": _cast_bool,
-    "clip_norm": _cast_optional_float,
-    "momentum_unroll": _cast_bool,
-    "joint_submode": _cast_choice("coordinate", "simultaneous"),
-    "snapshot_every": int,
-    # from-scratch evaluation budget
-    "eval_steps": int,
-    "eval_batch_size": int,
-    "eval_seed": int,
-    "n_samples": int,
+    "n_samples": int,  # random search sample count
 }
 
 
@@ -154,50 +151,29 @@ def load_config(path) -> dict:
     return parse_config_text(text, origin=str(path))
 
 
+def _fields_from(cfg: dict, keys: dict) -> dict:
+    return {name: cfg[key] for key, name in keys.items() if key in cfg}
+
+
 def search_config_from(cfg: dict) -> SearchConfig:
     base = SearchConfig()
-    kwargs = {}
-    for field in ("mode", "steps", "batch_size", "seed", "weight_lr", "arch_lr",
-                  "momentum", "weight_decay_weights", "weight_decay_alpha",
-                  "arch_optimizer", "unroll_lr", "hvp_epsilon_scale", "anneal",
-                  "clip_norm", "momentum_unroll", "joint_submode", "eval_steps",
-                  "eval_batch_size", "eval_seed", "snapshot_every"):
-        if field in cfg:
-            kwargs[field] = cfg[field]
     betas = (cfg.get("adam_beta1", base.adam_betas[0]),
              cfg.get("adam_beta2", base.adam_betas[1]))
     try:
-        return SearchConfig(adam_betas=betas, **kwargs)
+        return SearchConfig(adam_betas=betas, **_fields_from(cfg, SEARCH_KEYS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def cell_spec_from(cfg: dict) -> CellSpec:
     try:
-        return CellSpec(
-            nodes=cfg.get("cell_nodes", 6),
-            input_arity=2,
-            hidden=cfg.get("cell_hidden", 16),
-            k=cfg.get("cell_k", 2),
-            reduction=cfg.get("cell_reduction", "mean"),
-        )
+        return CellSpec(**_fields_from(cfg, CELL_KEYS))
     except CellError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def data_config_from(cfg: dict) -> DataConfig:
-    defaults = DataConfig()
-    return DataConfig(
-        n=cfg.get("data_n", defaults.n),
-        dims=cfg.get("data_dims", defaults.dims),
-        classes=cfg.get("data_classes", defaults.classes),
-        noise=cfg.get("data_noise", defaults.noise),
-        seed=cfg.get("data_seed", defaults.seed),
-        clusters_per_class=cfg.get("data_clusters", defaults.clusters_per_class),
-        test_fraction=cfg.get("test_fraction", defaults.test_fraction),
-        val_fraction=cfg.get("val_fraction", defaults.val_fraction),
-        path=cfg.get("data_path"),
-    )
+    return DataConfig(**_fields_from(cfg, DATA_KEYS))
 
 
 def build_problem(cfg: dict):
@@ -343,6 +319,8 @@ def _run_search_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path) 
 
 def _run_random_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path,
                        n_samples: int):
+    if n_samples < 1:
+        raise ConfigError("need at least one sample")
     out_dir.mkdir(parents=True, exist_ok=True)
     result = random_search(config, problem, n_samples)
     (out_dir / "genotype.json").write_text(result.best.to_json())
@@ -463,8 +441,6 @@ def cmd_random_search(args) -> int:
     problem = build_problem(cfg)
     config = search_config_from(cfg)
     n_samples = args.samples if args.samples is not None else cfg.get("n_samples", 8)
-    if n_samples < 1:
-        raise ConfigError("need at least one sample")
     result = _run_random_to_dir(config, problem, cfg, Path(args.out), n_samples)
     print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
     print("genotype:", genotype_one_liner(result.best))
@@ -529,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-bilevel", help="run the analytic scalar problem")
     p.add_argument("--mode", default="second-order",
-                   choices=["second-order", "first-order"])
+                   choices=BILEVEL_MODES)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--unroll-lr", type=float, default=None,
                    help="lookahead step; defaults to the weight learning rate")

@@ -52,25 +52,20 @@ def unrolled_objective(problem, weights: Params, alpha: Params, unroll_lr: float
     return loss_value(problem, "val", lookahead, alpha, val_batch, counters=counters)
 
 
+def _fd_over(f, params: Params, step: float) -> Params:
+    """``tensor.finite_difference`` of ``f(params)`` over a name-keyed dict."""
+    keys = list(params)
+    grads = tensor.finite_difference(lambda arrays: f(dict(zip(keys, arrays))),
+                                     [params[k] for k in keys], step=step)
+    return dict(zip(keys, grads))
+
+
 def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: float,
                          train_batch, val_batch, step: float = 1e-5) -> Params:
     """Central differences of the unrolled objective over every logit."""
-    grads: Params = {}
-    probe = {k: v.copy() for k, v in alpha.items()}
-    for key, vec in probe.items():
-        g = np.zeros_like(vec)
-        flat = vec.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = unrolled_objective(problem, weights, probe, unroll_lr, train_batch, val_batch)
-            flat[i] = orig - step
-            down = unrolled_objective(problem, weights, probe, unroll_lr, train_batch, val_batch)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
-        grads[key] = g
-    return grads
+    return _fd_over(lambda probe: unrolled_objective(problem, weights, probe, unroll_lr,
+                                                    train_batch, val_batch),
+                   alpha, step)
 
 
 def hvp_nested_fd(problem, weights: Params, alpha: Params, vector: Params,
@@ -82,22 +77,8 @@ def hvp_nested_fd(problem, weights: Params, alpha: Params, vector: Params,
     """
 
     def alpha_grad_fd(at_weights: Params) -> Params:
-        grads: Params = {}
-        probe = {k: v.copy() for k, v in alpha.items()}
-        for key, vec in probe.items():
-            g = np.zeros_like(vec)
-            flat = vec.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up = loss_value(problem, "train", at_weights, probe, train_batch)
-                flat[i] = orig - step
-                down = loss_value(problem, "train", at_weights, probe, train_batch)
-                flat[i] = orig
-                gflat[i] = (up - down) / (2.0 * step)
-            grads[key] = g
-        return grads
+        return _fd_over(lambda probe: loss_value(problem, "train", at_weights, probe, train_batch),
+                       alpha, step)
 
     plus = {k: w + step * vector[k] for k, w in weights.items()}
     minus = {k: w - step * vector[k] for k, w in weights.items()}

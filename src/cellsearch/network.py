@@ -44,33 +44,24 @@ class CellClassifier:
 
     def init_weights(self, seed: int) -> dict[str, np.ndarray]:
         """Fresh inner weights for the relaxed network (every edge-op matrix)."""
-        rng = np.random.default_rng(seed)
-        weights: dict[str, np.ndarray] = {}
-        for i in range(self.spec.input_arity):
-            weights[f"stem_{i}"] = init_linear(rng, self.in_dim, self.spec.hidden)
-        for i, j in self.spec.edges():
-            for kind in OP_ORDER:
-                if kind in PARAMETERIZED_OPS:
-                    weights[f"{edge_key(i, j)}:{kind}"] = init_linear(
-                        rng, self.spec.hidden, self.spec.hidden
-                    )
-        weights["head"] = init_linear(rng, self.spec.output_width(), self.n_classes)
-        return weights
+        return self._init(seed, [(i, j, kind) for i, j in self.spec.edges() for kind in OP_ORDER])
 
     def init_genotype_weights(self, genotype: Genotype, seed: int) -> dict[str, np.ndarray]:
         """Fresh inner weights for a derived architecture (retained edges only)."""
         genotype.validate()
+        return self._init(seed, [(pred, self.spec.input_arity + offset, kind)
+                                 for offset, pairs in enumerate(genotype.nodes)
+                                 for pred, kind in pairs])
+
+    def _init(self, seed: int, edge_ops) -> dict[str, np.ndarray]:
+        """Stems, then a matrix per parameterized ``(i, j, kind)`` in order, then the head."""
         rng = np.random.default_rng(seed)
-        weights: dict[str, np.ndarray] = {}
-        for i in range(self.spec.input_arity):
-            weights[f"stem_{i}"] = init_linear(rng, self.in_dim, self.spec.hidden)
-        for offset, pairs in enumerate(genotype.nodes):
-            j = self.spec.input_arity + offset
-            for pred, kind in pairs:
-                if kind in PARAMETERIZED_OPS:
-                    weights[f"{edge_key(pred, j)}:{kind}"] = init_linear(
-                        rng, self.spec.hidden, self.spec.hidden
-                    )
+        hidden = self.spec.hidden
+        weights = {f"stem_{i}": init_linear(rng, self.in_dim, hidden)
+                   for i in range(self.spec.input_arity)}
+        for i, j, kind in edge_ops:
+            if kind in PARAMETERIZED_OPS:
+                weights[f"{edge_key(i, j)}:{kind}"] = init_linear(rng, hidden, hidden)
         weights["head"] = init_linear(rng, self.spec.output_width(), self.n_classes)
         return weights
 

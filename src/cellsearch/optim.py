@@ -4,7 +4,7 @@ Parameters and gradients travel as name-keyed dicts of float64 arrays. Both
 update rules fold weight decay into the gradient as an additive ``decay * p``
 term before any momentum accumulation; this convention is fixed here so runs
 are reproducible. ``step`` returns fresh arrays and never mutates its inputs;
-optimizer buffers are the only mutable state and can be serialized exactly.
+optimizer buffers are the only mutable state.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .tensor import flat_norm
 
 Params = dict[str, np.ndarray]
 
@@ -51,20 +53,6 @@ class SgdMomentum:
             out[name] = p - self.lr * v
         return out
 
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": {k: v.tolist() for k, v in self.velocity.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.momentum = state["momentum"]
-        self.weight_decay = state["weight_decay"]
-        self.velocity = {k: np.asarray(v, dtype=np.float64) for k, v in state["velocity"].items()}
-
 
 class Adam:
     """Bias-corrected Adam with decay folded into the gradient."""
@@ -97,26 +85,6 @@ class Adam:
             out[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
 
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "betas": [self.beta1, self.beta2],
-            "weight_decay": self.weight_decay,
-            "eps": self.eps,
-            "step_count": self.step_count,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.beta1, self.beta2 = state["betas"]
-        self.weight_decay = state["weight_decay"]
-        self.eps = state["eps"]
-        self.step_count = state["step_count"]
-        self.m = {k: np.asarray(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v, dtype=np.float64) for k, v in state["v"].items()}
-
 
 class CosineSchedule:
     """Rate annealed from ``initial`` at step 0 to exactly 0 at step ``total``."""
@@ -138,7 +106,7 @@ def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:
 
     Returns the (possibly rescaled) gradients and the pre-clip norm.
     """
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = flat_norm(grads.values())
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total

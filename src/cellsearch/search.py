@@ -14,9 +14,10 @@ correction vanishes and the step reduces to the plain validation gradient at
 the current weights (first-order mode).
 
 Baselines live here too: joint optimization of both groups on pooled
-train+val data (coordinate or simultaneous), uniform random architecture
-sampling scored by from-scratch retraining, and multi-seed selection that
-ranks searched genotypes by their from-scratch validation metric.
+train+val data (coordinate or simultaneous; the same loop with another step),
+uniform random architecture sampling scored by from-scratch retraining, and
+multi-seed selection that ranks searched genotypes by their from-scratch
+validation metric.
 """
 
 from __future__ import annotations
@@ -59,11 +60,17 @@ class EvalCounters:
     primitive_evals: int = 0
 
 
+BILEVEL_MODES = ("second-order", "first-order")
+MODES = BILEVEL_MODES + ("joint", "random")
+JOINT_SUBMODES = ("coordinate", "simultaneous")
+ARCH_OPTIMIZERS = ("adam", "sgd")
+
+
 @dataclass
 class SearchConfig:
     """Everything a search run depends on, seeds and budgets included."""
 
-    mode: str = "second-order"  # second-order | first-order | joint | random
+    mode: str = "second-order"
     steps: int = 300
     batch_size: int = 32
     seed: int = 0
@@ -73,24 +80,24 @@ class SearchConfig:
     weight_decay_weights: float = 3e-4
     weight_decay_alpha: float = 1e-3
     adam_betas: tuple[float, float] = (0.5, 0.999)
-    arch_optimizer: str = "adam"  # adam | sgd (plain descent)
+    arch_optimizer: str = "adam"  # sgd: plain descent
     unroll_lr: float | None = None  # None: follow the current weight lr
     hvp_epsilon_scale: float = 0.01
     anneal: bool = True
     clip_norm: float | None = 5.0
     momentum_unroll: bool = False
-    joint_submode: str = "coordinate"  # coordinate | simultaneous
+    joint_submode: str = "coordinate"
     eval_steps: int = 150
     eval_batch_size: int = 64
     eval_seed: int = 1234
     snapshot_every: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("second-order", "first-order", "joint", "random"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.joint_submode not in ("coordinate", "simultaneous"):
+        if self.joint_submode not in JOINT_SUBMODES:
             raise ValueError(f"unknown joint sub-mode {self.joint_submode!r}")
-        if self.arch_optimizer not in ("adam", "sgd"):
+        if self.arch_optimizer not in ARCH_OPTIMIZERS:
             raise ValueError(f"unknown arch optimizer {self.arch_optimizer!r}")
         if self.unroll_lr is not None and self.unroll_lr < 0:
             raise ValueError("unroll step must be non-negative")
@@ -342,7 +349,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
 
 
 # ---------------------------------------------------------------------------
-# The search loops
+# The search loop
 # ---------------------------------------------------------------------------
 
 
@@ -354,7 +361,7 @@ def _make_arch_optimizer(config: SearchConfig):
                        weight_decay=config.weight_decay_alpha)
 
 
-def _weight_step(problem, config, weights, alpha, lr, rng, counters, split="train"):
+def _weight_step(problem, config, weights, alpha, rng, counters, split="train"):
     batch = problem.batch(split, config.batch_size, rng)
     loss, wgrads, _ = loss_and_grads(problem, split, weights, alpha, batch,
                                      wrt=("weights",), counters=counters)
@@ -363,132 +370,114 @@ def _weight_step(problem, config, weights, alpha, lr, rng, counters, split="trai
     return loss, wgrads
 
 
+# Each step function takes one iteration and returns (train loss, val loss,
+# epsilon). It replaces traj.final_alpha and traj.final_weights as each update
+# lands, so a divergence midway leaves the updates made before it in place.
+
+
+def _bilevel_step(problem, config, t, traj, w_opt, a_opt, rng):
+    """Architecture step on a validation batch, then a weight step.
+
+    Second-order mode draws a training batch for the lookahead between the
+    two batches.
+    """
+    weights, alpha = traj.final_weights, traj.final_alpha
+    val_batch = problem.batch("val", config.batch_size, rng)
+    epsilon = None
+    if config.mode == "second-order":
+        unroll_batch = problem.batch("train", config.batch_size, rng)
+        unroll_lr = w_opt.lr if config.unroll_lr is None else config.unroll_lr
+        agrads, info = arch_gradient_second_order(
+            problem, weights, alpha, unroll_lr, unroll_batch, val_batch,
+            counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
+            velocity=w_opt.velocity if config.momentum_unroll else None,
+            momentum=config.momentum, weight_decay=config.weight_decay_weights,
+        )
+        val_loss, epsilon = info.val_loss, info.epsilon
+        if info.correction_skipped:
+            traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
+    else:
+        agrads, val_loss = arch_gradient_first_order(
+            problem, weights, alpha, val_batch, counters=traj.counters
+        )
+    traj.final_alpha = alpha = a_opt.step(alpha, agrads)
+    train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng, traj.counters)
+    traj.final_weights = w_opt.step(weights, wgrads)
+    return train_loss, val_loss, epsilon
+
+
+def _joint_step(problem, config, t, traj, w_opt, a_opt, rng):
+    """Both groups on pooled train+val data (no bilevel split).
+
+    ``coordinate`` takes an architecture step and then a weight step, each on
+    its own pooled batch; ``simultaneous`` takes one combined gradient step
+    from a single pooled batch. The architecture loss stands in for the
+    validation loss.
+    """
+    weights, alpha = traj.final_weights, traj.final_alpha
+    batch = problem.batch("joint", config.batch_size, rng)
+    if config.joint_submode == "coordinate":
+        arch_loss, _, agrads = loss_and_grads(problem, "joint", weights, alpha, batch,
+                                              wrt=("alpha",), counters=traj.counters)
+        traj.final_alpha = alpha = a_opt.step(alpha, agrads)
+        train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng,
+                                          traj.counters, split="joint")
+    else:
+        train_loss, wgrads, agrads = loss_and_grads(problem, "joint", weights, alpha, batch,
+                                                    wrt=WRT_BOTH, counters=traj.counters)
+        if config.clip_norm is not None:
+            wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
+        arch_loss = train_loss
+        traj.final_alpha = a_opt.step(alpha, agrads)
+    traj.final_weights = w_opt.step(weights, wgrads)
+    return train_loss, arch_loss, None
+
+
 def search(config: SearchConfig, problem,
            snapshot_hook: Callable[[int, Params], str] | None = None) -> Trajectory:
     """Alternating search: one architecture step, then one weight step.
 
-    Each iteration draws a fresh validation batch for the architecture step
-    (plus a fresh training batch for the lookahead in second-order mode) and
-    another fresh training batch for the weight step. Divergence stops the
+    Bilevel modes draw, per iteration, a fresh validation batch for the
+    architecture step (plus a fresh training batch for the lookahead in
+    second-order mode) and another fresh training batch for the weight step.
+    Joint mode runs the same loop with ``_joint_step``. Divergence stops the
     loop and returns the trajectory collected so far, flagged.
     """
     if config.mode == "joint":
-        return joint_optimize(config, problem, snapshot_hook=snapshot_hook)
-    if config.mode not in ("second-order", "first-order"):
+        step = _joint_step
+    elif config.mode in BILEVEL_MODES:
+        step = _bilevel_step
+    else:
         raise ValueError(f"search does not handle mode {config.mode!r}")
 
     rng = np.random.default_rng(config.seed)
-    weights = problem.init_weights(config.seed)
-    alpha = problem.init_alpha()
+    traj = Trajectory(final_weights=problem.init_weights(config.seed),
+                      final_alpha=problem.init_alpha())
     w_opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
                         weight_decay=config.weight_decay_weights)
     a_opt = _make_arch_optimizer(config)
     schedule = CosineSchedule(config.weight_lr, config.steps) if config.anneal else None
-    traj = Trajectory()
     start = time.perf_counter()
 
     for t in range(config.steps):
-        lr_t = schedule.rate(t) if schedule is not None else config.weight_lr
-        unroll_lr = lr_t if config.unroll_lr is None else config.unroll_lr
+        w_opt.lr = schedule.rate(t) if schedule is not None else config.weight_lr
         try:
-            val_batch = problem.batch("val", config.batch_size, rng)
-            epsilon = None
-            if config.mode == "second-order":
-                unroll_batch = problem.batch("train", config.batch_size, rng)
-                agrads, info = arch_gradient_second_order(
-                    problem, weights, alpha, unroll_lr, unroll_batch, val_batch,
-                    counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
-                    velocity=w_opt.velocity if config.momentum_unroll else None,
-                    momentum=config.momentum, weight_decay=config.weight_decay_weights,
-                )
-                val_loss, epsilon = info.val_loss, info.epsilon
-                if info.correction_skipped:
-                    traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
-            else:
-                agrads, val_loss = arch_gradient_first_order(
-                    problem, weights, alpha, val_batch, counters=traj.counters
-                )
-            alpha = a_opt.step(alpha, agrads)
-            w_opt.lr = lr_t
-            train_loss, wgrads = _weight_step(problem, config, weights, alpha,
-                                              lr_t, rng, traj.counters)
-            weights = w_opt.step(weights, wgrads)
+            train_loss, val_loss, epsilon = step(problem, config, t, traj, w_opt, a_opt, rng)
         except NumericalError as exc:
             traj.events.append(f"iter {t}: diverged: {exc}")
             traj.diverged = True
             break
-        snapshot = snapshot_hook(t, alpha) if snapshot_hook is not None else ""
+        snapshot = snapshot_hook(t, traj.final_alpha) if snapshot_hook is not None else ""
         traj.records.append(IterationRecord(
             iteration=t, train_loss=train_loss, val_loss=val_loss,
-            weight_lr=lr_t, hvp_epsilon=epsilon, snapshot=snapshot,
+            weight_lr=w_opt.lr, hvp_epsilon=epsilon, snapshot=snapshot,
             wall_clock=time.perf_counter() - start,
         ))
 
-    traj.final_alpha = {k: v.copy() for k, v in alpha.items()}
-    traj.final_weights = {k: v.copy() for k, v in weights.items()}
+    traj.final_alpha = {k: v.copy() for k, v in traj.final_alpha.items()}
+    traj.final_weights = {k: v.copy() for k, v in traj.final_weights.items()}
     if not traj.diverged:
-        traj.genotype = problem.derive(alpha)
-    return traj
-
-
-def joint_optimize(config: SearchConfig, problem,
-                   snapshot_hook: Callable[[int, Params], str] | None = None) -> Trajectory:
-    """Optimize both groups on pooled train+val data (no bilevel split).
-
-    ``coordinate`` alternates an architecture step and a weight step, each on
-    its own pooled batch; ``simultaneous`` takes one combined gradient step
-    per iteration from a single pooled batch.
-    """
-    rng = np.random.default_rng(config.seed)
-    weights = problem.init_weights(config.seed)
-    alpha = problem.init_alpha()
-    w_opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
-                        weight_decay=config.weight_decay_weights)
-    a_opt = _make_arch_optimizer(config)
-    schedule = CosineSchedule(config.weight_lr, config.steps) if config.anneal else None
-    traj = Trajectory()
-    start = time.perf_counter()
-
-    for t in range(config.steps):
-        lr_t = schedule.rate(t) if schedule is not None else config.weight_lr
-        w_opt.lr = lr_t
-        try:
-            if config.joint_submode == "coordinate":
-                arch_batch = problem.batch("joint", config.batch_size, rng)
-                arch_loss, _, agrads = loss_and_grads(
-                    problem, "joint", weights, alpha, arch_batch,
-                    wrt=("alpha",), counters=traj.counters,
-                )
-                alpha = a_opt.step(alpha, agrads)
-                step_loss, wgrads = _weight_step(problem, config, weights, alpha,
-                                                 lr_t, rng, traj.counters, split="joint")
-                weights = w_opt.step(weights, wgrads)
-            else:
-                batch = problem.batch("joint", config.batch_size, rng)
-                step_loss, wgrads, agrads = loss_and_grads(
-                    problem, "joint", weights, alpha, batch,
-                    wrt=WRT_BOTH, counters=traj.counters,
-                )
-                if config.clip_norm is not None:
-                    wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
-                arch_loss = step_loss
-                alpha = a_opt.step(alpha, agrads)
-                weights = w_opt.step(weights, wgrads)
-        except NumericalError as exc:
-            traj.events.append(f"iter {t}: diverged: {exc}")
-            traj.diverged = True
-            break
-        snapshot = snapshot_hook(t, alpha) if snapshot_hook is not None else ""
-        traj.records.append(IterationRecord(
-            iteration=t, train_loss=step_loss, val_loss=arch_loss,
-            weight_lr=lr_t, hvp_epsilon=None, snapshot=snapshot,
-            wall_clock=time.perf_counter() - start,
-        ))
-
-    traj.final_alpha = {k: v.copy() for k, v in alpha.items()}
-    traj.final_weights = {k: v.copy() for k, v in weights.items()}
-    if not traj.diverged:
-        traj.genotype = problem.derive(alpha)
+        traj.genotype = problem.derive(traj.final_alpha)
     return traj
 
 

@@ -59,10 +59,6 @@ class Value:
         """A leaf that will receive a gradient from ``backward``."""
         return cls(data, is_param=True, name=name)
 
-    @classmethod
-    def constant(cls, data) -> "Value":
-        return cls(data)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -118,9 +114,6 @@ class Value:
 
     def sum(self):
         return sum_all(self)
-
-    def detach(self) -> "Value":
-        return detach(self)
 
 
 def _as_value(x) -> Value:
@@ -184,14 +177,9 @@ class Tape:
 
 
 def _emit(kind: str, inputs: tuple[Value, ...], out_data: np.ndarray, backward_fn) -> Value:
-    """Create the output Value and record it if a tape is reachable."""
+    """Create the output Value and record it on the active tape, if any."""
     out = Value(out_data)
     tape = _active_tape()
-    if tape is None:
-        for v in inputs:
-            if v._recorded and v._tape is not None:
-                tape = v._tape
-                break
     if tape is not None:
         tape._record(kind, inputs, out, backward_fn)
     return out
@@ -570,15 +558,8 @@ def cross_entropy(logits: Value, labels) -> Value:
     return _emit("softmax-cross-entropy", (logits, labels), np.asarray(nll.mean()), back)
 
 
-def detach(v: Value) -> Value:
-    """Same data as a fresh constant with no tape participation."""
-    v = _as_value(v)
-    return Value(v.data.copy())
-
-
 # ---------------------------------------------------------------------------
-# Uniform dispatch by primitive kind, used by the gradient checker and by
-# callers that treat the primitive set as data.
+# The primitive set by kind name, checked case by case by the gradient checker.
 # ---------------------------------------------------------------------------
 
 PRIMITIVES: dict[str, Callable] = {
@@ -599,21 +580,6 @@ PRIMITIVES: dict[str, Callable] = {
     "softmax-cross-entropy": cross_entropy,
     "mixed-edge": mixed_edge,
 }
-
-
-def apply_primitive(kind: str, inputs: Sequence[Value], **attrs) -> Value:
-    """Apply a primitive by kind name.
-
-    Attributes that are not differentiated (axis, constant factor, index)
-    are passed as keyword arguments.
-    """
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind: {kind!r}") from None
-    if kind == "concatenate":
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------

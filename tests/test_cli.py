@@ -345,13 +345,15 @@ SNAPSHOT_HEADER = "edge\tzero\tidentity\tlinear_tanh\tlinear_relu\tlinear_sigmoi
 @pytest.mark.parametrize("command, text, message", [
     ("derive", SNAPSHOT_HEADER + "0->2\t0.0\t0.1\toops\t0.0\t0.0\n",
      "snapshot row 1 (edge 0->2)"),
+    ("derive", SNAPSHOT_HEADER + "0->2\t0.0\tnan\t0.0\t0.0\t0.0\n",
+     "snapshot row 1 (edge 0->2): non-finite logit"),
     ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,-1\n2.0,0.0,1\n", "line 3: label -1 out of range"),
     ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,7\n", "line 3: label 7 out of range"),
     ("search", "x0,x1,label\n1.0,2.0,0\n0.5,nan,1\n", "line 3: non-finite feature"),
     ("search", "x0,x1,label\n1.0,inf,0\n0.5,1.0,1\n", "line 2: non-finite feature"),
     ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,0\n", "need at least two classes"),
-], ids=["snapshot-non-numeric", "negative-label", "label-above-classes", "nan-feature",
-        "inf-feature", "single-class"])
+], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
+        "nan-feature", "inf-feature", "single-class"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, text, message):
     path = tmp_path / "input"
     path.write_text(text)
@@ -367,6 +369,19 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, text, 
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["search", "random-search"])
+def test_random_zero_samples_exits_2_with_one_line(tmp_path, capsys, command):
+    cfg = tmp_path / "rand.cfg"
+    cfg.write_text(SMALL_CFG.replace("mode = second-order", "mode = random")
+                   + "n_samples = 0\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "need at least one sample" in err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # --- grad-check command --------------------------------------------------------------
@@ -390,3 +405,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "discrete_exact: 4" in proc.stdout  # C(2,2) * 2^2
+
+
+# --- benchmark tracer -------------------------------------------------------------
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/layertrace.py wraps package functions by name and fails on a missing one
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "import layertrace; layertrace.Tracer().install()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

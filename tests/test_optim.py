@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -78,35 +76,6 @@ def test_adam_step_counter_increments():
     for expected in (1, 2, 3):
         p = opt.step(p, params_of(p=[0.5]))
         assert opt.step_count == expected
-
-
-def test_adam_state_round_trips_through_json():
-    opt = Adam(lr=0.01, betas=(0.5, 0.999), weight_decay=1e-3)
-    p = params_of(a=[1.0, 2.0], b=[[0.5, -1.5]])
-    g = params_of(a=[0.1, -0.2], b=[[0.3, 0.4]])
-    for _ in range(3):
-        p = opt.step(p, g)
-
-    blob = json.dumps(opt.state_dict())
-    clone = Adam(lr=0.0)
-    clone.load_state_dict(json.loads(blob))
-    assert clone.step_count == opt.step_count
-    for k in opt.m:
-        np.testing.assert_array_equal(clone.m[k], opt.m[k])
-        np.testing.assert_array_equal(clone.v[k], opt.v[k])
-
-    np.testing.assert_array_equal(opt.step(p, g)["a"], clone.step(p, g)["a"])
-
-
-def test_sgd_state_round_trips_through_json():
-    opt = SgdMomentum(lr=0.1, momentum=0.9, weight_decay=1e-4)
-    p = params_of(w=[1.0, -1.0])
-    p = opt.step(p, params_of(w=[0.2, 0.4]))
-    clone = SgdMomentum(lr=0.0)
-    clone.load_state_dict(json.loads(json.dumps(opt.state_dict())))
-    np.testing.assert_array_equal(clone.velocity["w"], opt.velocity["w"])
-    g = params_of(w=[0.1, 0.1])
-    np.testing.assert_array_equal(opt.step(p, g)["w"], clone.step(p, g)["w"])
 
 
 def test_shape_mismatch_rejected():

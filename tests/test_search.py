@@ -18,8 +18,8 @@ from cellsearch.search import (
     arch_gradient_first_order,
     arch_gradient_second_order,
     hvp_finite_difference,
-    joint_optimize,
     loss_and_grads,
+    loss_value,
     pick_best_candidate,
     random_search,
     search,
@@ -29,7 +29,7 @@ from cellsearch.search import (
     unrolled_weights,
 )
 from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask, toy_losses
-from cellsearch.tensor import relative_error
+from cellsearch.tensor import finite_difference, relative_error
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +315,39 @@ def test_search_divergence_aborts_with_partial_trajectory(small_task):
     assert any("diverged" in e for e in traj.events)
 
 
+class WeightStepNanToy(ToyBilevelTask):
+    """The toy problem whose fourth loss on ``split`` is NaN."""
+
+    def __init__(self, split):
+        super().__init__()
+        self.split, self.calls = split, 0
+
+    def loss(self, split, weights, alpha, batch):
+        out = super().loss(split, weights, alpha, batch)
+        if split == self.split:
+            self.calls += 1
+            if self.calls == 4:
+                return out * float("nan")
+        return out
+
+
+@pytest.mark.parametrize("mode, split, completed", [
+    ("first-order", "train", 3),  # one training-split pass per iteration
+    ("joint", "joint", 1),  # two pooled passes per iteration
+])
+def test_divergence_in_weight_step_keeps_that_iterations_arch_step(mode, split, completed):
+    def run(steps, problem):
+        base = toy_search_config("first-order", steps=steps)
+        return search(SearchConfig(**{**base.__dict__, "mode": mode}), problem)
+
+    traj = run(4, WeightStepNanToy(split))
+    assert traj.diverged and len(traj.records) == completed
+    before, after = run(completed, ToyBilevelTask()), run(completed + 1, ToyBilevelTask())
+    assert traj.final_weights["w"] == before.final_weights["w"]
+    assert traj.final_alpha["alpha"] == after.final_alpha["alpha"]
+    assert after.final_alpha["alpha"] != before.final_alpha["alpha"]
+
+
 # --- joint optimization -------------------------------------------------------
 
 
@@ -322,7 +355,7 @@ def test_joint_simultaneous_reaches_stationary_point_of_summed_objective(toy):
     config = toy_search_config("second-order", steps=800, weight_lr=0.2, arch_lr=0.2)
     config = SearchConfig(**{**config.__dict__, "mode": "joint",
                              "joint_submode": "simultaneous"})
-    traj = joint_optimize(config, toy)
+    traj = search(config, toy)
     a = float(traj.final_alpha["alpha"])
     w = float(traj.final_weights["w"])
     # summed objective gradients: d/dw = 2w - a, d/da = 2a - w - 2
@@ -336,8 +369,8 @@ def test_joint_submodes_agree_on_first_weight_step_when_arch_frozen(toy):
     base = toy_search_config("second-order", steps=1, weight_lr=0.3, arch_lr=0.0)
     coord = SearchConfig(**{**base.__dict__, "mode": "joint", "joint_submode": "coordinate"})
     simul = SearchConfig(**{**base.__dict__, "mode": "joint", "joint_submode": "simultaneous"})
-    t_coord = joint_optimize(coord, toy)
-    t_simul = joint_optimize(simul, toy)
+    t_coord = search(coord, toy)
+    t_simul = search(simul, toy)
     assert t_coord.final_weights["w"] == pytest.approx(float(t_simul.final_weights["w"]))
     assert t_coord.final_alpha["alpha"] == pytest.approx(2.0)
 
@@ -345,8 +378,8 @@ def test_joint_submodes_agree_on_first_weight_step_when_arch_frozen(toy):
 def test_joint_mode_is_deterministic(small_task):
     config = SearchConfig(mode="joint", joint_submode="coordinate", steps=5,
                           batch_size=8, seed=9, weight_lr=0.05)
-    t1 = joint_optimize(config, small_task)
-    t2 = joint_optimize(config, small_task)
+    t1 = search(config, small_task)
+    t2 = search(config, small_task)
     for k in t1.final_alpha:
         assert np.array_equal(t1.final_alpha[k], t2.final_alpha[k])
     assert [r.train_loss for r in t1.records] == [r.train_loss for r in t2.records]
@@ -451,6 +484,33 @@ def test_network_second_order_gradient_close_to_differenced_objective():
                                           train_batch, val_batch)
     oracle = fd_unrolled_gradient(task, weights, alpha, 0.1, train_batch, val_batch)
     assert relative_error(flatten(grads), flatten(oracle)) < 1e-2
+
+
+def test_momentum_lookahead_gradient_close_to_differenced_objective():
+    # the lookahead with the weight optimizer's velocity (momentum_unroll), on the
+    # 20 problems and at the tolerance of check_networks_eps_rule's default seed
+    worst = 0.0
+    for p in range(20):
+        task, _ = make_tiny_cell_task(1000 + p)
+        rng = np.random.default_rng(p)
+        weights = task.init_weights(p)
+        alpha = {k: rng.normal(scale=0.5, size=v.shape) for k, v in task.init_alpha().items()}
+        train_batch = task.batch("train", 16, rng)
+        val_batch = task.batch("val", 16, rng)
+        velocity = {k: rng.normal(size=w.shape) for k, w in weights.items()}
+        unroll = dict(velocity=velocity, momentum=0.9, weight_decay=3e-4)
+        grads, _ = arch_gradient_second_order(task, weights, alpha, 0.1,
+                                              train_batch, val_batch, **unroll)
+        keys = list(alpha)
+
+        def objective(arrays):
+            probe = dict(zip(keys, arrays))
+            lookahead = unrolled_weights(task, weights, probe, 0.1, train_batch, **unroll)
+            return loss_value(task, "val", lookahead, probe, val_batch)
+
+        oracle = finite_difference(objective, [alpha[k] for k in keys])
+        worst = max(worst, relative_error(flatten(grads), flatten(dict(zip(keys, oracle)))))
+    assert worst < 1e-2
 
 
 def test_quadratic_exact_hvp_matches_finite_difference_hvp():

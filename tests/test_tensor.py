@@ -8,10 +8,8 @@ from cellsearch.tensor import (
     Tape,
     TapeError,
     Value,
-    apply_primitive,
     backward,
     cross_entropy,
-    detach,
     finite_difference,
     matmul,
     relative_error,
@@ -128,31 +126,6 @@ def test_scalar_broadcast_gradients_sum_over_tensor():
     np.testing.assert_allclose(t.grad, [2.0, 2.0, 2.0])
 
 
-def test_detach_copies_data_and_blocks_gradients():
-    x = Value.param([1.0, -3.0])
-    d = detach(x)
-    np.testing.assert_array_equal(d.data, x.data)
-    assert d.data is not x.data
-
-    with Tape():
-        loss = tensor.sum_all(tensor.multiply(detach(x), x))
-    backward(loss)
-    np.testing.assert_allclose(x.grad, [1.0, -3.0])  # only the live branch
-
-    with Tape():
-        loss = tensor.sum_all(tensor.multiply(detach(x), detach(x)))
-    backward(loss, wrt=[x])
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
-
-
-def test_detach_idempotent():
-    x = Value([1.0, 2.0])
-    once = detach(x)
-    twice = detach(once)
-    np.testing.assert_array_equal(once.data, twice.data)
-    assert twice._tape is None and not twice._recorded
-
-
 def test_backward_wrt_subset_leaves_other_params_untouched():
     a = Value.param([1.0])
     b = Value.param([2.0])
@@ -230,15 +203,6 @@ def test_cross_entropy_matches_manual_nll():
     loss = cross_entropy(Value(logits), Value(labels))
     expected = -(np.log(0.7) + np.log(0.8)) / 2.0
     assert loss.item() == pytest.approx(expected, rel=1e-12)
-
-
-def test_apply_primitive_dispatch():
-    out = apply_primitive("add", [Value([1.0]), Value([2.0])])
-    np.testing.assert_array_equal(out.data, [3.0])
-    out = apply_primitive("softmax-over-axis", [Value([0.0, 0.0])], axis=0)
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
-    with pytest.raises(ValueError, match="unknown primitive"):
-        apply_primitive("no-such-kind", [])
 
 
 def test_unreached_parameter_gets_zero_gradient():
