@@ -99,9 +99,14 @@ class SearchConfig:
             raise ValueError(f"unknown joint sub-mode {self.joint_submode!r}")
         if self.arch_optimizer not in ARCH_OPTIMIZERS:
             raise ValueError(f"unknown arch optimizer {self.arch_optimizer!r}")
+        if not (self.weight_lr >= 0 and self.arch_lr >= 0):
+            raise ValueError("learning rates must be non-negative")
         if self.unroll_lr is not None and self.unroll_lr < 0:
             raise ValueError("unroll step must be non-negative")
-        if self.steps < 0 or self.batch_size < 1 or self.eval_steps < 0:
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError("clip norm must be positive (or none)")
+        if (self.steps < 0 or self.eval_steps < 0
+                or self.batch_size < 1 or self.eval_batch_size < 1):
             raise ValueError("budgets must be non-negative, batch sizes positive")
         if self.hvp_epsilon_scale <= 0:
             raise ValueError("finite-difference scale must be positive")
@@ -184,8 +189,9 @@ class RandomSearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _wrap(arrays: Mapping[str, np.ndarray]) -> dict[str, Value]:
-    return {k: Value.param(v, name=k) for k, v in arrays.items()}
+def _wrap(arrays: Mapping[str, np.ndarray], as_params: bool = True) -> dict[str, Value]:
+    make = Value.param if as_params else Value
+    return {k: make(v, name=k) for k, v in arrays.items()}
 
 
 def _require_finite(what: str, value: float) -> None:
@@ -194,11 +200,13 @@ def _require_finite(what: str, value: float) -> None:
 
 
 def _grads_from(values: Mapping[str, Value], what: str) -> Params:
-    out = {}
-    for name, v in values.items():
-        if not np.all(np.isfinite(v.grad)):
-            raise NumericalError(f"{what}: non-finite gradient for {name!r}")
-        out[name] = v.grad
+    """The gradients of a group, checked finite by one sum; only a
+    non-finite sum is scanned name by name."""
+    out = {name: v.grad for name, v in values.items()}
+    if not np.isfinite(sum(float(g.sum()) for g in out.values())):
+        for name, g in out.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"{what}: non-finite gradient for {name!r}")
     return out
 
 
@@ -208,26 +216,27 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
     """One forward/backward pass; returns (loss, weight grads, alpha grads).
 
     Gradients are computed only for the groups named in ``wrt``; the other
-    slot comes back ``None``. Counters record which groups were requested.
+    group is wrapped as constants and its slot comes back ``None``. Counters
+    record which groups were requested.
     """
     with Tape() as tape:
-        wv = _wrap(weights)
-        av = _wrap(alpha)
+        wv = _wrap(weights, "weights" in wrt)
+        av = _wrap(alpha, "alpha" in wrt)
         loss = problem.loss(split, wv, av, batch)
     loss_val = loss.item()
     _require_finite(f"{split} loss", loss_val)
+    if counters is not None:  # before backward, which empties the tape
+        counters.forward_passes += 1
+        counters.backward_passes += 1
+        counters.primitive_evals += len(tape)
+        counters.alpha_grad_evals += 1 if "alpha" in wrt else 0
+        counters.weight_grad_evals += 1 if "weights" in wrt else 0
     want: list[Value] = []
     if "weights" in wrt:
         want.extend(wv.values())
     if "alpha" in wrt:
         want.extend(av.values())
     backward(loss, wrt=want)
-    if counters is not None:
-        counters.forward_passes += 1
-        counters.backward_passes += 1
-        counters.primitive_evals += len(tape)
-        counters.alpha_grad_evals += 1 if "alpha" in wrt else 0
-        counters.weight_grad_evals += 1 if "weights" in wrt else 0
     wgrads = _grads_from(wv, f"{split} loss") if "weights" in wrt else None
     agrads = _grads_from(av, f"{split} loss") if "alpha" in wrt else None
     return loss_val, wgrads, agrads
@@ -456,7 +465,8 @@ def search(config: SearchConfig, problem,
     w_opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
                         weight_decay=config.weight_decay_weights)
     a_opt = _make_arch_optimizer(config)
-    schedule = CosineSchedule(config.weight_lr, config.steps) if config.anneal else None
+    schedule = (CosineSchedule(config.weight_lr, config.steps)
+                if config.anneal and config.steps else None)
     start = time.perf_counter()
 
     for t in range(config.steps):
@@ -499,7 +509,8 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
     weights = problem.model.init_genotype_weights(genotype, seed)
     opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
                       weight_decay=config.weight_decay_weights)
-    schedule = CosineSchedule(config.weight_lr, config.eval_steps) if config.anneal else None
+    schedule = (CosineSchedule(config.weight_lr, config.eval_steps)
+                if config.anneal and config.eval_steps else None)
 
     for t in range(config.eval_steps):
         opt.lr = schedule.rate(t) if schedule is not None else config.weight_lr
@@ -508,15 +519,15 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
             wv = _wrap(weights)
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss.item())
-        backward(loss)
-        wgrads = _grads_from(wv, "retraining loss")
-        if config.clip_norm is not None:
-            wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
-        if counters is not None:
+        if counters is not None:  # before backward, which empties the tape
             counters.forward_passes += 1
             counters.backward_passes += 1
             counters.weight_grad_evals += 1
             counters.primitive_evals += len(tape)
+        backward(loss)
+        wgrads = _grads_from(wv, "retraining loss")
+        if config.clip_norm is not None:
+            wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
         weights = opt.step(weights, wgrads)
 
     return problem.split_accuracy(weights, genotype, "val"), weights

@@ -6,6 +6,14 @@ is active appends one record. Records are appended in execution order, which
 is a topological order by construction, so ``backward`` is a single reverse
 sweep with no sorting.
 
+Which values need a gradient is settled at record time: parameters carry
+``requires_grad``, each record stores which of its inputs need a gradient,
+and its output needs one if any input does. Each backward closure receives
+that mask as ``need`` and may return ``None`` for inputs that need none.
+``backward`` consumes its tape: once the sweep is done it drops the records
+and the parameter list, so a finished pass holds no reference cycle and is
+freed by reference counting, without waiting for the cyclic collector.
+
 Shape rules are deliberately narrow: elementwise primitives require identical
 shapes, the only broadcasting allowed is a 0-d scalar against a tensor, and
 matrix multiplication is strictly 2-d. Everything is float64; the
@@ -15,6 +23,7 @@ rounding for single precision.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -26,7 +35,8 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Invalid tape usage: nested tapes, cross-tape values, loss not recorded."""
+    """Invalid tape usage: nested tapes, cross-tape values, loss not recorded,
+    backward on a tape that an earlier backward consumed."""
 
 
 _STATE = threading.local()
@@ -41,15 +51,18 @@ class Value:
 
     A ``Value`` is either a leaf (constant or parameter) or the output of a
     primitive. Parameters are leaves whose ``grad`` slot ``backward`` fills
-    in; constants never receive gradients. Data is stored row-major.
+    in; constants never receive gradients. ``requires_grad`` is True for
+    parameters and for recorded outputs that depend on one. Data is stored
+    row-major.
     """
 
-    __slots__ = ("data", "grad", "is_param", "name", "_tape", "_recorded")
+    __slots__ = ("data", "grad", "is_param", "requires_grad", "name", "_tape", "_recorded")
 
     def __init__(self, data, *, is_param: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.is_param = is_param
+        self.requires_grad = is_param
         self.name = name
         self._tape: "Tape | None" = None
         self._recorded = False
@@ -128,15 +141,16 @@ class Tape:
     Use as a context manager; at most one tape may be active per thread.
     Leaf parameters are registered the first time a primitive consumes them,
     in consumption order. The tape and its values belong to one thread;
-    independent tapes share no state.
+    independent tapes share no state. ``backward`` empties the tape.
     """
 
-    __slots__ = ("records", "_params", "_param_ids")
+    __slots__ = ("records", "_params", "_param_ids", "_consumed")
 
     def __init__(self):
-        self.records: list[tuple] = []  # (kind, inputs, output, backward_fn)
+        self.records: list[tuple] = []  # (kind, inputs, output, backward_fn, need)
         self._params: list[Value] = []
         self._param_ids: set[int] = set()
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -171,9 +185,17 @@ class Tape:
                     )
             else:
                 self._register_leaf(v)
+        need = tuple(v.requires_grad for v in inputs)
+        output.requires_grad = True in need
         output._tape = self
         output._recorded = True
-        self.records.append((kind, inputs, output, backward_fn))
+        self.records.append((kind, inputs, output, backward_fn, need))
+
+    def _consume(self):
+        self.records.clear()
+        self._params.clear()
+        self._param_ids.clear()
+        self._consumed = True
 
 
 def _emit(kind: str, inputs: tuple[Value, ...], out_data: np.ndarray, backward_fn) -> Value:
@@ -193,35 +215,37 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
     only the given parameters do (others are left untouched). Parameters that
     do not influence the loss receive zeros. Each call assigns fresh
     gradients; nothing accumulates across calls.
+
+    Gradients flow only through values whose ``requires_grad`` was set when
+    they were recorded, and each closure is told which of its inputs need
+    one. The call consumes the tape: its records and parameter list are
+    dropped, and a second ``backward`` on it raises ``TapeError``.
     """
     if loss.ndim != 0:
         raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss._tape
     if tape is None or not loss._recorded:
         raise TapeError("backward: loss is not recorded on a tape")
+    if tape._consumed:
+        raise TapeError("backward: the tape was already consumed by an earlier backward")
     params = list(tape.params) if wrt is None else list(wrt)
     for p in params:
         if not p.is_param:
             raise TapeError("backward: wrt entries must be parameters")
 
-    needed = {id(p) for p in params}
-    for _, inputs, output, _ in tape.records:
-        if any(id(v) in needed for v in inputs):
-            needed.add(id(output))
-
     adjoint: dict[int, np.ndarray] = {}
-    if id(loss) in needed:
+    if loss.requires_grad:
         adjoint[id(loss)] = np.ones((), dtype=np.float64)
-        for _, inputs, output, backward_fn in reversed(tape.records):
+        for _, inputs, output, backward_fn, need in reversed(tape.records):
             g_out = adjoint.pop(id(output), None)
             if g_out is None:
                 continue
-            grads = backward_fn(g_out)
-            for v, g in zip(inputs, grads):
-                if g is None or id(v) not in needed:
+            for v, needed, g in zip(inputs, need, backward_fn(g_out, need)):
+                if not needed or g is None:
                     continue
                 prev = adjoint.get(id(v))
                 adjoint[id(v)] = g if prev is None else prev + g
+    tape._consume()
 
     for p in params:
         g = adjoint.get(id(p))
@@ -230,8 +254,9 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
 
 # ---------------------------------------------------------------------------
 # Primitives. Each checks its shape rule, computes with numpy, and registers
-# a closure producing input gradients aligned with the ``inputs`` tuple
-# (None for inputs that never receive gradients, e.g. class labels).
+# a closure ``back(g, need)`` producing input gradients aligned with the
+# ``inputs`` tuple. ``need`` flags the inputs that need one; a closure may
+# return None for the others (and always does for class labels).
 # ---------------------------------------------------------------------------
 
 
@@ -257,7 +282,7 @@ def add(a: Value, b: Value) -> Value:
     a, b = _as_value(a), _as_value(b)
     _elementwise_pair("add", a, b)
 
-    def back(g):
+    def back(g, need):
         return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
 
     return _emit("add", (a, b), a.data + b.data, back)
@@ -267,7 +292,7 @@ def subtract(a: Value, b: Value) -> Value:
     a, b = _as_value(a), _as_value(b)
     _elementwise_pair("subtract", a, b)
 
-    def back(g):
+    def back(g, need):
         return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
 
     return _emit("subtract", (a, b), a.data - b.data, back)
@@ -278,7 +303,7 @@ def multiply(a: Value, b: Value) -> Value:
     _elementwise_pair("elementwise-multiply", a, b)
     ad, bd = a.data, b.data
 
-    def back(g):
+    def back(g, need):
         return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
 
     return _emit("elementwise-multiply", (a, b), ad * bd, back)
@@ -289,7 +314,7 @@ def scale(a: Value, c: float) -> Value:
     a = _as_value(a)
     c = float(c)
 
-    def back(g):
+    def back(g, need):
         return (g * c,)
 
     return _emit("scale-by-constant", (a,), a.data * c, back)
@@ -305,8 +330,8 @@ def matmul(a: Value, b: Value) -> Value:
     )
     ad, bd = a.data, b.data
 
-    def back(g):
-        return g @ bd.T, ad.T @ g
+    def back(g, need):
+        return g @ bd.T if need[0] else None, ad.T @ g if need[1] else None
 
     return _emit("matrix-multiply", (a, b), ad @ bd, back)
 
@@ -353,7 +378,7 @@ def _activation(kind: str, x: Value) -> Value:
     z = x.data
     y = forward(z)
 
-    def back(g):
+    def back(g, need):
         return (backward_rule(g, z, y),)
 
     return _emit(kind, (x,), y, back)
@@ -388,10 +413,28 @@ def softmax(x: Value, axis: int = -1) -> Value:
     _shape_guard("softmax-over-axis", x.ndim >= 1, x.shape)
     y = _softmax_forward(x.data, axis)
 
-    def back(g):
+    def back(g, need):
         return (_softmax_backward(g, y, axis),)
 
     return _emit("softmax-over-axis", (x,), y, back)
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_plan(terms: tuple[str, ...], d: int):
+    """The activation-term count of a mixed edge and, per non-zero term, its
+    logit index, activation rules (None for identity) and columns of z.
+
+    A search calls ``mixed_edge`` with a few term tuples, so the plan is built
+    once per tuple and width; the cache is bounded and its entries immutable.
+    """
+    plan, n_act = [], 0
+    for i, term in enumerate(terms):
+        if term == "identity":
+            plan.append((i, None, None))
+        elif term != "zero":
+            plan.append((i, ACTIVATION_RULES[term], slice(n_act * d, (n_act + 1) * d)))
+            n_act += 1
+    return n_act, tuple(plan)
 
 
 def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
@@ -407,8 +450,8 @@ def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
     """
     logits, x = _as_value(logits), _as_value(x)
     matrices = [_as_value(m) for m in matrices]
-    n_act = sum(term in ACTIVATION_RULES for term in terms)
     d = x.shape[1] if x.ndim == 2 else -1
+    n_act, plan = _edge_plan(tuple(terms), d)
     _shape_guard(
         "mixed-edge",
         logits.ndim == 1 and logits.shape[0] == len(terms) and x.ndim == 2
@@ -419,33 +462,35 @@ def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
     w = _softmax_forward(logits.data, 0)
     wcat = np.concatenate([m.data for m in matrices], axis=1) if matrices else np.zeros((d, 0))
     z = xd @ wcat
-    parts = []  # (logit index, activation rules or None for identity, columns of z, term)
-    col = 0
-    for i, term in enumerate(terms):
-        if term == "identity":
-            parts.append((i, None, None, xd))
-        elif term != "zero":
-            rules, cols = ACTIVATION_RULES[term], slice(col, col + d)
-            parts.append((i, rules, cols, rules[0](z[:, cols])))
-            col += d
+    ys = [xd if rules is None else rules[0](z[:, cols]) for _, rules, cols in plan]
     out = np.zeros_like(xd)
-    for i, _, _, y in parts:
+    for (i, _, _), y in zip(plan, ys):
         out = out + w[i] * y
 
-    def back(g):
-        dw = np.zeros_like(w)
-        dz = np.empty_like(z)
-        for i, rules, cols, y in parts:
-            dw[i] = (g * y).sum()
-            if rules is not None:
-                dz[:, cols] = rules[1](g * w[i], z[:, cols], y)
-        dx = dz @ wcat.T
-        for i, rules, _, _ in parts:
-            if rules is None:
-                dx = dx + g * w[i]
-        dwcat = xd.T @ dz
-        dmats = [dwcat[:, k * d:(k + 1) * d] for k in range(n_act)]
-        return (_softmax_backward(dw, w, 0), dx, *dmats)
+    def back(g, need):
+        dlogits = dx = None
+        dmats = [None] * n_act
+        if need[0]:
+            dw = np.zeros_like(w)
+            for (i, _, _), y in zip(plan, ys):
+                dw[i] = (g * y).sum()
+            dlogits = _softmax_backward(dw, w, 0)
+        need_mats = True in need[2:]
+        if need[1] or need_mats:
+            dz = np.empty_like(z)
+            for (i, rules, cols), y in zip(plan, ys):
+                if rules is not None:
+                    dz[:, cols] = rules[1](g * w[i], z[:, cols], y)
+            if need[1]:
+                dx = dz @ wcat.T
+                for i, rules, _ in plan:
+                    if rules is None:
+                        dx = dx + g * w[i]
+            if need_mats:
+                dwcat = xd.T @ dz
+                dmats = [dwcat[:, k * d:(k + 1) * d] if need[2 + k] else None
+                         for k in range(n_act)]
+        return (dlogits, dx, *dmats)
 
     return _emit("mixed-edge", (logits, x, *matrices), out, back)
 
@@ -464,7 +509,7 @@ def concatenate(values: Sequence[Value], axis: int = 0) -> Value:
     sizes = [v.shape[axis % v.ndim] for v in vals]
     offsets = np.cumsum(sizes)[:-1]
 
-    def back(g):
+    def back(g, need):
         return tuple(np.split(g, offsets, axis=axis))
 
     return _emit(
@@ -478,7 +523,7 @@ def mean(x: Value, axis: int | None = None) -> Value:
     if axis is None:
         n = x.size
 
-        def back(g):
+        def back(g, need):
             return (np.full(x.shape, float(g) / n),)
 
         return _emit("mean-over-axis", (x,), np.asarray(x.data.mean()), back)
@@ -486,7 +531,7 @@ def mean(x: Value, axis: int | None = None) -> Value:
     _shape_guard("mean-over-axis", -x.ndim <= axis < x.ndim, x.shape)
     n = x.shape[axis]
 
-    def back(g):
+    def back(g, need):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
     return _emit("mean-over-axis", (x,), x.data.mean(axis=axis), back)
@@ -495,7 +540,7 @@ def mean(x: Value, axis: int | None = None) -> Value:
 def sum_all(x: Value) -> Value:
     x = _as_value(x)
 
-    def back(g):
+    def back(g, need):
         return (np.full(x.shape, float(g)),)
 
     return _emit("sum", (x,), np.asarray(x.data.sum()), back)
@@ -506,7 +551,7 @@ def select(x: Value, index: int) -> Value:
     x = _as_value(x)
     _shape_guard("select-index", x.ndim == 1 and 0 <= index < x.shape[0], x.shape)
 
-    def back(g):
+    def back(g, need):
         out = np.zeros(x.shape)
         out[index] = float(g)
         return (out,)
@@ -520,7 +565,7 @@ def mse_loss(pred: Value, target: Value) -> Value:
     diff = pred.data - target.data
     n = max(pred.size, 1)
 
-    def back(g):
+    def back(g, need):
         d = (2.0 / n) * diff * float(g)
         return d, -d
 
@@ -550,7 +595,7 @@ def cross_entropy(logits: Value, labels) -> Value:
     probs = np.exp(shifted - lse[:, None])
     batch = z.shape[0]
 
-    def back(g):
+    def back(g, need):
         d = probs.copy()
         d[rows, idx] -= 1.0
         return d * (float(g) / batch), None

@@ -342,33 +342,67 @@ def test_count_rejects_unsupported_retained(capsys):
 SNAPSHOT_HEADER = "edge\tzero\tidentity\tlinear_tanh\tlinear_relu\tlinear_sigmoid\n"
 
 
-@pytest.mark.parametrize("command, text, message", [
-    ("derive", SNAPSHOT_HEADER + "0->2\t0.0\t0.1\toops\t0.0\t0.0\n",
+def small_cfg_with(line: str) -> str:
+    """SMALL_CFG with the setting of ``line`` replaced, or appended if absent."""
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in SMALL_CFG.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("command, boundary, text, message", [
+    ("derive", "snapshot", SNAPSHOT_HEADER + "0->2\t0.0\t0.1\toops\t0.0\t0.0\n",
      "snapshot row 1 (edge 0->2)"),
-    ("derive", SNAPSHOT_HEADER + "0->2\t0.0\tnan\t0.0\t0.0\t0.0\n",
+    ("derive", "snapshot", SNAPSHOT_HEADER + "0->2\t0.0\tnan\t0.0\t0.0\t0.0\n",
      "snapshot row 1 (edge 0->2): non-finite logit"),
-    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,-1\n2.0,0.0,1\n", "line 3: label -1 out of range"),
-    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,7\n", "line 3: label 7 out of range"),
-    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,nan,1\n", "line 3: non-finite feature"),
-    ("search", "x0,x1,label\n1.0,inf,0\n0.5,1.0,1\n", "line 2: non-finite feature"),
-    ("search", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,0\n", "need at least two classes"),
+    ("search", "data", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,-1\n2.0,0.0,1\n",
+     "line 3: label -1 out of range"),
+    ("search", "data", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,7\n", "line 3: label 7 out of range"),
+    ("search", "data", "x0,x1,label\n1.0,2.0,0\n0.5,nan,1\n", "line 3: non-finite feature"),
+    ("search", "data", "x0,x1,label\n1.0,inf,0\n0.5,1.0,1\n", "line 2: non-finite feature"),
+    ("search", "data", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,0\n", "need at least two classes"),
+    ("random-search", "config", "eval_batch_size = 0", "batch sizes positive"),
+    ("search", "config", "clip_norm = -1", "clip norm must be positive"),
+    ("search", "config", "clip_norm = 0", "clip norm must be positive"),
+    ("search", "config", "arch_lr = -0.01", "learning rates must be non-negative"),
+    ("search", "config", "weight_lr = -0.05", "learning rates must be non-negative"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
-        "nan-feature", "inf-feature", "single-class"])
-def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, text, message):
+        "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
+        "zero-clip-norm", "negative-arch-lr", "negative-weight-lr"])
+def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
+                                               message):
     path = tmp_path / "input"
-    path.write_text(text)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_CFG.replace("data_dims = 4", "data_dims = 2")
-                   + f"data_path = {path}\n")
+    if boundary == "config":
+        cfg.write_text(small_cfg_with(text))
+    else:
+        path.write_text(text)
+        cfg.write_text(SMALL_CFG.replace("data_dims = 4", "data_dims = 2")
+                       + f"data_path = {path}\n")
     if command == "derive":
         argv = ["derive", "--alpha", str(path), "--config", str(cfg),
                 "--out", str(tmp_path / "g.json")]
     else:
-        argv = ["search", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, line", [("search", "steps = 0"),
+                                           ("random-search", "eval_steps = 0")],
+                         ids=["search-steps", "random-search-eval-steps"])
+def test_zero_budget_with_anneal_runs_zero_steps(tmp_path, command, line):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(small_cfg_with(line) + "anneal = true\n")
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "random-search":
+        argv += ["--samples", "2"]
+    assert main(argv) == 0
+    assert (out / "genotype.json").exists()
+    if command == "search":
+        assert read_trajectory(out / "trajectory.csv") == []
 
 
 @pytest.mark.parametrize("command", ["search", "random-search"])

@@ -1,7 +1,11 @@
+import gc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cellsearch.cell import CellSpec
+from cellsearch.cli import build_problem, load_config, search_config_from
 from cellsearch.fidelity import (
     QuadraticBilevelProblem,
     check_quadratics_exact_hvp,
@@ -11,10 +15,13 @@ from cellsearch.fidelity import (
     make_tiny_cell_task,
 )
 from cellsearch.search import (
+    WRT_BOTH,
     CandidateResult,
     EvalCounters,
+    NumericalError,
     SearchConfig,
     SelectionError,
+    _grads_from,
     arch_gradient_first_order,
     arch_gradient_second_order,
     hvp_finite_difference,
@@ -29,7 +36,9 @@ from cellsearch.search import (
     unrolled_weights,
 )
 from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask, toy_losses
-from cellsearch.tensor import finite_difference, relative_error
+from cellsearch.tensor import Value, finite_difference, relative_error
+
+DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +54,12 @@ def toy_state(alpha=2.0, w=-2.0):
 def small_task():
     cfg = DataConfig(n=240, dims=4, classes=2, noise=0.6, seed=13)
     return SyntheticCellTask(cfg.build(), CellSpec(nodes=5, input_arity=2, hidden=4, k=2))
+
+
+@pytest.fixture(scope="module")
+def desk():
+    cfg = load_config(DESK_CFG)
+    return build_problem(cfg), search_config_from({**cfg, "steps": 5, "eval_steps": 5})
 
 
 # --- unrolled weights ---------------------------------------------------------
@@ -232,6 +247,7 @@ def test_second_order_costs_exactly_two_extra_alpha_gradients(small_task):
     assert c_second.alpha_grad_evals == 3
     assert c_second.alpha_grad_evals - c_first.alpha_grad_evals == 2
     # identical graphs per pass: 4 passes vs 1, so primitive totals scale linearly
+    assert c_first.primitive_evals > 0
     assert c_second.primitive_evals == 4 * c_first.primitive_evals
     assert c_second.backward_passes == 4
 
@@ -520,3 +536,58 @@ def test_quadratic_exact_hvp_matches_finite_difference_hvp():
     exact = problem.exact_hvp(vector)
     fd = hvp_finite_difference(problem, weights, alpha, vector, None, 1e-3)
     assert relative_error(exact["alpha"], fd["alpha"]) < 1e-9
+
+
+# --- gradient plumbing ---------------------------------------------------------
+
+
+def test_single_group_gradients_bit_identical_to_both_groups(desk):
+    problem, _ = desk
+    weights, alpha = problem.init_weights(3), problem.init_alpha()
+    rng = np.random.default_rng(3)
+    alpha = {k: rng.normal(size=v.shape) for k, v in alpha.items()}
+    batch = problem.batch("val", 48, rng)
+    loss, wgrads, agrads = loss_and_grads(problem, "val", weights, alpha, batch, wrt=WRT_BOTH)
+    loss_w, wgrads_only, none_a = loss_and_grads(problem, "val", weights, alpha, batch,
+                                                 wrt=("weights",))
+    loss_a, none_w, agrads_only = loss_and_grads(problem, "val", weights, alpha, batch,
+                                                 wrt=("alpha",))
+    assert loss == loss_w == loss_a and none_a is None and none_w is None
+    assert wgrads_only.keys() == wgrads.keys() and agrads_only.keys() == agrads.keys()
+    for k in wgrads:
+        assert np.array_equal(wgrads_only[k], wgrads[k]), k
+    for k in agrads:
+        assert np.array_equal(agrads_only[k], agrads[k]), k
+
+
+def test_taped_passes_leave_no_cyclic_garbage(desk):
+    problem, config = desk
+    gc.collect()
+    gc.disable()
+    try:
+        traj = search(config, problem)
+        assert gc.collect() == 0
+        train_genotype(problem, traj.genotype, config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _with_grads(**grads):
+    values = {}
+    for name, g in grads.items():
+        values[name] = Value.param(np.zeros_like(g))
+        values[name].grad = g
+    return values
+
+
+def test_grads_from_names_the_non_finite_parameter():
+    values = _with_grads(a=np.ones(3), b=np.array([1.0, np.inf]), c=np.ones(2))
+    with pytest.raises(NumericalError, match="val loss: non-finite gradient for 'b'"):
+        _grads_from(values, "val loss")
+
+
+def test_grads_from_accepts_finite_gradients_whose_sum_overflows():
+    values = _with_grads(a=np.array([1e308]), b=np.array([1e308]))
+    grads = _grads_from(values, "val loss")
+    assert grads["a"] is values["a"].grad and grads["b"] is values["b"].grad

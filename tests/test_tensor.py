@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cellsearch import tensor
-from cellsearch.gradcheck import check_all_primitives, check_kind
+from cellsearch.gradcheck import _case_for, check_all_primitives, check_kind
 from cellsearch.tensor import (
     ShapeError,
     Tape,
@@ -214,6 +214,44 @@ def test_unreached_parameter_gets_zero_gradient():
     del dead
     backward(loss)
     np.testing.assert_array_equal(o.grad, [0.0])
+
+
+def test_second_backward_on_consumed_tape_rejected():
+    w = Value.param([1.0, 2.0])
+    with Tape() as tape:
+        loss = tensor.sum_all(tensor.multiply(w, w))
+    backward(loss)
+    assert len(tape) == 0 and tape.params == ()
+    with pytest.raises(TapeError, match="consumed"):
+        backward(loss)
+
+
+def test_requires_grad_set_at_record_time():
+    w = Value.param([1.0, 2.0])
+    c = Value([3.0, 4.0])
+    with Tape() as tape:
+        const_only = tensor.multiply(c, c)
+        mixed = tensor.multiply(const_only, w)
+    assert w.requires_grad and not c.requires_grad
+    assert not const_only.requires_grad and mixed.requires_grad
+    assert [need for *_, need in tape.records] == [(False, False), (False, True)]
+
+
+@pytest.mark.parametrize("kind", sorted(tensor.PRIMITIVES))
+def test_single_parameter_gradient_bit_identical_to_all_parameter_gradient(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        arrays, build = _case_for(kind, rng)
+        with Tape():
+            params = [Value.param(a) for a in arrays]
+            loss = build(params)
+        backward(loss)
+        for k, expected in enumerate(p.grad for p in params):
+            with Tape():
+                inputs = [Value.param(a) if i == k else Value(a) for i, a in enumerate(arrays)]
+                loss = build(inputs)
+            backward(loss, wrt=[inputs[k]])
+            assert np.array_equal(inputs[k].grad, expected), (kind, k)
 
 
 @pytest.mark.parametrize("kind", sorted(tensor.PRIMITIVES))
