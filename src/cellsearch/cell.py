@@ -17,13 +17,13 @@ index, then the lower registry index, so derivation is deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import tensor
-from .ops import OP_ORDER, apply_op, edge_terms
+from .ops import EDGE_TERMS, NON_ZERO_OPS, OP_ORDER, apply_op, edge_matrices
 from .tensor import ShapeError, Value
 
 
@@ -51,6 +51,8 @@ class CellSpec:
     reduction: str = "mean"
 
     def __post_init__(self):
+        if any(type(n) is not int for n in (self.nodes, self.input_arity, self.hidden, self.k)):
+            raise CellError(f"cell sizes must be integers: {self}")
         if self.input_arity < 1:
             raise CellError("input arity must be at least 1")
         if self.nodes < self.input_arity + 2:
@@ -80,19 +82,6 @@ class CellSpec:
     def output_width(self) -> int:
         return self.hidden if self.reduction == "mean" else self.hidden * self.n_intermediate
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "input_arity": self.input_arity,
-            "hidden": self.hidden,
-            "k": self.k,
-            "reduction": self.reduction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CellSpec":
-        return cls(**d)
-
 
 def edge_key(i: int, j: int) -> str:
     return f"{i}->{j}"
@@ -103,9 +92,9 @@ def parse_edge_key(key: str) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def init_alpha(spec: CellSpec, op_set: Sequence[str] = OP_ORDER) -> dict[str, np.ndarray]:
+def init_alpha(spec: CellSpec) -> dict[str, np.ndarray]:
     """Zero logits on every edge: uniform attention over all operations."""
-    return {edge_key(i, j): np.zeros(len(op_set)) for i, j in spec.edges()}
+    return {edge_key(i, j): np.zeros(len(OP_ORDER)) for i, j in spec.edges()}
 
 
 def softmax_weights(logits: np.ndarray) -> np.ndarray:
@@ -131,20 +120,14 @@ def uniform_entropy(n_ops: int) -> float:
 
 
 def mixed_edge_forward(alpha_vec: Value, x: Value,
-                       edge_op_params: Mapping[str, Value] | None = None,
-                       op_set: Sequence[str] = OP_ORDER) -> Value:
+                       edge_op_params: Mapping[str, Value]) -> Value:
     """Softmax-weighted sum of every candidate operation applied to x.
 
-    The softmax runs over the whole ``op_set``, zero included, so the zero
+    The softmax runs over the whole registry, zero included, so the zero
     logit still shapes the other weights even though its term vanishes. The
     whole edge is one ``mixed-edge`` tape record.
     """
-    if alpha_vec.ndim != 1 or alpha_vec.shape[0] != len(op_set):
-        raise ShapeError(
-            f"mixed-edge: logit vector {alpha_vec.shape} does not match {len(op_set)} ops"
-        )
-    terms, matrices = edge_terms(op_set, edge_op_params or {})
-    return tensor.mixed_edge(alpha_vec, x, matrices, terms)
+    return tensor.mixed_edge(alpha_vec, x, edge_matrices(edge_op_params), EDGE_TERMS)
 
 
 def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
@@ -169,8 +152,7 @@ def _check_inputs(spec: CellSpec, inputs: Sequence[Value]) -> None:
 def cell_forward(spec: CellSpec,
                  alpha: Mapping[str, Value],
                  params: Mapping[str, Mapping[str, Value]],
-                 inputs: Sequence[Value],
-                 op_set: Sequence[str] = OP_ORDER) -> tuple[Value, list[Value]]:
+                 inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
     """Relaxed cell pass: every intermediate node sums its mixed edges.
 
     Returns the reduced output and the full list of node activations
@@ -182,7 +164,7 @@ def cell_forward(spec: CellSpec,
         acc = None
         for i in range(j):
             key = edge_key(i, j)
-            term = mixed_edge_forward(alpha[key], states[i], params.get(key), op_set)
+            term = mixed_edge_forward(alpha[key], states[i], params.get(key, {}))
             acc = term if acc is None else tensor.add(acc, term)
         states.append(acc)
     return _reduce(spec, states[spec.input_arity:]), states
@@ -195,12 +177,18 @@ def cell_forward(spec: CellSpec,
 
 @dataclass(frozen=True)
 class Genotype:
-    """Per intermediate node, k (predecessor, operation) pairs; zero-free."""
+    """Per intermediate node, k (predecessor, operation) pairs; zero-free.
+
+    Construction validates, so every ``Genotype`` in existence is well formed.
+    """
 
     spec: CellSpec
     nodes: tuple[tuple[tuple[int, str], ...], ...]
 
-    def validate(self, op_set: Sequence[str] = OP_ORDER) -> None:
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.nodes) != self.spec.n_intermediate:
             raise CellError(
                 f"genotype has {len(self.nodes)} nodes, spec wants {self.spec.n_intermediate}"
@@ -209,20 +197,22 @@ class Genotype:
             node_id = self.spec.input_arity + offset
             if len(pairs) != self.spec.k:
                 raise CellError(f"node {node_id}: expected {self.spec.k} edges, got {len(pairs)}")
-            preds = [pred for pred, _ in pairs]
-            if len(set(preds)) != len(preds):
-                raise CellError(f"node {node_id}: predecessors must be distinct: {preds}")
             for pred, kind in pairs:
+                if type(pred) is not int:
+                    raise CellError(f"node {node_id}: predecessor {pred!r} is not an integer")
                 if not 0 <= pred < node_id:
                     raise CellError(f"node {node_id}: predecessor {pred} out of range")
                 if kind == "zero":
                     raise CellError(f"node {node_id}: zero operation is not allowed")
-                if kind not in op_set:
+                if kind not in OP_ORDER:
                     raise CellError(f"node {node_id}: unknown operation {kind!r}")
+            preds = [pred for pred, _ in pairs]
+            if len(set(preds)) != len(preds):
+                raise CellError(f"node {node_id}: predecessors must be distinct: {preds}")
 
     def to_json(self) -> str:
         doc = {
-            "spec": self.spec.to_dict(),
+            "spec": asdict(self.spec),
             "nodes": [[{"pred": p, "op": o} for p, o in pairs] for pairs in self.nodes],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -231,28 +221,22 @@ class Genotype:
     def from_json(cls, text: str) -> "Genotype":
         try:
             doc = json.loads(text)
-            spec = CellSpec.from_dict(doc["spec"])
+            spec = CellSpec(**doc["spec"])
             nodes = tuple(
-                tuple((int(e["pred"]), str(e["op"])) for e in pairs) for pairs in doc["nodes"]
+                tuple((e["pred"], str(e["op"])) for e in pairs) for pairs in doc["nodes"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CellError(f"malformed genotype document: {exc}") from exc
-        geno = cls(spec, nodes)
-        geno.validate()
-        return geno
+        return cls(spec, nodes)
 
 
-def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray],
-                    op_set: Sequence[str] = OP_ORDER) -> Genotype:
+def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray]) -> Genotype:
     """Discretize logits: keep the k strongest edges per node, best op each.
 
     Edge strength is the largest softmax weight among that edge's non-zero
     operations (denominator includes the zero logit). Deterministic
     tie-breaks: lower predecessor index first, then lower registry index.
     """
-    nonzero = [(idx, kind) for idx, kind in enumerate(op_set) if kind != "zero"]
-    if not nonzero:
-        raise CellError("operation set has no non-zero operations")
     nodes = []
     for j in spec.intermediate_ids:
         scored = []
@@ -261,27 +245,24 @@ def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray],
             if key not in alpha:
                 raise CellError(f"missing logits for edge {key}")
             vec = np.asarray(alpha[key], dtype=np.float64)
-            if vec.shape != (len(op_set),):
+            if vec.shape != (len(OP_ORDER),):
                 raise CellError(f"edge {key}: logit vector {vec.shape} does not match op set")
             weights = softmax_weights(vec)
             best_idx, best_kind, best_w = None, None, -1.0
-            for idx, kind in nonzero:
+            for idx, kind in enumerate(NON_ZERO_OPS, start=1):
                 if weights[idx] > best_w:
                     best_idx, best_kind, best_w = idx, kind, float(weights[idx])
             scored.append((-best_w, i, best_idx, best_kind))
         scored.sort()
         kept = sorted(scored[: spec.k], key=lambda item: item[1])
         nodes.append(tuple((i, kind) for _, i, _, kind in kept))
-    geno = Genotype(spec, tuple(nodes))
-    geno.validate(op_set)
-    return geno
+    return Genotype(spec, tuple(nodes))
 
 
 def discrete_forward(genotype: Genotype,
                      params: Mapping[str, Mapping[str, Value]],
                      inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
     """Forward pass of a derived architecture: only retained edges run."""
-    genotype.validate()
     spec = genotype.spec
     _check_inputs(spec, inputs)
     states: list[Value] = list(inputs)
@@ -296,17 +277,13 @@ def discrete_forward(genotype: Genotype,
     return _reduce(spec, states[spec.input_arity:]), states
 
 
-def sample_genotype(spec: CellSpec, rng: np.random.Generator,
-                    op_set: Sequence[str] = OP_ORDER) -> Genotype:
+def sample_genotype(spec: CellSpec, rng: np.random.Generator) -> Genotype:
     """Uniform random genotype: k distinct predecessors, uniform non-zero op."""
-    nonzero = [kind for kind in op_set if kind != "zero"]
     nodes = []
     for j in spec.intermediate_ids:
         preds = sorted(int(p) for p in rng.choice(j, size=spec.k, replace=False))
-        nodes.append(tuple((p, str(rng.choice(nonzero))) for p in preds))
-    geno = Genotype(spec, tuple(nodes))
-    geno.validate(op_set)
-    return geno
+        nodes.append(tuple((p, str(rng.choice(NON_ZERO_OPS))) for p in preds))
+    return Genotype(spec, tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +291,8 @@ def sample_genotype(spec: CellSpec, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def format_alpha(alpha: Mapping[str, np.ndarray], op_set: Sequence[str] = OP_ORDER) -> str:
-    lines = ["edge\t" + "\t".join(op_set)]
+def format_alpha(alpha: Mapping[str, np.ndarray]) -> str:
+    lines = ["edge\t" + "\t".join(OP_ORDER)]
     for key in sorted(alpha, key=parse_edge_key):
         vec = np.asarray(alpha[key], dtype=np.float64)
         lines.append(key + "\t" + "\t".join(repr(float(v)) for v in vec))

@@ -92,8 +92,8 @@ DATA_KEYS = {"data_n": "n", "data_dims": "dims", "data_classes": "classes",
              "data_noise": "noise", "data_seed": "seed", "data_clusters": "clusters_per_class",
              "data_path": "path", "test_fraction": "test_fraction",
              "val_fraction": "val_fraction"}
-# Every search field is a key of its own name, except the Adam betas.
-SEARCH_KEYS = {f.name: f.name for f in dataclasses.fields(SearchConfig) if f.name != "adam_betas"}
+# Every search field is a key of its own name.
+SEARCH_KEYS = {f.name: f.name for f in dataclasses.fields(SearchConfig)}
 
 _CHOICES = {"mode": MODES, "joint_submode": JOINT_SUBMODES,
             "arch_optimizer": ARCH_OPTIMIZERS, "reduction": REDUCTIONS}
@@ -114,8 +114,6 @@ CONFIG_KEYS = {
     **_casts(DataConfig, DATA_KEYS),
     **_casts(CellSpec, CELL_KEYS),
     **_casts(SearchConfig, SEARCH_KEYS),
-    "adam_beta1": float,
-    "adam_beta2": float,
     "n_samples": int,  # random search sample count
 }
 
@@ -156,11 +154,8 @@ def _fields_from(cfg: dict, keys: dict) -> dict:
 
 
 def search_config_from(cfg: dict) -> SearchConfig:
-    base = SearchConfig()
-    betas = (cfg.get("adam_beta1", base.adam_betas[0]),
-             cfg.get("adam_beta2", base.adam_betas[1]))
     try:
-        return SearchConfig(adam_betas=betas, **_fields_from(cfg, SEARCH_KEYS))
+        return SearchConfig(**_fields_from(cfg, SEARCH_KEYS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -362,10 +357,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_toy_bilevel(args) -> int:
-    config = toy_search_config(
-        mode=args.mode, steps=args.steps, unroll_lr=args.unroll_lr,
-        weight_lr=args.weight_lr, arch_lr=args.arch_lr, seed=args.seed,
-    )
+    try:
+        config = toy_search_config(
+            mode=args.mode, steps=args.steps, unroll_lr=args.unroll_lr,
+            weight_lr=args.weight_lr, arch_lr=args.arch_lr, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     problem = ToyBilevelTask()
     if args.out is not None:
         cfg = {"task": "toy", "mode": args.mode, "steps": args.steps, "seed": args.seed}

@@ -48,7 +48,6 @@ class CellClassifier:
 
     def init_genotype_weights(self, genotype: Genotype, seed: int) -> dict[str, np.ndarray]:
         """Fresh inner weights for a derived architecture (retained edges only)."""
-        genotype.validate()
         return self._init(seed, [(pred, self.spec.input_arity + offset, kind)
                                  for offset, pairs in enumerate(genotype.nodes)
                                  for pred, kind in pairs])

@@ -12,7 +12,7 @@ with one ``(hidden, hidden)`` weight matrix owned per edge-op; ``zero`` and
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -29,26 +29,14 @@ _ACTIVATIONS = {
     "linear_sigmoid": tensor.sigmoid,
 }
 
-# What each kind adds to a fused mixed edge (``tensor.mixed_edge``): nothing,
-# its input, or an activation of its input times the kind's matrix.
-EDGE_TERMS = {
-    "zero": "zero",
-    "identity": "identity",
-    "linear_tanh": "tanh",
-    "linear_relu": "relu",
-    "linear_sigmoid": "sigmoid",
-}
+# What each kind adds to a fused mixed edge (``tensor.mixed_edge``), in
+# registry order: nothing, its input, or an activation of its input times the
+# kind's matrix.
+EDGE_TERMS: tuple[str, ...] = ("zero", "identity", "tanh", "relu", "sigmoid")
 
 
 class OpError(ValueError):
     """Unknown operation kind or missing/invalid operation parameters."""
-
-
-def op_index(kind: str) -> int:
-    try:
-        return OP_ORDER.index(kind)
-    except ValueError:
-        raise OpError(f"unknown operation kind: {kind!r}") from None
 
 
 def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
@@ -66,20 +54,16 @@ def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
     raise OpError(f"unknown operation kind: {kind!r}")
 
 
-def edge_terms(op_set: Sequence[str], weights: Mapping[str, Value]
-               ) -> tuple[tuple[str, ...], list[Value]]:
-    """The mixed-edge term of each kind in ``op_set`` and, in the same order,
-    the weight matrices of its parameterized kinds."""
-    terms, matrices = [], []
-    for kind in op_set:
-        if kind not in EDGE_TERMS:
-            raise OpError(f"unknown operation kind: {kind!r}")
+def edge_matrices(weights: Mapping[str, Value]) -> list[Value]:
+    """The weight matrices of the parameterized kinds, in registry order: the
+    matrices ``tensor.mixed_edge`` takes with ``EDGE_TERMS``."""
+    matrices = []
+    for kind in OP_ORDER:
         if kind in PARAMETERIZED_OPS:
             if weights.get(kind) is None:
                 raise OpError(f"{kind}: operation requires a weight matrix")
             matrices.append(weights[kind])
-        terms.append(EDGE_TERMS[kind])
-    return tuple(terms), matrices
+    return matrices
 
 
 def init_scale(fan_in: int) -> float:
@@ -90,14 +74,3 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     """Uniform [-s, s] init with s = 1/sqrt(fan_in)."""
     s = init_scale(fan_in)
     return rng.uniform(-s, s, size=(fan_in, fan_out))
-
-
-def init_op_params(kind: str, hidden: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Fresh parameters for one edge-op; None for parameter-free kinds."""
-    if hidden < 1:
-        raise OpError(f"hidden size must be positive, got {hidden}")
-    if kind in PARAMETERIZED_OPS:
-        return init_linear(rng, hidden, hidden)
-    if kind in OP_ORDER:
-        return None
-    raise OpError(f"unknown operation kind: {kind!r}")

@@ -23,7 +23,7 @@ validation metric.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -79,7 +79,8 @@ class SearchConfig:
     momentum: float = 0.9
     weight_decay_weights: float = 3e-4
     weight_decay_alpha: float = 1e-3
-    adam_betas: tuple[float, float] = (0.5, 0.999)
+    adam_beta1: float = 0.5
+    adam_beta2: float = 0.999
     arch_optimizer: str = "adam"  # sgd: plain descent
     unroll_lr: float | None = None  # None: follow the current weight lr
     hvp_epsilon_scale: float = 0.01
@@ -93,6 +94,10 @@ class SearchConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.joint_submode not in JOINT_SUBMODES:
@@ -110,6 +115,8 @@ class SearchConfig:
             raise ValueError("budgets must be non-negative, batch sizes positive")
         if self.hvp_epsilon_scale <= 0:
             raise ValueError("finite-difference scale must be positive")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("Adam betas must be in [0, 1)")
 
 
 def toy_search_config(mode: str = "second-order", steps: int = 500,
@@ -364,7 +371,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
 
 def _make_arch_optimizer(config: SearchConfig):
     if config.arch_optimizer == "adam":
-        return Adam(config.arch_lr, betas=config.adam_betas,
+        return Adam(config.arch_lr, betas=(config.adam_beta1, config.adam_beta2),
                     weight_decay=config.weight_decay_alpha)
     return SgdMomentum(config.arch_lr, momentum=0.0,
                        weight_decay=config.weight_decay_alpha)

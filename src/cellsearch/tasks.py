@@ -15,7 +15,7 @@ anything that touches test-tagged rows increments the ``test`` counter.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -336,6 +336,12 @@ class DataConfig:
     test_fraction: float = 0.25
     val_fraction: float = 0.5
     path: str | None = None  # load a delimited file instead of generating
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise DataError(f"data {f.name} must be finite, got {value}")
 
     def build(self) -> Dataset:
         if self.path is not None:

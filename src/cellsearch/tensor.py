@@ -100,33 +100,12 @@ class Value:
     def __sub__(self, other):
         return subtract(self, _as_value(other))
 
-    def __rsub__(self, other):
-        return subtract(_as_value(other), self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return multiply(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def sum(self):
-        return sum_all(self)
 
 
 def _as_value(x) -> Value:

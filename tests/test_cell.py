@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,14 @@ from cellsearch.cell import (
     softmax_weights,
     uniform_entropy,
 )
-from cellsearch.ops import NON_ZERO_OPS, OP_ORDER, apply_op, init_op_params
+from cellsearch.ops import (
+    EDGE_TERMS,
+    NON_ZERO_OPS,
+    OP_ORDER,
+    PARAMETERIZED_OPS,
+    apply_op,
+    init_linear,
+)
 from cellsearch.tensor import Tape, Value, backward, finite_difference, relative_error
 
 
@@ -27,13 +36,13 @@ def rows(*vals):
     return Value(np.asarray(vals, dtype=np.float64).reshape(1, -1))
 
 
-def make_params(spec, seed=0, op_set=OP_ORDER):
+def make_params(spec, seed=0):
     rng = np.random.default_rng(seed)
     params = {}
     for i, j in spec.edges():
         params[edge_key(i, j)] = {
-            kind: Value(init_op_params(kind, spec.hidden, rng))
-            for kind in op_set
+            kind: Value(init_linear(rng, spec.hidden, spec.hidden))
+            for kind in OP_ORDER
             if kind.startswith("linear_")
         }
     return params
@@ -44,15 +53,13 @@ def make_params(spec, seed=0, op_set=OP_ORDER):
 
 def test_mixed_edge_uniform_zero_identity_halves_input():
     x = rows(2.0, -4.0)
-    out = mixed_edge_forward(Value([0.0, 0.0]), x, op_set=("zero", "identity"))
+    out = tensor.mixed_edge(Value([0.0, 0.0]), x, [], ("zero", "identity"))
     np.testing.assert_allclose(out.data, x.data / 2.0, rtol=0, atol=1e-15)
 
 
 def test_mixed_edge_exact_softmax_arithmetic():
     x = rows(3.0, 9.0)
-    out = mixed_edge_forward(
-        Value([np.log(2.0), 0.0]), x, op_set=("identity", "zero")
-    )
+    out = tensor.mixed_edge(Value([np.log(2.0), 0.0]), x, [], ("identity", "zero"))
     np.testing.assert_allclose(out.data, (2.0 / 3.0) * x.data, rtol=1e-15)
 
 
@@ -75,8 +82,19 @@ def test_mixed_edge_weights_sum_to_one():
 
 
 def test_mixed_edge_rejects_wrong_logit_length():
+    params = {kind: Value(np.zeros((1, 1))) for kind in PARAMETERIZED_OPS}
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
-        mixed_edge_forward(Value([0.0, 0.0]), rows(1.0), op_set=OP_ORDER)
+        mixed_edge_forward(Value([0.0, 0.0]), rows(1.0), params)
+
+
+def fused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
+    """The fused edge: the cell's own on the registry, the primitive with the
+    same terms on any other operation set."""
+    if op_set == OP_ORDER:
+        return mixed_edge_forward(alpha_vec, x, edge_op_params)
+    term_of = dict(zip(OP_ORDER, EDGE_TERMS))
+    matrices = [edge_op_params[kind] for kind in op_set if kind in edge_op_params]
+    return tensor.mixed_edge(alpha_vec, x, matrices, tuple(term_of[kind] for kind in op_set))
 
 
 def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
@@ -125,7 +143,7 @@ def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
         mats = {kind: rng.normal(size=(hidden, hidden))
                 for kind in op_set if kind.startswith("linear_")}
         coeffs = rng.normal(size=(rows, hidden))
-        fused = edge_output_and_grads(mixed_edge_forward, logits, x, mats, coeffs, op_set)
+        fused = edge_output_and_grads(fused_mixed_edge, logits, x, mats, coeffs, op_set)
         ref = edge_output_and_grads(unfused_mixed_edge, logits, x, mats, coeffs, op_set)
         assert relative_error(fused[0], ref[0]) <= FUSION_RTOL
         for g_fused, g_ref in zip(fused[1], ref[1]):
@@ -158,34 +176,32 @@ def saturated(op_set, kind, lo=-45.0, hi=45.0):
 
 def test_cell_forward_identity_edges_sum_inputs():
     spec = one_node_spec()
-    op_set = ("zero", "identity")
     a, b = rows(1.0, 2.0), rows(10.0, -3.0)
     alpha = {
-        edge_key(0, 2): Value(saturated(op_set, "identity")),
-        edge_key(1, 2): Value(saturated(op_set, "identity")),
+        edge_key(0, 2): Value(saturated(OP_ORDER, "identity")),
+        edge_key(1, 2): Value(saturated(OP_ORDER, "identity")),
     }
-    out, states = cell_forward(spec, alpha, {}, [a, b], op_set=op_set)
+    out, states = cell_forward(spec, alpha, make_params(spec), [a, b])
     np.testing.assert_allclose(states[2].data, a.data + b.data, atol=1e-12)
     np.testing.assert_allclose(out.data, a.data + b.data, atol=1e-12)
 
 
 def test_cell_forward_zero_edges_give_zero_nodes():
     spec = CellSpec(nodes=5, input_arity=2, hidden=2, k=1)
-    op_set = ("zero", "identity")
     alpha = {
-        edge_key(i, j): Value(saturated(op_set, "zero")) for i, j in spec.edges()
+        edge_key(i, j): Value(saturated(OP_ORDER, "zero")) for i, j in spec.edges()
     }
-    _, states = cell_forward(spec, alpha, {}, [rows(1.0, 2.0), rows(3.0, 4.0)], op_set=op_set)
+    _, states = cell_forward(spec, alpha, make_params(spec), [rows(1.0, 2.0), rows(3.0, 4.0)])
     for node in states[2:]:
         np.testing.assert_allclose(node.data, np.zeros((1, 2)), atol=1e-12)
 
 
 def test_cell_forward_uniform_zero_identity_averages():
     spec = one_node_spec()
-    op_set = ("zero", "identity")
     a, b = rows(4.0, 0.0), rows(0.0, 2.0)
-    alpha = {edge_key(i, 2): Value(np.zeros(2)) for i in range(2)}
-    out, _ = cell_forward(spec, alpha, {}, [a, b], op_set=op_set)
+    zero_identity = np.array([0.0, 0.0, -1e3, -1e3, -1e3])  # the others get weight 0.0
+    alpha = {edge_key(i, 2): Value(zero_identity) for i in range(2)}
+    out, _ = cell_forward(spec, alpha, make_params(spec), [a, b])
     np.testing.assert_allclose(out.data, (a.data + b.data) / 2.0, atol=1e-15)
 
 
@@ -213,7 +229,7 @@ def test_cell_alpha_gradients_match_finite_differences():
     raw_alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
     param_arrays = {
         edge_key(i, j): {
-            kind: init_op_params(kind, spec.hidden, rng)
+            kind: init_linear(rng, spec.hidden, spec.hidden)
             for kind in OP_ORDER
             if kind.startswith("linear_")
         }
@@ -271,15 +287,15 @@ def pair_oracle(spec, alpha, op_set):
 
 def test_derive_prefers_strongest_nonzero_even_if_zero_dominates():
     spec = one_node_spec()
-    op_set = ("zero", "identity", "linear_tanh", "linear_relu")
     tiny = 1e-12
+    # linear_sigmoid is left out: its logit of -1e3 gives it weight 0.0
     alpha = {
-        edge_key(0, 2): np.log([0.6, 0.4, tiny, tiny]),
-        edge_key(1, 2): np.log([0.2, tiny, 0.5, 0.3]),
+        edge_key(0, 2): np.append(np.log([0.6, 0.4, tiny, tiny]), -1e3),
+        edge_key(1, 2): np.append(np.log([0.2, tiny, 0.5, 0.3]), -1e3),
     }
-    geno = derive_genotype(spec, alpha, op_set)
+    geno = derive_genotype(spec, alpha)
     assert geno.nodes == (((1, "linear_tanh"),),)
-    assert pair_oracle(spec, alpha, op_set) == [((1, "linear_tanh"),)]
+    assert pair_oracle(spec, alpha, OP_ORDER) == [((1, "linear_tanh"),)]
 
 
 def test_derive_matches_pair_oracle_on_random_logits():
@@ -422,9 +438,25 @@ def test_discrete_forward_order_within_node_is_irrelevant():
 
 def test_discrete_forward_rejects_invalid_genotype():
     spec = one_node_spec(k=2)
-    bad = Genotype(spec, (((0, "zero"), (1, "identity")),))
     with pytest.raises(CellError, match="zero operation"):
+        bad = Genotype(spec, (((0, "zero"), (1, "identity")),))
         discrete_forward(bad, {}, [rows(1.0, 2.0), rows(3.0, 4.0)])
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ((), "genotype has 0 nodes, spec wants 1"),
+    ((((0, "identity"),),), "node 2: expected 2 edges, got 1"),
+    ((((1, "identity"), (1, "linear_tanh")),), "node 2: predecessors must be distinct: [1, 1]"),
+    ((((0, "identity"), (2, "identity")),), "node 2: predecessor 2 out of range"),
+    ((((0, "zero"), (1, "identity")),), "node 2: zero operation is not allowed"),
+    ((((0, "conv3x3"), (1, "identity")),), "node 2: unknown operation 'conv3x3'"),
+    ((((0, "identity"), (1.0, "identity")),), "node 2: predecessor 1.0 is not an integer"),
+    ((((0, "identity"), (True, "identity")),), "node 2: predecessor True is not an integer"),
+], ids=["node-count", "edge-count", "distinct-preds", "pred-range", "zero-op", "unknown-op",
+        "float-pred", "bool-pred"])
+def test_genotype_construction_enforces_each_rule(nodes, message):
+    with pytest.raises(CellError, match=re.escape(message)):
+        Genotype(one_node_spec(k=2), nodes)
 
 
 # --- init, entropy, sampling ------------------------------------------------

@@ -221,6 +221,18 @@ def test_toy_bilevel_zero_steps_prints_start_point(tmp_path, capsys):
     assert (out / "trajectory.csv").read_text().splitlines()[0].startswith("iteration")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--unroll-lr", "nan", "unroll_lr must be finite"),
+    ("--weight-lr", "inf", "weight_lr must be finite"),
+    ("--unroll-lr", "-1", "unroll step must be non-negative"),
+], ids=["nan-unroll-lr", "inf-weight-lr", "negative-unroll-lr"])
+def test_toy_bilevel_bad_flag_exits_2_with_one_line(capsys, flag, value, message):
+    assert main(["toy-bilevel", "--steps", "5", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1, err
+
+
 # --- derive command -------------------------------------------------------------
 
 
@@ -342,6 +354,16 @@ def test_count_rejects_unsupported_retained(capsys):
 SNAPSHOT_HEADER = "edge\tzero\tidentity\tlinear_tanh\tlinear_relu\tlinear_sigmoid\n"
 
 
+def small_genotype(pred: str = "1", input_arity: str = "2") -> str:
+    """A genotype document for SMALL_CFG's cell, with the JSON text of its last
+    edge's ``pred`` and of its spec's ``input_arity``."""
+    spec = (f'{{"hidden": 4, "input_arity": {input_arity}, "k": 2, "nodes": 5, '
+            '"reduction": "mean"}')
+    node2 = '[{"pred": 0, "op": "identity"}, {"pred": 1, "op": "identity"}]'
+    node3 = f'[{{"pred": 0, "op": "identity"}}, {{"pred": {pred}, "op": "identity"}}]'
+    return f'{{"spec": {spec}, "nodes": [{node2}, {node3}]}}'
+
+
 def small_cfg_with(line: str) -> str:
     """SMALL_CFG with the setting of ``line`` replaced, or appended if absent."""
     key = line.partition("=")[0].strip()
@@ -365,15 +387,37 @@ def small_cfg_with(line: str) -> str:
     ("search", "config", "clip_norm = 0", "clip norm must be positive"),
     ("search", "config", "arch_lr = -0.01", "learning rates must be non-negative"),
     ("search", "config", "weight_lr = -0.05", "learning rates must be non-negative"),
+    ("search", "config", "hvp_epsilon_scale = nan", "hvp_epsilon_scale must be finite"),
+    ("search", "config", "unroll_lr = nan", "unroll_lr must be finite"),
+    ("search", "config", "momentum = nan", "momentum must be finite"),
+    ("search", "config", "weight_decay_weights = nan", "weight_decay_weights must be finite"),
+    ("search", "config", "weight_decay_alpha = inf", "weight_decay_alpha must be finite"),
+    ("search", "config", "data_noise = nan", "data noise must be finite"),
+    ("search", "config", "adam_beta1 = 1.5", "Adam betas must be in [0, 1)"),
+    ("search", "config", "adam_beta2 = 1.0", "Adam betas must be in [0, 1)"),
+    ("search", "config", "adam_beta1 = -0.1", "Adam betas must be in [0, 1)"),
+    ("evaluate", "genotype", small_genotype(pred="1.5"),
+     "node 3: predecessor 1.5 is not an integer"),
+    ("evaluate", "genotype", small_genotype(pred="true"),
+     "node 3: predecessor True is not an integer"),
+    ("evaluate", "genotype", small_genotype(pred='"1"'),
+     "node 3: predecessor '1' is not an integer"),
+    ("evaluate", "genotype", small_genotype(input_arity="2.0"), "cell sizes must be integers"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
-        "zero-clip-norm", "negative-arch-lr", "negative-weight-lr"])
+        "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
+        "nan-unroll-lr", "nan-momentum", "nan-weight-decay-weights", "inf-weight-decay-alpha",
+        "nan-data-noise", "adam-beta1-above-1", "adam-beta2-at-1", "negative-adam-beta1",
+        "float-pred", "bool-pred", "string-pred", "float-input-arity"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"
     cfg = tmp_path / "run.cfg"
     if boundary == "config":
         cfg.write_text(small_cfg_with(text))
+    elif boundary == "genotype":
+        path.write_text(text)
+        cfg.write_text(SMALL_CFG)
     else:
         path.write_text(text)
         cfg.write_text(SMALL_CFG.replace("data_dims = 4", "data_dims = 2")
@@ -381,6 +425,8 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, bounda
     if command == "derive":
         argv = ["derive", "--alpha", str(path), "--config", str(cfg),
                 "--out", str(tmp_path / "g.json")]
+    elif command == "evaluate":
+        argv = ["evaluate", "--genotype", str(path), "--config", str(cfg)]
     else:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
     assert main(argv) == 2
