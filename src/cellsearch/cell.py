@@ -319,5 +319,7 @@ def parse_alpha(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
             raise CellError(f"snapshot row {row} (edge {parts[0]}): {exc}") from None
         if not np.all(np.isfinite(vec)):
             raise CellError(f"snapshot row {row} (edge {parts[0]}): non-finite logit")
+        if parts[0] in alpha:
+            raise CellError(f"snapshot row {row} (edge {parts[0]}): repeated edge")
         alpha[parts[0]] = vec
     return alpha, op_names

@@ -6,7 +6,7 @@ typo cannot silently fall back to a default. Artifacts are written with
 full-precision repr floats and no timestamps, so re-running a command with
 the same config and seed reproduces byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .search import (
     BILEVEL_MODES,
     JOINT_SUBMODES,
     MODES,
+    ConfigError,
     IterationRecord,
     NumericalError,
     SearchConfig,
@@ -50,10 +51,6 @@ from .search import (
     train_genotype,
 )
 from .tasks import DataConfig, DataError, SyntheticCellTask, ToyBilevelTask
-
-
-class ConfigError(Exception):
-    """Unparseable, unknown, or inconsistent configuration input."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +131,24 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
             raise ConfigError(f"{origin}: line {lineno}: duplicate key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](value)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"{origin}: line {lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
-def load_config(path) -> dict:
+def read_input(path, what: str) -> str:
+    """The text of an input file; failing to read it is an input error."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"no such config file: {path}") from None
-    return parse_config_text(text, origin=str(path))
+        raise ConfigError(f"no such {what}: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {what} {path}: {reason}") from None
+
+
+def load_config(path) -> dict:
+    return parse_config_text(read_input(path, "config file"), origin=str(path))
 
 
 def _fields_from(cfg: dict, keys: dict) -> dict:
@@ -154,17 +156,11 @@ def _fields_from(cfg: dict, keys: dict) -> dict:
 
 
 def search_config_from(cfg: dict) -> SearchConfig:
-    try:
-        return SearchConfig(**_fields_from(cfg, SEARCH_KEYS))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SearchConfig(**_fields_from(cfg, SEARCH_KEYS))
 
 
 def cell_spec_from(cfg: dict) -> CellSpec:
-    try:
-        return CellSpec(**_fields_from(cfg, CELL_KEYS))
-    except CellError as exc:
-        raise ConfigError(str(exc)) from None
+    return CellSpec(**_fields_from(cfg, CELL_KEYS))
 
 
 def data_config_from(cfg: dict) -> DataConfig:
@@ -174,11 +170,7 @@ def data_config_from(cfg: dict) -> DataConfig:
 def build_problem(cfg: dict):
     if cfg.get("task", "synthetic") == "toy":
         return ToyBilevelTask()
-    try:
-        dataset = data_config_from(cfg).build()
-        return SyntheticCellTask(dataset, cell_spec_from(cfg))
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
+    return SyntheticCellTask(data_config_from(cfg).build(), cell_spec_from(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +306,8 @@ def _run_search_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path) 
 
 def _run_random_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path,
                        n_samples: int):
-    if n_samples < 1:
-        raise ConfigError("need at least one sample")
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = random_search(config, problem, n_samples)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "genotype.json").write_text(result.best.to_json())
     lines = ["sample,val_accuracy"]
     lines += [f"{i},{_fmt(score)}" for i, score in enumerate(result.scores)]
@@ -357,13 +347,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_toy_bilevel(args) -> int:
-    try:
-        config = toy_search_config(
-            mode=args.mode, steps=args.steps, unroll_lr=args.unroll_lr,
-            weight_lr=args.weight_lr, arch_lr=args.arch_lr, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = toy_search_config(
+        mode=args.mode, steps=args.steps, unroll_lr=args.unroll_lr,
+        weight_lr=args.weight_lr, arch_lr=args.arch_lr, seed=args.seed,
+    )
     problem = ToyBilevelTask()
     if args.out is not None:
         cfg = {"task": "toy", "mode": args.mode, "steps": args.steps, "seed": args.seed}
@@ -379,12 +366,7 @@ def cmd_toy_bilevel(args) -> int:
 def cmd_derive(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     spec = cell_spec_from(cfg)
-    try:
-        alpha, op_names = parse_alpha(Path(args.alpha).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"no such logit snapshot: {args.alpha}") from None
-    except CellError as exc:
-        raise ConfigError(str(exc)) from None
+    alpha, op_names = parse_alpha(read_input(args.alpha, "logit snapshot"))
     if op_names != list(OP_ORDER):
         raise ConfigError(
             f"snapshot operation columns {op_names} do not match the registry {list(OP_ORDER)}"
@@ -407,12 +389,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs a dataset task, not the toy problem")
     problem = build_problem(cfg)
     config = search_config_from(cfg)
-    try:
-        genotype = Genotype.from_json(Path(args.genotype).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"no such genotype file: {args.genotype}") from None
-    except CellError as exc:
-        raise ConfigError(str(exc)) from None
+    genotype = Genotype.from_json(read_input(args.genotype, "genotype file"))
     if genotype.spec != problem.spec:
         raise ConfigError(
             f"genotype cell {genotype.spec} does not match the configured cell {problem.spec}"
@@ -446,17 +423,14 @@ def cmd_random_search(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        query = SpaceQuery(
-            intermediates=args.intermediates,
-            nonzero_ops=args.ops,
-            retained=args.retained,
-            multiplicity=args.multiplicity,
-        )
-        discrete = count_discrete(query)
-        relaxed = count_relaxed(query)
-    except CountError as exc:
-        raise ConfigError(str(exc)) from None
+    query = SpaceQuery(
+        intermediates=args.intermediates,
+        nonzero_ops=args.ops,
+        retained=args.retained,
+        multiplicity=args.multiplicity,
+    )
+    discrete = count_discrete(query)
+    relaxed = count_relaxed(query)
     print(f"edges_per_cell: {relaxed_edge_count(query)}")
     print(f"discrete_exact: {discrete}")
     print(f"discrete_approx: {scientific(discrete)}")
@@ -466,6 +440,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.seed < 0 or args.cases < 1 or args.problems < 1:
+        raise ConfigError("grad-check needs --seed >= 0, --cases >= 1 and --problems >= 1")
     ok = True
     worst = 0.0
     for report in check_all_primitives(seed=args.seed, cases_per_kind=args.cases):
@@ -552,10 +528,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (CellError, DataError, CountError, OptimizerError) as exc:
+    except (ConfigError, CellError, DataError, CountError, OptimizerError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

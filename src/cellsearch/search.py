@@ -37,6 +37,10 @@ Params = dict[str, np.ndarray]
 WRT_BOTH = ("weights", "alpha")
 
 
+class ConfigError(ValueError):
+    """Unparseable, unknown, or inconsistent configuration input."""
+
+
 class NumericalError(RuntimeError):
     """A loss or gradient became non-finite."""
 
@@ -97,26 +101,28 @@ class SearchConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.joint_submode not in JOINT_SUBMODES:
-            raise ValueError(f"unknown joint sub-mode {self.joint_submode!r}")
+            raise ConfigError(f"unknown joint sub-mode {self.joint_submode!r}")
         if self.arch_optimizer not in ARCH_OPTIMIZERS:
-            raise ValueError(f"unknown arch optimizer {self.arch_optimizer!r}")
+            raise ConfigError(f"unknown arch optimizer {self.arch_optimizer!r}")
         if not (self.weight_lr >= 0 and self.arch_lr >= 0):
-            raise ValueError("learning rates must be non-negative")
+            raise ConfigError("learning rates must be non-negative")
         if self.unroll_lr is not None and self.unroll_lr < 0:
-            raise ValueError("unroll step must be non-negative")
+            raise ConfigError("unroll step must be non-negative")
         if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError("clip norm must be positive (or none)")
+            raise ConfigError("clip norm must be positive (or none)")
         if (self.steps < 0 or self.eval_steps < 0
                 or self.batch_size < 1 or self.eval_batch_size < 1):
-            raise ValueError("budgets must be non-negative, batch sizes positive")
+            raise ConfigError("budgets must be non-negative, batch sizes positive")
+        if self.seed < 0 or self.eval_seed < 0:
+            raise ConfigError("seeds must be non-negative")
         if self.hvp_epsilon_scale <= 0:
-            raise ValueError("finite-difference scale must be positive")
+            raise ConfigError("finite-difference scale must be positive")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam betas must be in [0, 1)")
+            raise ConfigError("Adam betas must be in [0, 1)")
 
 
 def toy_search_config(mode: str = "second-order", steps: int = 500,
@@ -543,7 +549,7 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
 def random_search(config: SearchConfig, problem, n_samples: int) -> RandomSearchResult:
     """Best of n uniformly sampled genotypes, each retrained from scratch."""
     if n_samples < 1:
-        raise ValueError("need at least one sample")
+        raise ConfigError("need at least one sample")
     rng = np.random.default_rng(config.seed)
     genotypes, scores = [], []
     for _ in range(n_samples):

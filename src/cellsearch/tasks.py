@@ -181,54 +181,51 @@ def save_delimited(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label), tag])
 
 
-def load_delimited(path, schema: list[str] | None = None) -> Dataset:
+def load_delimited(path) -> Dataset:
     """Parse a dataset file, reporting malformed rows with their line number.
 
     Features must be finite, and the labels of its C classes (at least two)
     must be the ids 0..C-1, so that no label indexes the wrong logit.
     """
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataError(f"no such dataset file: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty dataset file") from None
-        if "label" not in header:
-            raise DataError(f"{path}: no 'label' column in header {header}")
-        label_col = header.index("label")
-        split_col = header.index("split") if "split" in header else None
-        feature_cols = [
-            i for i in range(len(header)) if i not in (label_col, split_col)
-        ]
-        if schema is not None:
-            found = [header[i] for i in feature_cols]
-            if found != list(schema):
-                raise DataError(f"{path}: feature columns {found} do not match schema {list(schema)}")
-        if not feature_cols:
-            raise DataError(f"{path}: no feature columns")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read dataset file {path}: {reason}") from None
+    if not rows:
+        raise DataError(f"{path}: empty dataset file")
+    header = rows[0]
+    if "label" not in header:
+        raise DataError(f"{path}: no 'label' column in header {header}")
+    label_col = header.index("label")
+    split_col = header.index("split") if "split" in header else None
+    feature_cols = [
+        i for i in range(len(header)) if i not in (label_col, split_col)
+    ]
+    if not feature_cols:
+        raise DataError(f"{path}: no feature columns")
 
-        features, labels, tags = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            try:
-                features.append([float(row[i]) for i in feature_cols])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-numeric feature value") from None
-            try:
-                labels.append(int(row[label_col]))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-integer label") from None
-            tag = row[split_col] if split_col is not None else "train"
-            if tag not in SPLITS:
-                raise DataError(f"{path}: line {lineno}: unknown split tag {tag!r}")
-            tags.append(tag)
+    features, labels, tags = [], [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+        try:
+            features.append([float(row[i]) for i in feature_cols])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: non-numeric feature value") from None
+        try:
+            labels.append(int(row[label_col]))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: non-integer label") from None
+        tag = row[split_col] if split_col is not None else "train"
+        if tag not in SPLITS:
+            raise DataError(f"{path}: line {lineno}: unknown split tag {tag!r}")
+        tags.append(tag)
     if not features:
         raise DataError(f"{path}: dataset has a header but no rows")
     features = np.asarray(features, dtype=np.float64)
@@ -342,6 +339,8 @@ class DataConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise DataError(f"data {f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise DataError(f"data seed must be non-negative, got {self.seed}")
 
     def build(self) -> Dataset:
         if self.path is not None:

@@ -86,6 +86,13 @@ def test_parse_config_rejects_duplicates_and_bad_values():
         parse_config_text("mode = fast\n")
 
 
+def test_parse_config_bad_cast_names_line_and_key():
+    with pytest.raises(ConfigError, match="line 2: bad value for 'anneal': expected a boolean"):
+        parse_config_text("steps = 1\nanneal = maybe\n")
+    with pytest.raises(ConfigError, match="line 1: bad value for 'mode': expected one of"):
+        parse_config_text("mode = fast\n")
+
+
 def test_parse_config_optional_floats():
     cfg = parse_config_text("unroll_lr = auto\nclip_norm = none\n")
     assert cfg == {"unroll_lr": None, "clip_norm": None}
@@ -225,7 +232,8 @@ def test_toy_bilevel_zero_steps_prints_start_point(tmp_path, capsys):
     ("--unroll-lr", "nan", "unroll_lr must be finite"),
     ("--weight-lr", "inf", "weight_lr must be finite"),
     ("--unroll-lr", "-1", "unroll step must be non-negative"),
-], ids=["nan-unroll-lr", "inf-weight-lr", "negative-unroll-lr"])
+    ("--seed", "-1", "seeds must be non-negative"),
+], ids=["nan-unroll-lr", "inf-weight-lr", "negative-unroll-lr", "negative-seed"])
 def test_toy_bilevel_bad_flag_exits_2_with_one_line(capsys, flag, value, message):
     assert main(["toy-bilevel", "--steps", "5", flag, value]) == 2
     err = capsys.readouterr().err
@@ -364,6 +372,20 @@ def small_genotype(pred: str = "1", input_arity: str = "2") -> str:
     return f'{{"spec": {spec}, "nodes": [{node2}, {node3}]}}'
 
 
+DIRECTORY = object()  # a table input that is a directory, not a file
+NOT_UTF8 = b"# caf\xe9\n"  # Latin-1 text, not valid UTF-8
+
+
+def write_input(path: Path, text) -> None:
+    """Write a table input: text, raw bytes, or a directory."""
+    if text is DIRECTORY:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+
+
 def small_cfg_with(line: str) -> str:
     """SMALL_CFG with the setting of ``line`` replaced, or appended if absent."""
     key = line.partition("=")[0].strip()
@@ -403,23 +425,42 @@ def small_cfg_with(line: str) -> str:
     ("evaluate", "genotype", small_genotype(pred='"1"'),
      "node 3: predecessor '1' is not an integer"),
     ("evaluate", "genotype", small_genotype(input_arity="2.0"), "cell sizes must be integers"),
+    ("search", "config", "seed = -1", "seeds must be non-negative"),
+    ("random-search", "config", "eval_seed = -1", "seeds must be non-negative"),
+    ("search", "config", "data_seed = -1", "data seed must be non-negative"),
+    ("derive", "snapshot", SNAPSHOT_HEADER + "0->2\t0.0\t0.1\t0.0\t0.0\t0.0\n"
+     + "0->2\t0.0\t0.2\t0.0\t0.0\t0.0\n", "snapshot row 2 (edge 0->2): repeated edge"),
+    ("search", "config", DIRECTORY, "cannot read config file"),
+    ("search", "config", SMALL_CFG.encode() + NOT_UTF8, "cannot read config file"),
+    ("search", "data", DIRECTORY, "cannot read dataset file"),
+    ("search", "data", b"x0,x1,label\n" + NOT_UTF8, "cannot read dataset file"),
+    ("search", "data", "x0,x1,label\n" + "1" * 131073 + ",2.0,0\n",
+     "field larger than field limit"),
+    ("derive", "snapshot", DIRECTORY, "cannot read logit snapshot"),
+    ("derive", "snapshot", SNAPSHOT_HEADER.encode() + NOT_UTF8, "cannot read logit snapshot"),
+    ("evaluate", "genotype", DIRECTORY, "cannot read genotype file"),
+    ("evaluate", "genotype", small_genotype().encode() + NOT_UTF8, "cannot read genotype file"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
         "nan-unroll-lr", "nan-momentum", "nan-weight-decay-weights", "inf-weight-decay-alpha",
         "nan-data-noise", "adam-beta1-above-1", "adam-beta2-at-1", "negative-adam-beta1",
-        "float-pred", "bool-pred", "string-pred", "float-input-arity"])
+        "float-pred", "bool-pred", "string-pred", "float-input-arity", "negative-seed",
+        "negative-eval-seed", "negative-data-seed", "duplicate-snapshot-edge",
+        "config-directory", "config-not-utf8", "data-directory", "data-not-utf8",
+        "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
+        "genotype-not-utf8"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"
     cfg = tmp_path / "run.cfg"
     if boundary == "config":
-        cfg.write_text(small_cfg_with(text))
+        write_input(cfg, small_cfg_with(text) if isinstance(text, str) else text)
     elif boundary == "genotype":
-        path.write_text(text)
+        write_input(path, text)
         cfg.write_text(SMALL_CFG)
     else:
-        path.write_text(text)
+        write_input(path, text)
         cfg.write_text(SMALL_CFG.replace("data_dims = 4", "data_dims = 2")
                        + f"data_path = {path}\n")
     if command == "derive":
@@ -473,6 +514,16 @@ def test_grad_check_small_run_passes(capsys):
     assert code == 0
     assert "grad-check: PASS" in out
     assert "primitive" in out and "fidelity" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--cases", "0"), ("--problems", "0")],
+                         ids=["negative-seed", "zero-cases", "zero-problems"])
+def test_grad_check_bad_flag_exits_2_with_one_line(capsys, flag, value):
+    assert main(["grad-check", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grad-check needs --seed >= 0, --cases >= 1 and --problems >= 1" in captured.err
+    assert captured.err.count("\n") == 1, captured.err
 
 
 # --- console entry point ----------------------------------------------------------

@@ -179,15 +179,6 @@ def test_delimited_round_trip_full_precision(tmp_path):
     np.testing.assert_array_equal(loaded.tags, ds.tags)
 
 
-def test_delimited_schema_check(tmp_path):
-    ds = make_synthetic_classification(10, 2, 2, 0.5, seed=1)
-    path = tmp_path / "data.csv"
-    save_delimited(ds, path)
-    load_delimited(path, schema=["x0", "x1"])
-    with pytest.raises(DataError, match="schema"):
-        load_delimited(path, schema=["a", "b"])
-
-
 def test_delimited_error_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1,label\n1.0,2.0,0\n3.0,1\n")
