@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,7 +43,6 @@ from .search import (
     JOINT_SUBMODES,
     MODES,
     ConfigError,
-    IterationRecord,
     NumericalError,
     SearchConfig,
     Trajectory,
@@ -147,6 +148,29 @@ def read_input(path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {reason}") from None
 
 
+def output_path(path, what: str, directory: bool = False) -> Path:
+    """``path``, checked as a place to write ``what`` to, before any work.
+
+    An output directory may exist; its missing ancestors are made later, so
+    the nearest existing one must be a directory. An output file must not be
+    a directory, and its parent must be one. The path, or that directory if
+    the path does not exist yet, must be writable. Nothing is created here.
+    """
+    path = Path(path)
+    if directory:
+        base = next(p for p in (path, *path.parents) if p.exists())
+        error = None if base.is_dir() else errno.EEXIST if base == path else errno.ENOTDIR
+    else:
+        base = path.parent
+        error = (errno.EISDIR if path.is_dir() else None if base.is_dir()
+                 else errno.ENOTDIR if base.exists() else errno.ENOENT)
+    if error is None and not os.access(path if path.exists() else base, os.W_OK):
+        error = errno.EACCES
+    if error is not None:
+        raise ConfigError(f"cannot write {what} {path}: {os.strerror(error)}")
+    return path
+
+
 def load_config(path) -> dict:
     return parse_config_text(read_input(path, "config file"), origin=str(path))
 
@@ -217,22 +241,6 @@ def write_trajectory(out_dir: Path, traj: Trajectory) -> None:
             f"{_fmt(r.weight_lr)},{_fmt(r.hvp_epsilon)},{r.snapshot}"
         )
     (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n")
-
-
-def read_trajectory(path) -> list[IterationRecord]:
-    """Inverse of write_trajectory (wall-clock is not serialized)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise ConfigError(f"{path}: not a trajectory file")
-    records = []
-    for line in lines[1:]:
-        it, train, val, lr, eps, snapshot = line.split(",")
-        records.append(IterationRecord(
-            iteration=int(it), train_loss=float(train), val_loss=float(val),
-            weight_lr=float(lr), hvp_epsilon=float(eps) if eps else None,
-            snapshot=snapshot, wall_clock=0.0,
-        ))
-    return records
 
 
 def write_summary(out_dir: Path, entries: dict) -> None:
@@ -324,16 +332,16 @@ def _run_random_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path,
 
 def cmd_search(args) -> int:
     cfg = load_config(args.config)
+    out = output_path(args.out, "output directory", directory=True)
     config = search_config_from(cfg)
     problem = build_problem(cfg)
     if config.mode == "random":
         if not problem.has_cell:
             raise ConfigError("random mode needs a dataset task, not the toy problem")
-        result = _run_random_to_dir(config, problem, cfg, Path(args.out),
-                                    cfg.get("n_samples", 8))
+        result = _run_random_to_dir(config, problem, cfg, out, cfg.get("n_samples", 8))
         print(f"best of {cfg.get('n_samples', 8)}: val_accuracy={result.best_score:.4f}")
         return 0
-    traj = _run_search_to_dir(config, problem, cfg, Path(args.out))
+    traj = _run_search_to_dir(config, problem, cfg, out)
     if traj.diverged:
         print("search diverged:", "; ".join(traj.events), file=sys.stderr)
         return 3
@@ -354,7 +362,8 @@ def cmd_toy_bilevel(args) -> int:
     problem = ToyBilevelTask()
     if args.out is not None:
         cfg = {"task": "toy", "mode": args.mode, "steps": args.steps, "seed": args.seed}
-        traj = _run_search_to_dir(config, problem, cfg, Path(args.out))
+        out = output_path(args.out, "output directory", directory=True)
+        traj = _run_search_to_dir(config, problem, cfg, out)
     else:
         traj = search(config, problem)
     alpha = float(traj.final_alpha["alpha"])
@@ -365,6 +374,7 @@ def cmd_toy_bilevel(args) -> int:
 
 def cmd_derive(args) -> int:
     cfg = load_config(args.config) if args.config else {}
+    out = output_path(args.out, "genotype file")
     spec = cell_spec_from(cfg)
     alpha, op_names = parse_alpha(read_input(args.alpha, "logit snapshot"))
     if op_names != list(OP_ORDER):
@@ -378,7 +388,7 @@ def cmd_derive(args) -> int:
             f"unexpected {sorted(set(alpha) - expected)}"
         )
     genotype = derive_genotype(spec, alpha)
-    Path(args.out).write_text(genotype.to_json())
+    out.write_text(genotype.to_json())
     print("genotype:", genotype_one_liner(genotype))
     return 0
 
@@ -387,6 +397,7 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     if cfg.get("task", "synthetic") == "toy":
         raise ConfigError("evaluate needs a dataset task, not the toy problem")
+    out = None if args.out is None else output_path(args.out, "metrics file")
     problem = build_problem(cfg)
     config = search_config_from(cfg)
     genotype = Genotype.from_json(read_input(args.genotype, "genotype file"))
@@ -404,8 +415,8 @@ def cmd_evaluate(args) -> int:
     }
     for key, value in metrics.items():
         print(f"{key}: {value}")
-    if args.out is not None:
-        Path(args.out).write_text("".join(f"{k}: {v}\n" for k, v in metrics.items()))
+    if out is not None:
+        out.write_text("".join(f"{k}: {v}\n" for k, v in metrics.items()))
     return 0
 
 
@@ -413,10 +424,11 @@ def cmd_random_search(args) -> int:
     cfg = load_config(args.config)
     if cfg.get("task", "synthetic") == "toy":
         raise ConfigError("random search needs a dataset task, not the toy problem")
+    out = output_path(args.out, "output directory", directory=True)
     problem = build_problem(cfg)
     config = search_config_from(cfg)
     n_samples = args.samples if args.samples is not None else cfg.get("n_samples", 8)
-    result = _run_random_to_dir(config, problem, cfg, Path(args.out), n_samples)
+    result = _run_random_to_dir(config, problem, cfg, out, n_samples)
     print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
     print("genotype:", genotype_one_liner(result.best))
     return 0

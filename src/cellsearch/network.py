@@ -82,18 +82,9 @@ class CellClassifier:
         out, _ = discrete_forward(genotype, _edge_view(weights), self._stem_nodes(weights, x))
         return tensor.matmul(out, weights["head"])
 
-    def loss_mixed(self, weights, alpha, features, labels) -> Value:
-        return tensor.cross_entropy(self.logits_mixed(weights, alpha, features), Value(labels))
-
-    def loss_discrete(self, weights, genotype, features, labels) -> Value:
-        return tensor.cross_entropy(self.logits_discrete(weights, genotype, features), Value(labels))
-
-    def predict_discrete(self, weight_arrays: Mapping[str, np.ndarray], genotype: Genotype,
-                         features: np.ndarray) -> np.ndarray:
-        """Class predictions with no tape participation."""
+    def accuracy_discrete(self, weight_arrays: Mapping[str, np.ndarray], genotype: Genotype,
+                          features: np.ndarray, labels: np.ndarray) -> float:
+        """Share of rows classified right, with no tape participation."""
         values = {k: Value(v) for k, v in weight_arrays.items()}
-        return np.argmax(self.logits_discrete(values, genotype, features).data, axis=1)
-
-    def accuracy_discrete(self, weight_arrays, genotype, features, labels) -> float:
-        pred = self.predict_discrete(weight_arrays, genotype, features)
+        pred = np.argmax(self.logits_discrete(values, genotype, features).data, axis=1)
         return float(np.mean(pred == labels.astype(np.int64)))

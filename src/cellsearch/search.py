@@ -203,8 +203,7 @@ class RandomSearchResult:
 
 
 def _wrap(arrays: Mapping[str, np.ndarray], as_params: bool = True) -> dict[str, Value]:
-    make = Value.param if as_params else Value
-    return {k: make(v, name=k) for k, v in arrays.items()}
+    return {k: Value(v, requires_grad=as_params) for k, v in arrays.items()}
 
 
 def _require_finite(what: str, value: float) -> None:
@@ -537,7 +536,7 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
             counters.backward_passes += 1
             counters.weight_grad_evals += 1
             counters.primitive_evals += len(tape)
-        backward(loss)
+        backward(loss, wrt=wv.values())
         wgrads = _grads_from(wv, "retraining loss")
         if config.clip_norm is not None:
             wgrads, _ = clip_global_norm(wgrads, config.clip_norm)

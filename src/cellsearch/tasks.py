@@ -21,7 +21,7 @@ import numpy as np
 
 from .cell import CellSpec, Genotype, derive_genotype, init_alpha
 from .network import CellClassifier
-from .tensor import Value
+from .tensor import Value, cross_entropy
 
 TOY_START_ALPHA = 2.0
 TOY_START_W = -2.0
@@ -172,15 +172,6 @@ def holdout_split(dataset: Dataset, fraction: float = 0.5, seed: int = 0) -> Dat
 # ---------------------------------------------------------------------------
 
 
-def save_delimited(dataset: Dataset, path) -> None:
-    names = [f"x{i}" for i in range(dataset.n_features)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["label", "split"])
-        for row, label, tag in zip(dataset.features, dataset.labels, dataset.tags):
-            writer.writerow([repr(float(v)) for v in row] + [int(label), tag])
-
-
 def load_delimited(path) -> Dataset:
     """Parse a dataset file, reporting malformed rows with their line number.
 
@@ -250,7 +241,8 @@ def load_delimited(path) -> Dataset:
 
 
 class SyntheticCellTask:
-    """Bilevel search task: cell classifier on a tagged dataset.
+    """Bilevel search task: cell classifier on a tagged dataset whose three
+    splits all have rows, as ``DataConfig.build`` ensures.
 
     Train and validation rows are cached once at construction; the test split
     is never read here. Batches are drawn without replacement per call from
@@ -267,9 +259,6 @@ class SyntheticCellTask:
             "train": dataset.rows("train"),
             "val": dataset.rows("val"),
         }
-        for split in ("train", "val"):
-            if len(self._cache[split][0]) == 0:
-                raise DataError(f"dataset has no {split} rows")
 
     def init_weights(self, seed: int) -> dict[str, np.ndarray]:
         return self.model.init_weights(seed)
@@ -297,11 +286,12 @@ class SyntheticCellTask:
 
     def loss(self, split: str, weights, alpha, batch) -> Value:
         features, labels = batch
-        return self.model.loss_mixed(weights, alpha, features, labels)
+        return cross_entropy(self.model.logits_mixed(weights, alpha, features), Value(labels))
 
     def discrete_loss(self, weights, genotype: Genotype, batch) -> Value:
         features, labels = batch
-        return self.model.loss_discrete(weights, genotype, features, labels)
+        return cross_entropy(self.model.logits_discrete(weights, genotype, features),
+                             Value(labels))
 
     def derive(self, alpha_arrays) -> Genotype:
         return derive_genotype(self.spec, alpha_arrays)
@@ -343,13 +333,18 @@ class DataConfig:
             raise DataError(f"data seed must be non-negative, got {self.seed}")
 
     def build(self) -> Dataset:
+        """The tagged dataset. A file without val rows gets test rows carved
+        out if it has none, then val rows held out; every split must end up
+        with rows, since a search reads train and val and an evaluation test."""
         if self.path is not None:
             ds = load_delimited(self.path)
-            if not np.any(ds.tags == "val"):
-                if np.any(ds.tags == "test"):
-                    return holdout_split(ds, self.val_fraction, self.seed)
-                ds = carve_test_split(ds, self.test_fraction, self.seed)
-                return holdout_split(ds, self.val_fraction, self.seed)
+            if not ds.size("val"):
+                if not ds.size("test"):
+                    ds = carve_test_split(ds, self.test_fraction, self.seed)
+                ds = holdout_split(ds, self.val_fraction, self.seed)
+            for split in SPLITS:
+                if not ds.size(split):
+                    raise DataError(f"{self.path}: no {split} rows")
             return ds
         ds = make_synthetic_classification(self.n, self.dims, self.classes, self.noise,
                                            self.seed, self.clusters_per_class)

@@ -10,9 +10,9 @@ Which values need a gradient is settled at record time: parameters carry
 ``requires_grad``, each record stores which of its inputs need a gradient,
 and its output needs one if any input does. Each backward closure receives
 that mask as ``need`` and may return ``None`` for inputs that need none.
-``backward`` consumes its tape: once the sweep is done it drops the records
-and the parameter list, so a finished pass holds no reference cycle and is
-freed by reference counting, without waiting for the cyclic collector.
+``backward`` consumes its tape: once the sweep is done it drops the records,
+so a finished pass holds no reference cycle and is freed by reference
+counting, without waiting for the cyclic collector.
 
 Shape rules are deliberately narrow: elementwise primitives require identical
 shapes, the only broadcasting allowed is a 0-d scalar against a tensor, and
@@ -50,27 +50,29 @@ class Value:
     """A dense float64 array, optionally participating in a recorded tape.
 
     A ``Value`` is either a leaf (constant or parameter) or the output of a
-    primitive. Parameters are leaves whose ``grad`` slot ``backward`` fills
-    in; constants never receive gradients. ``requires_grad`` is True for
-    parameters and for recorded outputs that depend on one. Data is stored
-    row-major.
+    primitive, which is recorded exactly when ``_tape`` is set. Parameters
+    are leaves with ``requires_grad``, whose ``grad`` slot ``backward`` fills
+    in; constants never receive gradients. A recorded output requires a
+    gradient when one of its inputs does. Data is stored row-major.
     """
 
-    __slots__ = ("data", "grad", "is_param", "requires_grad", "name", "_tape", "_recorded")
+    __slots__ = ("data", "grad", "requires_grad", "_tape")
 
-    def __init__(self, data, *, is_param: bool = False, name: str | None = None):
+    def __init__(self, data, *, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.is_param = is_param
-        self.requires_grad = is_param
-        self.name = name
+        self.requires_grad = requires_grad
         self._tape: "Tape | None" = None
-        self._recorded = False
 
     @classmethod
-    def param(cls, data, name: str | None = None) -> "Value":
+    def param(cls, data) -> "Value":
         """A leaf that will receive a gradient from ``backward``."""
-        return cls(data, is_param=True, name=name)
+        return cls(data, requires_grad=True)
+
+    @property
+    def is_param(self) -> bool:
+        """A leaf that requires a gradient: a parameter, never a recorded output."""
+        return self.requires_grad and self._tape is None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,17 +120,14 @@ class Tape:
     """Append-only record of primitive applications, in execution order.
 
     Use as a context manager; at most one tape may be active per thread.
-    Leaf parameters are registered the first time a primitive consumes them,
-    in consumption order. The tape and its values belong to one thread;
-    independent tapes share no state. ``backward`` empties the tape.
+    The tape and its values belong to one thread; independent tapes share
+    no state. ``backward`` empties the tape.
     """
 
-    __slots__ = ("records", "_params", "_param_ids", "_consumed")
+    __slots__ = ("records", "_consumed")
 
     def __init__(self):
         self.records: list[tuple] = []  # (kind, inputs, output, backward_fn, need)
-        self._params: list[Value] = []
-        self._param_ids: set[int] = set()
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -146,35 +145,18 @@ class Tape:
 
     @property
     def params(self) -> tuple[Value, ...]:
-        """Leaf parameters seen so far, in first-use order."""
-        return tuple(self._params)
-
-    def _register_leaf(self, v: Value):
-        if v.is_param and id(v) not in self._param_ids:
-            self._param_ids.add(id(v))
-            self._params.append(v)
-            v._tape = self
+        """The leaf parameters the records consume, in first-use order."""
+        return tuple(dict.fromkeys(v for _, inputs, *_ in self.records
+                                   for v in inputs if v.is_param))
 
     def _record(self, kind: str, inputs: tuple[Value, ...], output: Value, backward_fn):
         for v in inputs:
-            if v._recorded:
-                if v._tape is not self:
-                    raise TapeError(
-                        f"{kind}: input was produced on a different tape"
-                    )
-            else:
-                self._register_leaf(v)
+            if v._tape is not None and v._tape is not self:
+                raise TapeError(f"{kind}: input was produced on a different tape")
         need = tuple(v.requires_grad for v in inputs)
         output.requires_grad = True in need
         output._tape = self
-        output._recorded = True
         self.records.append((kind, inputs, output, backward_fn, need))
-
-    def _consume(self):
-        self.records.clear()
-        self._params.clear()
-        self._param_ids.clear()
-        self._consumed = True
 
 
 def _emit(kind: str, inputs: tuple[Value, ...], out_data: np.ndarray, backward_fn) -> Value:
@@ -190,20 +172,20 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
     """Assign d(loss)/d(p) into ``p.grad`` for each requested parameter.
 
     ``loss`` must be a scalar recorded on a tape. With ``wrt`` omitted, every
-    parameter registered on the loss's tape receives a gradient; otherwise
+    parameter the loss's tape consumed receives a gradient; otherwise
     only the given parameters do (others are left untouched). Parameters that
     do not influence the loss receive zeros. Each call assigns fresh
     gradients; nothing accumulates across calls.
 
     Gradients flow only through values whose ``requires_grad`` was set when
     they were recorded, and each closure is told which of its inputs need
-    one. The call consumes the tape: its records and parameter list are
-    dropped, and a second ``backward`` on it raises ``TapeError``.
+    one. The call consumes the tape: its records are dropped, and a second
+    ``backward`` on it raises ``TapeError``.
     """
     if loss.ndim != 0:
         raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss._tape
-    if tape is None or not loss._recorded:
+    if tape is None:
         raise TapeError("backward: loss is not recorded on a tape")
     if tape._consumed:
         raise TapeError("backward: the tape was already consumed by an earlier backward")
@@ -224,7 +206,8 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
                     continue
                 prev = adjoint.get(id(v))
                 adjoint[id(v)] = g if prev is None else prev + g
-    tape._consume()
+    tape.records.clear()
+    tape._consumed = True
 
     for p in params:
         g = adjoint.get(id(p))
@@ -232,7 +215,8 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Primitives. Each checks its shape rule, computes with numpy, and registers
+# Primitives. Each takes Values (only the operator sugar converts Python
+# scalars), checks its shape rule, computes with numpy, and registers
 # a closure ``back(g, need)`` producing input gradients aligned with the
 # ``inputs`` tuple. ``need`` flags the inputs that need one; a closure may
 # return None for the others (and always does for class labels).
@@ -258,7 +242,6 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Value, b: Value) -> Value:
-    a, b = _as_value(a), _as_value(b)
     _elementwise_pair("add", a, b)
 
     def back(g, need):
@@ -268,7 +251,6 @@ def add(a: Value, b: Value) -> Value:
 
 
 def subtract(a: Value, b: Value) -> Value:
-    a, b = _as_value(a), _as_value(b)
     _elementwise_pair("subtract", a, b)
 
     def back(g, need):
@@ -278,7 +260,6 @@ def subtract(a: Value, b: Value) -> Value:
 
 
 def multiply(a: Value, b: Value) -> Value:
-    a, b = _as_value(a), _as_value(b)
     _elementwise_pair("elementwise-multiply", a, b)
     ad, bd = a.data, b.data
 
@@ -290,7 +271,6 @@ def multiply(a: Value, b: Value) -> Value:
 
 def scale(a: Value, c: float) -> Value:
     """Multiply by a plain Python constant (not differentiated through)."""
-    a = _as_value(a)
     c = float(c)
 
     def back(g, need):
@@ -300,7 +280,6 @@ def scale(a: Value, c: float) -> Value:
 
 
 def matmul(a: Value, b: Value) -> Value:
-    a, b = _as_value(a), _as_value(b)
     _shape_guard(
         "matrix-multiply",
         a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0],
@@ -352,7 +331,6 @@ ACTIVATION_RULES = {
 
 
 def _activation(kind: str, x: Value) -> Value:
-    x = _as_value(x)
     forward, backward_rule = ACTIVATION_RULES[kind]
     z = x.data
     y = forward(z)
@@ -388,7 +366,6 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, axis) -> np.ndarray:
 
 def softmax(x: Value, axis: int = -1) -> Value:
     """Softmax along one axis; stable under large logits."""
-    x = _as_value(x)
     _shape_guard("softmax-over-axis", x.ndim >= 1, x.shape)
     y = _softmax_forward(x.data, axis)
 
@@ -427,8 +404,6 @@ def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
     multiplied as one ``(d, n * d)`` block. The zero term is skipped, which
     is exact for finite ``x``; its logit still counts in the softmax.
     """
-    logits, x = _as_value(logits), _as_value(x)
-    matrices = [_as_value(m) for m in matrices]
     d = x.shape[1] if x.ndim == 2 else -1
     n_act, plan = _edge_plan(tuple(terms), d)
     _shape_guard(
@@ -475,30 +450,28 @@ def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
 
 
 def concatenate(values: Sequence[Value], axis: int = 0) -> Value:
-    vals = [_as_value(v) for v in values]
-    _shape_guard("concatenate", len(vals) >= 1, ())
-    base = list(vals[0].shape)
-    for v in vals[1:]:
+    _shape_guard("concatenate", len(values) >= 1, ())
+    base = list(values[0].shape)
+    for v in values[1:]:
         other = list(v.shape)
         same_rank = len(other) == len(base)
-        _shape_guard("concatenate", same_rank, vals[0].shape, v.shape)
+        _shape_guard("concatenate", same_rank, values[0].shape, v.shape)
         probe = [d for i, d in enumerate(other) if i != axis % len(base)]
         ref = [d for i, d in enumerate(base) if i != axis % len(base)]
-        _shape_guard("concatenate", probe == ref, vals[0].shape, v.shape)
-    sizes = [v.shape[axis % v.ndim] for v in vals]
+        _shape_guard("concatenate", probe == ref, values[0].shape, v.shape)
+    sizes = [v.shape[axis % v.ndim] for v in values]
     offsets = np.cumsum(sizes)[:-1]
 
     def back(g, need):
         return tuple(np.split(g, offsets, axis=axis))
 
     return _emit(
-        "concatenate", tuple(vals), np.concatenate([v.data for v in vals], axis=axis), back
+        "concatenate", tuple(values), np.concatenate([v.data for v in values], axis=axis), back
     )
 
 
 def mean(x: Value, axis: int | None = None) -> Value:
     """Mean over one axis, or over all elements when axis is None."""
-    x = _as_value(x)
     if axis is None:
         n = x.size
 
@@ -517,7 +490,6 @@ def mean(x: Value, axis: int | None = None) -> Value:
 
 
 def sum_all(x: Value) -> Value:
-    x = _as_value(x)
 
     def back(g, need):
         return (np.full(x.shape, float(g)),)
@@ -527,7 +499,6 @@ def sum_all(x: Value) -> Value:
 
 def select(x: Value, index: int) -> Value:
     """Pick one entry of a 1-d value as a scalar."""
-    x = _as_value(x)
     _shape_guard("select-index", x.ndim == 1 and 0 <= index < x.shape[0], x.shape)
 
     def back(g, need):
@@ -539,7 +510,6 @@ def select(x: Value, index: int) -> Value:
 
 
 def mse_loss(pred: Value, target: Value) -> Value:
-    pred, target = _as_value(pred), _as_value(target)
     _shape_guard("mean-squared-error", pred.shape == target.shape, pred.shape, target.shape)
     diff = pred.data - target.data
     n = max(pred.size, 1)
@@ -557,8 +527,6 @@ def cross_entropy(logits: Value, labels) -> Value:
     ``logits`` is (batch, classes); ``labels`` holds integer class ids and is
     never differentiated.
     """
-    logits = _as_value(logits)
-    labels = _as_value(labels)
     idx = labels.data.astype(np.int64)
     _shape_guard(
         "softmax-cross-entropy",

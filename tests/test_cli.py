@@ -6,8 +6,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cellsearch import cli
 from cellsearch.cell import Genotype
-from cellsearch.cli import ConfigError, main, parse_config_text, read_trajectory
+from cellsearch.cli import TRAJECTORY_HEADER, ConfigError, main, parse_config_text
+from cellsearch.search import IterationRecord
+
+
+
+def read_trajectory(path) -> list[IterationRecord]:
+    """Inverse of write_trajectory (wall-clock is not serialized)."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != TRAJECTORY_HEADER:
+        raise ConfigError(f"{path}: not a trajectory file")
+    records = []
+    for line in lines[1:]:
+        it, train, val, lr, eps, snapshot = line.split(",")
+        records.append(IterationRecord(
+            iteration=int(it), train_loss=float(train), val_loss=float(val),
+            weight_lr=float(lr), hvp_epsilon=float(eps) if eps else None,
+            snapshot=snapshot, wall_clock=0.0,
+        ))
+    return records
+
 
 SMALL_CFG = """\
 # desk-scale but tiny, for fast tests
@@ -372,6 +392,12 @@ def small_genotype(pred: str = "1", input_arity: str = "2") -> str:
     return f'{{"spec": {spec}, "nodes": [{node2}, {node3}]}}'
 
 
+def small_snapshot() -> str:
+    """A logit snapshot for SMALL_CFG's cell, every logit zero."""
+    return SNAPSHOT_HEADER + "".join(f"{edge}\t0.0\t0.0\t0.0\t0.0\t0.0\n"
+                                     for edge in ("0->2", "1->2", "0->3", "1->3", "2->3"))
+
+
 DIRECTORY = object()  # a table input that is a directory, not a file
 NOT_UTF8 = b"# caf\xe9\n"  # Latin-1 text, not valid UTF-8
 
@@ -440,6 +466,15 @@ def small_cfg_with(line: str) -> str:
     ("derive", "snapshot", SNAPSHOT_HEADER.encode() + NOT_UTF8, "cannot read logit snapshot"),
     ("evaluate", "genotype", DIRECTORY, "cannot read genotype file"),
     ("evaluate", "genotype", small_genotype().encode() + NOT_UTF8, "cannot read genotype file"),
+    ("search", "data", "x0,x1,label,split\n1.0,2.0,0,train\n0.5,1.0,1,train\n"
+     "2.0,0.0,0,val\n0.0,1.0,1,val\n", "input: no test rows"),
+    ("toy-bilevel", "out", "afile", "afile: File exists"),
+    ("search", "out", "afile", "afile: File exists"),
+    ("random-search", "out", "afile", "afile: File exists"),
+    ("search", "out", "afile/sub", "afile/sub: Not a directory"),
+    ("derive", "out", "adir", "adir: Is a directory"),
+    ("derive", "out", "nodir/g.json", "nodir/g.json: No such file or directory"),
+    ("evaluate", "out", "adir", "adir: Is a directory"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
@@ -449,31 +484,63 @@ def small_cfg_with(line: str) -> str:
         "negative-eval-seed", "negative-data-seed", "duplicate-snapshot-edge",
         "config-directory", "config-not-utf8", "data-directory", "data-not-utf8",
         "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
-        "genotype-not-utf8"])
+        "genotype-not-utf8", "data-no-test-rows", "toy-out-file", "search-out-file",
+        "random-search-out-file", "search-out-under-file", "derive-out-directory",
+        "derive-out-missing-parent", "evaluate-out-directory"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"
     cfg = tmp_path / "run.cfg"
+    out = tmp_path / ("g.json" if command == "derive" else "run")
     if boundary == "config":
         write_input(cfg, small_cfg_with(text) if isinstance(text, str) else text)
     elif boundary == "genotype":
         write_input(path, text)
+        cfg.write_text(SMALL_CFG)
+    elif boundary == "out":
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / text
+        path.write_text(small_snapshot() if command == "derive" else small_genotype())
         cfg.write_text(SMALL_CFG)
     else:
         write_input(path, text)
         cfg.write_text(SMALL_CFG.replace("data_dims = 4", "data_dims = 2")
                        + f"data_path = {path}\n")
     if command == "derive":
-        argv = ["derive", "--alpha", str(path), "--config", str(cfg),
-                "--out", str(tmp_path / "g.json")]
+        argv = ["derive", "--alpha", str(path), "--config", str(cfg), "--out", str(out)]
     elif command == "evaluate":
         argv = ["evaluate", "--genotype", str(path), "--config", str(cfg)]
+        argv += ["--out", str(out)] if boundary == "out" else []
+    elif command == "toy-bilevel":
+        argv = ["toy-bilevel", "--steps", "3", "--out", str(out)]
     else:
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+        argv = [command, "--config", str(cfg), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["random-search", "evaluate"])
+def test_bad_out_is_found_before_any_training(tmp_path, capsys, monkeypatch, command):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr(cli, "random_search", train)
+    monkeypatch.setattr(cli, "train_genotype", train)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    genotype = tmp_path / "g.json"
+    genotype.write_text(small_genotype())
+    if command == "evaluate":  # a directory where the metrics file goes
+        argv = ["evaluate", "--genotype", str(genotype), "--config", str(cfg),
+                "--out", str(tmp_path)]
+    else:  # a file where the output directory goes
+        argv = ["random-search", "--config", str(cfg), "--out", str(genotype)]
+    assert main(argv) == 2
+    what = "metrics file" if command == "evaluate" else "output directory"
+    assert f"cannot write {what} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, line", [("search", "steps = 0"),

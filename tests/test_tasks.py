@@ -1,3 +1,4 @@
+import csv
 from collections import Counter
 from pathlib import Path
 
@@ -17,10 +18,18 @@ from cellsearch.tasks import (
     holdout_split,
     load_delimited,
     make_synthetic_classification,
-    save_delimited,
     toy_losses,
 )
 from cellsearch.tensor import Tape, Value, backward
+
+
+def save_delimited(dataset: Dataset, path) -> None:
+    names = [f"x{i}" for i in range(dataset.n_features)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names + ["label", "split"])
+        for row, label, tag in zip(dataset.features, dataset.labels, dataset.tags):
+            writer.writerow([repr(float(v)) for v in row] + [int(label), tag])
 
 
 def test_toy_losses_at_start_point():

@@ -164,6 +164,29 @@ def test_tape_records_in_execution_order():
     assert tape.params == (w,)
 
 
+def test_tape_params_derived_in_first_use_order_without_repeats():
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=(2, 2)) for _ in range(3)]
+    c = Value(rng.normal(size=(2, 2)))
+
+    def run():
+        a, b, d = (Value.param(x.copy()) for x in arrays)
+        with Tape() as tape:
+            h = tensor.multiply(tensor.tanh(matmul(b, c)), a)
+            h = tensor.add(matmul(h, d), tensor.sigmoid(b))
+            loss = tensor.sum_all(h)
+        return tape, loss, (b, a, d)
+
+    tape, loss, first_use = run()
+    assert tape.params == first_use
+    backward(loss)
+    implicit = [p.grad for p in first_use]
+    _, loss, params = run()
+    backward(loss, wrt=list(params))
+    for g, p in zip(implicit, params):
+        assert np.array_equal(g, p.grad)
+
+
 def test_backward_replayable_bit_identical():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4))
