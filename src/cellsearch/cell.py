@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor
-from .ops import EDGE_TERMS, NON_ZERO_OPS, OP_ORDER, apply_op, edge_matrices
+from .ops import EDGE_TERMS, NON_ZERO_OPS, OP_ORDER, PARAMETERIZED_OPS, apply_op
 from .tensor import ShapeError, Value
 
 
@@ -87,6 +87,11 @@ def edge_key(i: int, j: int) -> str:
     return f"{i}->{j}"
 
 
+def weight_name(i: int, j: int, kind: str) -> str:
+    """The network's name for the matrix of operation ``kind`` on edge (i, j)."""
+    return f"{edge_key(i, j)}:{kind}"
+
+
 def parse_edge_key(key: str) -> tuple[int, int]:
     i, _, j = key.partition("->")
     return int(i), int(j)
@@ -119,15 +124,14 @@ def uniform_entropy(n_ops: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mixed_edge_forward(alpha_vec: Value, x: Value,
-                       edge_op_params: Mapping[str, Value]) -> Value:
+def mixed_edge_forward(alpha_vec: Value, x: Value, matrices: Sequence[Value]) -> Value:
     """Softmax-weighted sum of every candidate operation applied to x.
 
-    The softmax runs over the whole registry, zero included, so the zero
-    logit still shapes the other weights even though its term vanishes. The
-    whole edge is one ``mixed-edge`` tape record.
+    ``matrices`` are the edge's, in ``PARAMETERIZED_OPS`` order. The softmax
+    runs over the whole registry, so the zero logit, whose term vanishes,
+    still shapes the other weights. The edge is one ``mixed-edge`` record.
     """
-    return tensor.mixed_edge(alpha_vec, x, edge_matrices(edge_op_params), EDGE_TERMS)
+    return tensor.mixed_edge(alpha_vec, x, matrices, EDGE_TERMS)
 
 
 def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
@@ -151,20 +155,21 @@ def _check_inputs(spec: CellSpec, inputs: Sequence[Value]) -> None:
 
 def cell_forward(spec: CellSpec,
                  alpha: Mapping[str, Value],
-                 params: Mapping[str, Mapping[str, Value]],
+                 weights: Mapping[str, Value],
                  inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
     """Relaxed cell pass: every intermediate node sums its mixed edges.
 
-    Returns the reduced output and the full list of node activations
-    (inputs first, then intermediates).
+    ``weights`` holds every edge matrix under its ``weight_name``. Returns
+    the reduced output and the full list of node activations (inputs first,
+    then intermediates).
     """
     _check_inputs(spec, inputs)
     states: list[Value] = list(inputs)
     for j in spec.intermediate_ids:
         acc = None
         for i in range(j):
-            key = edge_key(i, j)
-            term = mixed_edge_forward(alpha[key], states[i], params.get(key, {}))
+            matrices = [weights[weight_name(i, j, kind)] for kind in PARAMETERIZED_OPS]
+            term = mixed_edge_forward(alpha[edge_key(i, j)], states[i], matrices)
             acc = term if acc is None else tensor.add(acc, term)
         states.append(acc)
     return _reduce(spec, states[spec.input_arity:]), states
@@ -260,7 +265,7 @@ def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray]) -> Genotype
 
 
 def discrete_forward(genotype: Genotype,
-                     params: Mapping[str, Mapping[str, Value]],
+                     weights: Mapping[str, Value],
                      inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
     """Forward pass of a derived architecture: only retained edges run."""
     spec = genotype.spec
@@ -270,8 +275,7 @@ def discrete_forward(genotype: Genotype,
         j = spec.input_arity + offset
         acc = None
         for pred, kind in pairs:
-            weights = params.get(edge_key(pred, j), {}).get(kind)
-            term = apply_op(kind, weights, states[pred])
+            term = apply_op(kind, weights.get(weight_name(pred, j, kind)), states[pred])
             acc = term if acc is None else tensor.add(acc, term)
         states.append(acc)
     return _reduce(spec, states[spec.input_arity:]), states

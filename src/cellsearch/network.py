@@ -6,9 +6,9 @@ output to class logits. Stems, every edge-op matrix, and the head together
 form the inner weight group; the per-edge operation logits form the outer
 (architecture) group and live elsewhere.
 
-Weight dicts are keyed ``stem_{i}``, ``{i}->{j}:{op_kind}``, and ``head``;
-the same naming scheme is shared by the relaxed network and by discrete
-networks instantiated from a genotype, which simply own fewer edge matrices.
+Weight dicts are keyed ``stem_{i}``, ``cell.weight_name(i, j, kind)`` and
+``head``, in the relaxed network and in a discrete network instantiated from a
+genotype alike; the latter simply owns fewer edge matrices.
 """
 
 from __future__ import annotations
@@ -18,18 +18,9 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor
-from .cell import CellSpec, Genotype, cell_forward, discrete_forward, edge_key
+from .cell import CellSpec, Genotype, cell_forward, discrete_forward, weight_name
 from .ops import OP_ORDER, PARAMETERIZED_OPS, init_linear
 from .tensor import Value
-
-
-def _edge_view(weights: Mapping[str, Value]) -> dict[str, dict[str, Value]]:
-    view: dict[str, dict[str, Value]] = {}
-    for name, value in weights.items():
-        if ":" in name:
-            edge, _, kind = name.partition(":")
-            view.setdefault(edge, {})[kind] = value
-    return view
 
 
 class CellClassifier:
@@ -60,7 +51,7 @@ class CellClassifier:
                    for i in range(self.spec.input_arity)}
         for i, j, kind in edge_ops:
             if kind in PARAMETERIZED_OPS:
-                weights[f"{edge_key(i, j)}:{kind}"] = init_linear(rng, hidden, hidden)
+                weights[weight_name(i, j, kind)] = init_linear(rng, hidden, hidden)
         weights["head"] = init_linear(rng, self.spec.output_width(), self.n_classes)
         return weights
 
@@ -73,13 +64,13 @@ class CellClassifier:
     def logits_mixed(self, weights: Mapping[str, Value], alpha: Mapping[str, Value],
                      features: np.ndarray) -> Value:
         x = Value(features)
-        out, _ = cell_forward(self.spec, alpha, _edge_view(weights), self._stem_nodes(weights, x))
+        out, _ = cell_forward(self.spec, alpha, weights, self._stem_nodes(weights, x))
         return tensor.matmul(out, weights["head"])
 
     def logits_discrete(self, weights: Mapping[str, Value], genotype: Genotype,
                         features: np.ndarray) -> Value:
         x = Value(features)
-        out, _ = discrete_forward(genotype, _edge_view(weights), self._stem_nodes(weights, x))
+        out, _ = discrete_forward(genotype, weights, self._stem_nodes(weights, x))
         return tensor.matmul(out, weights["head"])
 
     def accuracy_discrete(self, weight_arrays: Mapping[str, np.ndarray], genotype: Genotype,

@@ -1,8 +1,7 @@
 """Candidate operations applicable to a node representation.
 
-The registry order is fixed and public: ``zero``, ``identity``,
-``linear_tanh``, ``linear_relu``, ``linear_sigmoid``. Architecture logit
-vectors index into this order, so it must never be reshuffled.
+The registry order, that of ``OPS``, is fixed and public. Architecture logit
+vectors index into it, so it must never be reshuffled.
 
 Node representations are always 2-d, rows of width ``hidden``; a single
 vector is a one-row matrix. Parameterized kinds apply ``activation(x @ W)``
@@ -12,27 +11,24 @@ with one ``(hidden, hidden)`` weight matrix owned per edge-op; ``zero`` and
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from . import tensor
 from .tensor import Value
 
-OP_ORDER: tuple[str, ...] = ("zero", "identity", "linear_tanh", "linear_relu", "linear_sigmoid")
-NON_ZERO_OPS: tuple[str, ...] = OP_ORDER[1:]
-PARAMETERIZED_OPS: frozenset[str] = frozenset(k for k in OP_ORDER if k.startswith("linear_"))
-
-_ACTIVATIONS = {
-    "linear_tanh": tensor.tanh,
-    "linear_relu": tensor.relu,
-    "linear_sigmoid": tensor.sigmoid,
+# Each kind with the term it adds to a fused mixed edge (``tensor.mixed_edge``):
+# nothing, its input, or that activation primitive of its input times its matrix.
+OPS: dict[str, str] = {
+    "zero": "zero",
+    "identity": "identity",
+    "linear_tanh": "tanh",
+    "linear_relu": "relu",
+    "linear_sigmoid": "sigmoid",
 }
-
-# What each kind adds to a fused mixed edge (``tensor.mixed_edge``), in
-# registry order: nothing, its input, or an activation of its input times the
-# kind's matrix.
-EDGE_TERMS: tuple[str, ...] = ("zero", "identity", "tanh", "relu", "sigmoid")
+OP_ORDER: tuple[str, ...] = tuple(OPS)
+NON_ZERO_OPS: tuple[str, ...] = OP_ORDER[1:]
+EDGE_TERMS: tuple[str, ...] = tuple(OPS.values())
+PARAMETERIZED_OPS: tuple[str, ...] = tuple(k for k in OPS if OPS[k] in tensor.ACTIVATION_RULES)
 
 
 class OpError(ValueError):
@@ -43,27 +39,16 @@ def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
     """Apply one candidate operation to a stack of row vectors."""
     if x.ndim != 2:
         raise OpError(f"{kind}: expected rows of vectors, got shape {x.shape}")
-    if kind == "zero":
+    term = OPS.get(kind)
+    if term is None:
+        raise OpError(f"unknown operation kind: {kind!r}")
+    if term == "zero":
         return tensor.scale(x, 0.0)
-    if kind == "identity":
+    if term == "identity":
         return x
-    if kind in PARAMETERIZED_OPS:
-        if weights is None:
-            raise OpError(f"{kind}: operation requires a weight matrix")
-        return _ACTIVATIONS[kind](tensor.matmul(x, weights))
-    raise OpError(f"unknown operation kind: {kind!r}")
-
-
-def edge_matrices(weights: Mapping[str, Value]) -> list[Value]:
-    """The weight matrices of the parameterized kinds, in registry order: the
-    matrices ``tensor.mixed_edge`` takes with ``EDGE_TERMS``."""
-    matrices = []
-    for kind in OP_ORDER:
-        if kind in PARAMETERIZED_OPS:
-            if weights.get(kind) is None:
-                raise OpError(f"{kind}: operation requires a weight matrix")
-            matrices.append(weights[kind])
-    return matrices
+    if weights is None:
+        raise OpError(f"{kind}: operation requires a weight matrix")
+    return tensor.PRIMITIVES[term](tensor.matmul(x, weights))
 
 
 def init_scale(fan_in: int) -> float:

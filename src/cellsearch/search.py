@@ -61,7 +61,6 @@ class EvalCounters:
     backward_passes: int = 0
     alpha_grad_evals: int = 0
     weight_grad_evals: int = 0
-    primitive_evals: int = 0
 
 
 BILEVEL_MODES = ("second-order", "first-order")
@@ -123,6 +122,12 @@ class SearchConfig:
             raise ConfigError("finite-difference scale must be positive")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ConfigError("Adam betas must be in [0, 1)")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum must be in [0, 1)")
+        if self.weight_decay_weights < 0 or self.weight_decay_alpha < 0:
+            raise ConfigError("weight decays must be non-negative")
+        if self.snapshot_every < 0:
+            raise ConfigError("snapshot interval must be non-negative")
 
 
 def toy_search_config(mode: str = "second-order", steps: int = 500,
@@ -231,16 +236,15 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
     group is wrapped as constants and its slot comes back ``None``. Counters
     record which groups were requested.
     """
-    with Tape() as tape:
+    with Tape():
         wv = _wrap(weights, "weights" in wrt)
         av = _wrap(alpha, "alpha" in wrt)
         loss = problem.loss(split, wv, av, batch)
     loss_val = loss.item()
     _require_finite(f"{split} loss", loss_val)
-    if counters is not None:  # before backward, which empties the tape
+    if counters is not None:
         counters.forward_passes += 1
         counters.backward_passes += 1
-        counters.primitive_evals += len(tape)
         counters.alpha_grad_evals += 1 if "alpha" in wrt else 0
         counters.weight_grad_evals += 1 if "weights" in wrt else 0
     want: list[Value] = []
@@ -527,15 +531,14 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
     for t in range(config.eval_steps):
         opt.lr = schedule.rate(t) if schedule is not None else config.weight_lr
         features, labels = problem.batch("train", config.eval_batch_size, rng)
-        with Tape() as tape:
+        with Tape():
             wv = _wrap(weights)
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss.item())
-        if counters is not None:  # before backward, which empties the tape
+        if counters is not None:
             counters.forward_passes += 1
             counters.backward_passes += 1
             counters.weight_grad_evals += 1
-            counters.primitive_evals += len(tape)
         backward(loss, wrt=wv.values())
         wgrads = _grads_from(wv, "retraining loss")
         if config.clip_norm is not None:

@@ -140,9 +140,6 @@ class Tape:
         _STATE.tape = None
         return False
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     @property
     def params(self) -> tuple[Value, ...]:
         """The leaf parameters the records consume, in first-use order."""

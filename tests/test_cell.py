@@ -20,11 +20,12 @@ from cellsearch.cell import (
     sample_genotype,
     softmax_weights,
     uniform_entropy,
+    weight_name,
 )
 from cellsearch.ops import (
-    EDGE_TERMS,
     NON_ZERO_OPS,
     OP_ORDER,
+    OPS,
     PARAMETERIZED_OPS,
     apply_op,
     init_linear,
@@ -38,14 +39,11 @@ def rows(*vals):
 
 def make_params(spec, seed=0):
     rng = np.random.default_rng(seed)
-    params = {}
-    for i, j in spec.edges():
-        params[edge_key(i, j)] = {
-            kind: Value(init_linear(rng, spec.hidden, spec.hidden))
-            for kind in OP_ORDER
-            if kind.startswith("linear_")
-        }
-    return params
+    return {
+        weight_name(i, j, kind): Value(init_linear(rng, spec.hidden, spec.hidden))
+        for i, j in spec.edges()
+        for kind in PARAMETERIZED_OPS
+    }
 
 
 # --- mixed edge -------------------------------------------------------------
@@ -67,10 +65,8 @@ def test_mixed_edge_one_hot_saturation():
     x = rows(1.0, -2.0, 0.5)
     spec_alpha = np.full(len(OP_ORDER), -40.0)
     spec_alpha[OP_ORDER.index("identity")] = 40.0
-    params = {
-        kind: Value(np.zeros((3, 3))) for kind in OP_ORDER if kind.startswith("linear_")
-    }
-    out = mixed_edge_forward(Value(spec_alpha), x, params)
+    matrices = [Value(np.zeros((3, 3))) for _ in PARAMETERIZED_OPS]
+    out = mixed_edge_forward(Value(spec_alpha), x, matrices)
     np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
 
@@ -82,19 +78,18 @@ def test_mixed_edge_weights_sum_to_one():
 
 
 def test_mixed_edge_rejects_wrong_logit_length():
-    params = {kind: Value(np.zeros((1, 1))) for kind in PARAMETERIZED_OPS}
+    matrices = [Value(np.zeros((1, 1))) for _ in PARAMETERIZED_OPS]
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
-        mixed_edge_forward(Value([0.0, 0.0]), rows(1.0), params)
+        mixed_edge_forward(Value([0.0, 0.0]), rows(1.0), matrices)
 
 
 def fused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
     """The fused edge: the cell's own on the registry, the primitive with the
     same terms on any other operation set."""
     if op_set == OP_ORDER:
-        return mixed_edge_forward(alpha_vec, x, edge_op_params)
-    term_of = dict(zip(OP_ORDER, EDGE_TERMS))
+        return mixed_edge_forward(alpha_vec, x, [edge_op_params[k] for k in PARAMETERIZED_OPS])
     matrices = [edge_op_params[kind] for kind in op_set if kind in edge_op_params]
-    return tensor.mixed_edge(alpha_vec, x, matrices, tuple(term_of[kind] for kind in op_set))
+    return tensor.mixed_edge(alpha_vec, x, matrices, tuple(OPS[kind] for kind in op_set))
 
 
 def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
@@ -141,7 +136,7 @@ def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
             logits = saturated(op_set, op_set[int(rng.integers(len(op_set)))], -40.0, 40.0)
         x = rng.normal(size=(rows, hidden))
         mats = {kind: rng.normal(size=(hidden, hidden))
-                for kind in op_set if kind.startswith("linear_")}
+                for kind in op_set if kind in PARAMETERIZED_OPS}
         coeffs = rng.normal(size=(rows, hidden))
         fused = edge_output_and_grads(fused_mixed_edge, logits, x, mats, coeffs, op_set)
         ref = edge_output_and_grads(unfused_mixed_edge, logits, x, mats, coeffs, op_set)
@@ -156,8 +151,8 @@ def test_mixed_edge_non_finite_input_gives_non_finite_output(bad):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 3))
     x[1, 2] = bad
-    params = {kind: Value(rng.normal(size=(3, 3))) for kind in NON_ZERO_OPS[1:]}
-    out = mixed_edge_forward(Value(np.zeros(len(OP_ORDER))), Value(x), params)
+    matrices = [Value(rng.normal(size=(3, 3))) for _ in PARAMETERIZED_OPS]
+    out = mixed_edge_forward(Value(np.zeros(len(OP_ORDER))), Value(x), matrices)
     assert not np.all(np.isfinite(out.data))
 
 
@@ -228,12 +223,9 @@ def test_cell_alpha_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
     raw_alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
     param_arrays = {
-        edge_key(i, j): {
-            kind: init_linear(rng, spec.hidden, spec.hidden)
-            for kind in OP_ORDER
-            if kind.startswith("linear_")
-        }
+        weight_name(i, j, kind): init_linear(rng, spec.hidden, spec.hidden)
         for i, j in spec.edges()
+        for kind in PARAMETERIZED_OPS
     }
     x0 = rng.normal(size=(2, 3))
     x1 = rng.normal(size=(2, 3))
@@ -242,7 +234,7 @@ def test_cell_alpha_gradients_match_finite_differences():
 
     def loss_from(arrays):
         alpha = {k: Value(a) for k, a in zip(keys, arrays)}
-        params = {e: {k: Value(w) for k, w in per.items()} for e, per in param_arrays.items()}
+        params = {name: Value(w) for name, w in param_arrays.items()}
         out, _ = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
         return tensor.sum_all(tensor.multiply(out, Value(coeffs)))
 
@@ -250,7 +242,7 @@ def test_cell_alpha_gradients_match_finite_differences():
     with Tape():
         alpha_params = [Value.param(a) for a in arrays]
         alpha = {k: v for k, v in zip(keys, alpha_params)}
-        params = {e: {k: Value(w) for k, w in per.items()} for e, per in param_arrays.items()}
+        params = {name: Value(w) for name, w in param_arrays.items()}
         out, _ = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
         loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)))
     backward(loss, wrt=alpha_params)
@@ -417,7 +409,8 @@ def test_discrete_forward_matches_saturated_mixed_forward():
     # two-predecessor first node for the exact comparison.
     first_node_spec = one_node_spec(hidden=4, k=2)
     sub_alpha = {key: alpha_raw[key] for key in (edge_key(0, 2), edge_key(1, 2))}
-    sub_params = {key: params[key] for key in sub_alpha}
+    sub_params = {weight_name(i, 2, kind): params[weight_name(i, 2, kind)]
+                  for i in range(2) for kind in PARAMETERIZED_OPS}
     mixed_out, _ = cell_forward(
         first_node_spec, {k: Value(v) for k, v in sub_alpha.items()}, sub_params, inputs
     )

@@ -475,6 +475,11 @@ def small_cfg_with(line: str) -> str:
     ("derive", "out", "adir", "adir: Is a directory"),
     ("derive", "out", "nodir/g.json", "nodir/g.json: No such file or directory"),
     ("evaluate", "out", "adir", "adir: Is a directory"),
+    ("search", "config", "snapshot_every = -3", "snapshot interval must be non-negative"),
+    ("search", "config", "momentum = 1.5", "momentum must be in [0, 1)"),
+    ("search", "config", "momentum = -0.5", "momentum must be in [0, 1)"),
+    ("search", "config", "weight_decay_weights = -1", "weight decays must be non-negative"),
+    ("search", "config", "weight_decay_alpha = -5", "weight decays must be non-negative"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
@@ -486,7 +491,9 @@ def small_cfg_with(line: str) -> str:
         "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
         "genotype-not-utf8", "data-no-test-rows", "toy-out-file", "search-out-file",
         "random-search-out-file", "search-out-under-file", "derive-out-directory",
-        "derive-out-missing-parent", "evaluate-out-directory"])
+        "derive-out-missing-parent", "evaluate-out-directory", "negative-snapshot-every",
+        "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
+        "negative-weight-decay-alpha"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"

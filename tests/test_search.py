@@ -246,9 +246,6 @@ def test_second_order_costs_exactly_two_extra_alpha_gradients(small_task):
     assert c_first.alpha_grad_evals == 1
     assert c_second.alpha_grad_evals == 3
     assert c_second.alpha_grad_evals - c_first.alpha_grad_evals == 2
-    # identical graphs per pass: 4 passes vs 1, so primitive totals scale linearly
-    assert c_first.primitive_evals > 0
-    assert c_second.primitive_evals == 4 * c_first.primitive_evals
     assert c_second.backward_passes == 4
 
 

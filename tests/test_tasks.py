@@ -246,10 +246,11 @@ def test_data_config_loading_from_file(tmp_path):
 DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
 
-def recorded_kinds(build) -> Counter:
+def recorded(build) -> tuple[Counter, set[int]]:
+    """The kinds a pass records, and the ids of the parameters it reads."""
     with Tape() as tape:
         build()
-    return Counter(record[0] for record in tape.records)
+    return Counter(record[0] for record in tape.records), {id(v) for v in tape.params}
 
 
 def test_relaxed_desk_pass_is_one_record_per_mixed_edge():
@@ -257,11 +258,13 @@ def test_relaxed_desk_pass_is_one_record_per_mixed_edge():
     weights = {k: Value.param(v) for k, v in task.init_weights(0).items()}
     alpha = {k: Value.param(v) for k, v in task.init_alpha().items()}
     batch = task.batch("train", 48, np.random.default_rng(0))
-    kinds = recorded_kinds(lambda: task.loss("train", weights, alpha, batch))
+    kinds, read = recorded(lambda: task.loss("train", weights, alpha, batch))
     # 9 edges; 6 node sums + 2 reduction adds; 2 stems + head; the mean; the loss
     assert kinds == {"mixed-edge": 9, "add": 8, "matrix-multiply": 3,
                      "scale-by-constant": 1, "softmax-cross-entropy": 1}
     assert sum(kinds.values()) == 22
+    # every matrix made is read: one left out would get a zero gradient silently
+    assert read == {id(v) for v in [*weights.values(), *alpha.values()]}
 
 
 def test_discrete_desk_pass_records_two_per_linear_edge():
@@ -273,6 +276,7 @@ def test_discrete_desk_pass_records_two_per_linear_edge():
         linear = sum(kind in PARAMETERIZED_OPS for pairs in genotype.nodes for _, kind in pairs)
         weights = {k: Value.param(v)
                    for k, v in task.model.init_genotype_weights(genotype, 0).items()}
-        kinds = recorded_kinds(lambda: task.discrete_loss(weights, genotype, batch))
+        kinds, read = recorded(lambda: task.discrete_loss(weights, genotype, batch))
         assert kinds["matrix-multiply"] == 3 + linear
         assert sum(kinds.values()) == 10 + 2 * linear
+        assert read == {id(v) for v in weights.values()}

@@ -244,7 +244,7 @@ def test_second_backward_on_consumed_tape_rejected():
     with Tape() as tape:
         loss = tensor.sum_all(tensor.multiply(w, w))
     backward(loss)
-    assert len(tape) == 0 and tape.params == ()
+    assert tape.records == [] and tape.params == ()
     with pytest.raises(TapeError, match="consumed"):
         backward(loss)
 
