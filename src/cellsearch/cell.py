@@ -140,16 +140,16 @@ def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
         for node in intermediates[1:]:
             acc = tensor.add(acc, node)
         return tensor.scale(acc, 1.0 / len(intermediates))
-    return tensor.concatenate(intermediates, axis=1)
+    return tensor.concatenate(intermediates, axis=-1)
 
 
 def _check_inputs(spec: CellSpec, inputs: Sequence[Value]) -> None:
     if len(inputs) != spec.input_arity:
         raise CellError(f"expected {spec.input_arity} cell inputs, got {len(inputs)}")
     for x in inputs:
-        if x.ndim != 2 or x.shape[1] != spec.hidden:
+        if not 2 <= x.ndim <= 3 or x.shape[-1] != spec.hidden:
             raise ShapeError(
-                f"cell input: expected (rows, {spec.hidden}), got {x.shape}"
+                f"cell input: expected ([slices,] rows, {spec.hidden}), got {x.shape}"
             )
 
 

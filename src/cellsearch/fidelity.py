@@ -4,15 +4,14 @@ The quantity under test is the gradient of the scalar map
 
     alpha -> val_loss(w - xi * d(train loss)/dw(w, alpha), alpha)
 
-produced by ``arch_gradient_second_order``. Three oracles check it:
+produced by ``arch_gradient_second_order``. Two oracles check it:
 
 * central finite differences of the map itself, coordinate by coordinate,
-  recomputing the lookahead at every probe (works on any problem);
+  recomputing the lookahead at every probe (works on any problem); the probes
+  run stacked, as one lookahead pass and one validation pass;
 * random quadratic bilevel problems whose mixed second derivative is a known
   constant matrix, so the correction term has an exact closed form and the
-  whole gradient is exact;
-* a nested, loss-only finite-difference product that never touches the
-  reverse-mode engine, for checking the built-in symmetric difference.
+  whole gradient is exact.
 """
 
 from __future__ import annotations
@@ -52,39 +51,23 @@ def unrolled_objective(problem, weights: Params, alpha: Params, unroll_lr: float
     return loss_value(problem, "val", lookahead, alpha, val_batch, counters=counters)
 
 
-def _fd_over(f, params: Params, step: float) -> Params:
-    """``tensor.finite_difference`` of ``f(params)`` over a name-keyed dict."""
-    keys = list(params)
-    grads = tensor.finite_difference(lambda arrays: f(dict(zip(keys, arrays))),
-                                     [params[k] for k in keys], step=step)
-    return dict(zip(keys, grads))
-
-
 def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: float,
                          train_batch, val_batch, step: float = 1e-5) -> Params:
-    """Central differences of the unrolled objective over every logit."""
-    return _fd_over(lambda probe: unrolled_objective(problem, weights, probe, unroll_lr,
-                                                    train_batch, val_batch),
-                   alpha, step)
+    """Central differences of the unrolled objective over every logit.
 
-
-def hvp_nested_fd(problem, weights: Params, alpha: Params, vector: Params,
-                  train_batch, step: float = 1e-6) -> Params:
-    """Loss-only oracle for the mixed second-derivative product.
-
-    The inner alpha-gradient is itself a central difference of the training
-    loss, so no reverse-mode code is exercised anywhere.
+    All probes run as one stacked pass: the logits carry the probe axis, and
+    the weights are broadcast along it, so each probe takes its own lookahead.
     """
+    keys = list(alpha)
 
-    def alpha_grad_fd(at_weights: Params) -> Params:
-        return _fd_over(lambda probe: loss_value(problem, "train", at_weights, probe, train_batch),
-                       alpha, step)
+    def objective(probes: list[np.ndarray]) -> np.ndarray:
+        stacked = {k: np.broadcast_to(w, (len(probes[0]), *w.shape))
+                   for k, w in weights.items()}
+        return unrolled_objective(problem, stacked, dict(zip(keys, probes)), unroll_lr,
+                                  train_batch, val_batch)
 
-    plus = {k: w + step * vector[k] for k, w in weights.items()}
-    minus = {k: w - step * vector[k] for k, w in weights.items()}
-    g_plus = alpha_grad_fd(plus)
-    g_minus = alpha_grad_fd(minus)
-    return {k: (g_plus[k] - g_minus[k]) / (2.0 * step) for k in alpha}
+    grads = tensor.finite_difference(objective, [alpha[k] for k in keys], step=step)
+    return dict(zip(keys, grads))
 
 
 def flatten(params: Params) -> np.ndarray:
@@ -126,16 +109,18 @@ class QuadraticBilevelProblem:
     def init_alpha(self) -> Params:
         return {k: v.copy() for k, v in self.alpha0.items()}
 
+    # Each term sums its row, so a stacked pass gives one value per slice.
     def _quad(self, row: Value, matrix: np.ndarray) -> Value:
-        return tensor.scale(
-            tensor.sum_all(tensor.multiply(row, tensor.matmul(row, Value(matrix)))), 0.5
-        )
+        return tensor.scale(tensor.sum_all(tensor.multiply(row, tensor.matmul(row, Value(matrix))),
+                                           axis=(-2, -1)), 0.5)
 
     def _bilinear(self, w: Value, a: Value, matrix: np.ndarray) -> Value:
-        return tensor.sum_all(tensor.multiply(tensor.matmul(w, Value(matrix)), a))
+        return tensor.sum_all(tensor.multiply(tensor.matmul(w, Value(matrix)), a),
+                              axis=(-2, -1))
 
     def _linear(self, row: Value, coeffs: np.ndarray) -> Value:
-        return tensor.sum_all(tensor.multiply(row, Value(coeffs)))
+        return tensor.sum_all(tensor.multiply(row, Value(np.broadcast_to(coeffs, row.shape))),
+                              axis=(-2, -1))
 
     def loss(self, split: str, weights, alpha, batch) -> Value:
         w, a = weights["w"], alpha["alpha"]

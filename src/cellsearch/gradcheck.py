@@ -200,8 +200,8 @@ def check_kind(kind: str, seed: int = 0, cases: int = 20,
         backward(loss, wrt=params)
         ad_grads = [p.grad for p in params]
 
-        def f(arrs):
-            return build([Value(a) for a in arrs]).item()
+        def f(probes):
+            return [build([Value(a) for a in point]).item() for point in zip(*probes)]
 
         fd_grads = finite_difference(f, arrays, step=step)
         for g_ad, g_fd in zip(ad_grads, fd_grads):

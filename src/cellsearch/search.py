@@ -22,6 +22,7 @@ validation metric.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
@@ -211,9 +212,17 @@ def _wrap(arrays: Mapping[str, np.ndarray], as_params: bool = True) -> dict[str,
     return {k: Value(v, requires_grad=as_params) for k, v in arrays.items()}
 
 
-def _require_finite(what: str, value: float) -> None:
-    if not np.isfinite(value):
+def _require_finite(what: str, loss: Value):
+    """The loss as a float, or stacked, as one float per slice; checked finite."""
+    if loss.ndim:
+        value = loss.data
+        finite = np.isfinite(value).all()
+    else:
+        value = loss.item()
+        finite = math.isfinite(value)
+    if not finite:
         raise NumericalError(f"{what} is not finite: {value}")
+    return value
 
 
 def _grads_from(values: Mapping[str, Value], what: str) -> Params:
@@ -234,14 +243,14 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
 
     Gradients are computed only for the groups named in ``wrt``; the other
     group is wrapped as constants and its slot comes back ``None``. Counters
-    record which groups were requested.
+    record which groups were requested. Arrays with a leading slice axis make
+    a stacked pass: one loss and one gradient per slice.
     """
     with Tape():
         wv = _wrap(weights, "weights" in wrt)
         av = _wrap(alpha, "alpha" in wrt)
         loss = problem.loss(split, wv, av, batch)
-    loss_val = loss.item()
-    _require_finite(f"{split} loss", loss_val)
+    loss_val = _require_finite(f"{split} loss", loss)
     if counters is not None:
         counters.forward_passes += 1
         counters.backward_passes += 1
@@ -259,15 +268,14 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
 
 
 def loss_value(problem, split: str, weights: Params, alpha: Params, batch,
-               counters: EvalCounters | None = None) -> float:
-    """Forward-only loss evaluation (no tape, no gradients)."""
+               counters: EvalCounters | None = None) -> float | np.ndarray:
+    """Forward-only loss evaluation (no tape, no gradients); one loss per
+    slice when the arrays are stacked."""
     loss = problem.loss(split, {k: Value(v) for k, v in weights.items()},
                         {k: Value(v) for k, v in alpha.items()}, batch)
     if counters is not None:
         counters.forward_passes += 1
-    val = loss.item()
-    _require_finite(f"{split} loss", val)
-    return val
+    return _require_finite(f"{split} loss", loss)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +292,7 @@ def unrolled_weights(problem, weights: Params, alpha: Params, unroll_lr: float,
     The incoming weights are never mutated. By default the step is the plain
     gradient; passing the weight optimizer's ``velocity`` (with its momentum
     and decay) makes the lookahead reproduce the composite momentum update
-    instead.
+    instead. Stacked weights and logits take one step per slice.
     """
     if unroll_lr < 0:
         raise ValueError("unroll step must be non-negative")
@@ -534,7 +542,7 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
         with Tape():
             wv = _wrap(weights)
             loss = problem.discrete_loss(wv, genotype, (features, labels))
-        _require_finite("retraining loss", loss.item())
+        _require_finite("retraining loss", loss)
         if counters is not None:
             counters.forward_passes += 1
             counters.backward_passes += 1

@@ -15,10 +15,18 @@ so a finished pass holds no reference cycle and is freed by reference
 counting, without waiting for the cyclic collector.
 
 Shape rules are deliberately narrow: elementwise primitives require identical
-shapes, the only broadcasting allowed is a 0-d scalar against a tensor, and
-matrix multiplication is strictly 2-d. Everything is float64; the
-finite-difference machinery built on top of this engine is too sensitive to
-rounding for single precision.
+shapes, and the only broadcasting allowed is a 0-d scalar against a tensor.
+Everything is float64; the finite-difference machinery built on top of this
+engine is too sensitive to rounding for single precision.
+
+A pass may carry a leading slice axis: S copies of one program, run as one
+tape. Matrix multiplication takes 2-d operands, or 3-d ones whose leading axis
+holds the S slices, where a 2-d operand is shared by every slice; the mixed
+edge takes stacked logits, input and matrices; cross-entropy gives one mean per
+slice; and ``backward`` seeds every slice of an ``(S,)`` loss with 1. Each
+slice is bit-identical to the same pass run on that slice alone. A parameter
+that carries the slice axis gets each slice's own gradient; one shared across
+slices gets the sum of theirs.
 """
 
 from __future__ import annotations
@@ -168,19 +176,21 @@ def _emit(kind: str, inputs: tuple[Value, ...], out_data: np.ndarray, backward_f
 def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
     """Assign d(loss)/d(p) into ``p.grad`` for each requested parameter.
 
-    ``loss`` must be a scalar recorded on a tape. With ``wrt`` omitted, every
-    parameter the loss's tape consumed receives a gradient; otherwise
-    only the given parameters do (others are left untouched). Parameters that
-    do not influence the loss receive zeros. Each call assigns fresh
-    gradients; nothing accumulates across calls.
+    ``loss`` must be recorded on a tape and be a scalar, or one scalar per
+    slice of a stacked pass; every slice is seeded with 1. With ``wrt``
+    omitted, every parameter the loss's tape consumed receives a gradient;
+    otherwise only the given parameters do (others are left untouched).
+    Parameters that do not influence the loss receive zeros. Each call
+    assigns fresh gradients; nothing accumulates across calls.
 
     Gradients flow only through values whose ``requires_grad`` was set when
     they were recorded, and each closure is told which of its inputs need
     one. The call consumes the tape: its records are dropped, and a second
     ``backward`` on it raises ``TapeError``.
     """
-    if loss.ndim != 0:
-        raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss.ndim > 1:
+        raise TapeError(f"backward: loss must be scalar or one scalar per slice, "
+                        f"got shape {loss.shape}")
     tape = loss._tape
     if tape is None:
         raise TapeError("backward: loss is not recorded on a tape")
@@ -193,7 +203,7 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
 
     adjoint: dict[int, np.ndarray] = {}
     if loss.requires_grad:
-        adjoint[id(loss)] = np.ones((), dtype=np.float64)
+        adjoint[id(loss)] = np.ones(loss.shape, dtype=np.float64)
         for _, inputs, output, backward_fn, need in reversed(tape.records):
             g_out = adjoint.pop(id(output), None)
             if g_out is None:
@@ -276,17 +286,29 @@ def scale(a: Value, c: float) -> Value:
     return _emit("scale-by-constant", (a,), a.data * c, back)
 
 
+def _sum_slices(g: np.ndarray | None, ndim: int) -> np.ndarray | None:
+    # The gradient of an operand shared by every slice sums over the slice axis.
+    return g.sum(axis=0) if g is not None and g.ndim > ndim else g
+
+
 def matmul(a: Value, b: Value) -> Value:
+    """Matrix product of 2-d operands, or per slice, where a 2-d one is shared."""
+    ad, bd = a.data, b.data
     _shape_guard(
         "matrix-multiply",
-        a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0],
+        2 <= ad.ndim <= 3 and 2 <= bd.ndim <= 3 and ad.shape[-1] == bd.shape[-2]
+        and (ad.ndim == 2 or bd.ndim == 2 or ad.shape[0] == bd.shape[0]),
         a.shape,
         b.shape,
     )
-    ad, bd = a.data, b.data
+    shared = ad.ndim != bd.ndim
 
     def back(g, need):
-        return g @ bd.T if need[0] else None, ad.T @ g if need[1] else None
+        da = g @ bd.mT if need[0] else None
+        db = ad.mT @ g if need[1] else None
+        if shared:
+            return _sum_slices(da, ad.ndim), _sum_slices(db, bd.ndim)
+        return da, db
 
     return _emit("matrix-multiply", (a, b), ad @ bd, back)
 
@@ -400,46 +422,54 @@ def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
     takes the next square matrix of ``matrices`` in order. The matrices are
     multiplied as one ``(d, n * d)`` block. The zero term is skipped, which
     is exact for finite ``x``; its logit still counts in the softmax.
+    Stacked, the logits, ``x`` and every matrix share one leading slice axis.
     """
-    d = x.shape[1] if x.ndim == 2 else -1
+    xd = x.data
+    lead = xd.shape[:-2]
+    d = xd.shape[-1] if 2 <= xd.ndim <= 3 else -1
     n_act, plan = _edge_plan(tuple(terms), d)
+    mat_shape = (*lead, d, d)
     _shape_guard(
         "mixed-edge",
-        logits.ndim == 1 and logits.shape[0] == len(terms) and x.ndim == 2
-        and len(matrices) == n_act and all(m.shape == (d, d) for m in matrices),
+        d >= 0 and logits.data.shape == (*lead, len(terms))
+        and len(matrices) == n_act and all(m.data.shape == mat_shape for m in matrices),
         logits.shape, x.shape, *(m.shape for m in matrices),
     )
-    xd = x.data
-    w = _softmax_forward(logits.data, 0)
-    wcat = np.concatenate([m.data for m in matrices], axis=1) if matrices else np.zeros((d, 0))
+    w = _softmax_forward(logits.data, -1)
+    # Indexed by term: a weight, or stacked, a (1, 1) block per slice; the
+    # logit gradient sums each term over its rows and columns.
+    tw, axes = (w.T[..., None, None], (-2, -1)) if lead else (w, None)
+    wcat = (np.concatenate([m.data for m in matrices], axis=-1) if matrices
+            else np.zeros((*lead, d, 0)))
     z = xd @ wcat
-    ys = [xd if rules is None else rules[0](z[:, cols]) for _, rules, cols in plan]
+    ys = [xd if rules is None else rules[0](z[..., cols]) for _, rules, cols in plan]
     out = np.zeros_like(xd)
     for (i, _, _), y in zip(plan, ys):
-        out = out + w[i] * y
+        out = out + tw[i] * y
 
     def back(g, need):
         dlogits = dx = None
         dmats = [None] * n_act
         if need[0]:
             dw = np.zeros_like(w)
+            dw_by_term = dw.T
             for (i, _, _), y in zip(plan, ys):
-                dw[i] = (g * y).sum()
-            dlogits = _softmax_backward(dw, w, 0)
+                dw_by_term[i] = (g * y).sum(axis=axes)
+            dlogits = _softmax_backward(dw, w, -1)
         need_mats = True in need[2:]
         if need[1] or need_mats:
             dz = np.empty_like(z)
             for (i, rules, cols), y in zip(plan, ys):
                 if rules is not None:
-                    dz[:, cols] = rules[1](g * w[i], z[:, cols], y)
+                    dz[..., cols] = rules[1](g * tw[i], z[..., cols], y)
             if need[1]:
-                dx = dz @ wcat.T
+                dx = dz @ wcat.mT
                 for i, rules, _ in plan:
                     if rules is None:
-                        dx = dx + g * w[i]
+                        dx = dx + g * tw[i]
             if need_mats:
-                dwcat = xd.T @ dz
-                dmats = [dwcat[:, k * d:(k + 1) * d] if need[2 + k] else None
+                dwcat = xd.mT @ dz
+                dmats = [dwcat[..., k * d:(k + 1) * d] if need[2 + k] else None
                          for k in range(n_act)]
         return (dlogits, dx, *dmats)
 
@@ -486,12 +516,16 @@ def mean(x: Value, axis: int | None = None) -> Value:
     return _emit("mean-over-axis", (x,), x.data.mean(axis=axis), back)
 
 
-def sum_all(x: Value) -> Value:
+def sum_all(x: Value, axis: int | tuple[int, ...] | None = None) -> Value:
+    """Sum over the given axes, or over all elements when axis is None."""
+    axes = () if axis is None else np.atleast_1d(axis)
+    _shape_guard("sum", all(-x.ndim <= a < x.ndim for a in axes), x.shape)
 
     def back(g, need):
-        return (np.full(x.shape, float(g)),)
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                x.shape).copy(),)
 
-    return _emit("sum", (x,), np.asarray(x.data.sum()), back)
+    return _emit("sum", (x,), np.asarray(x.data.sum(axis=axis)), back)
 
 
 def select(x: Value, index: int) -> Value:
@@ -519,32 +553,34 @@ def mse_loss(pred: Value, target: Value) -> Value:
 
 
 def cross_entropy(logits: Value, labels) -> Value:
-    """Mean softmax cross-entropy over a batch of rows.
+    """Mean softmax cross-entropy over a batch of rows, one mean per slice.
 
-    ``logits`` is (batch, classes); ``labels`` holds integer class ids and is
-    never differentiated.
+    ``logits`` is (batch, classes), or (slices, batch, classes); ``labels``
+    holds integer class ids, shared by every slice, and is never
+    differentiated.
     """
     idx = labels.data.astype(np.int64)
     _shape_guard(
         "softmax-cross-entropy",
-        logits.ndim == 2 and idx.ndim == 1 and idx.shape[0] == logits.shape[0],
+        2 <= logits.ndim <= 3 and idx.ndim == 1 and idx.shape[0] == logits.shape[-2],
         logits.shape,
         labels.shape,
     )
     z = logits.data
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(z.shape[0])
-    nll = lse - shifted[rows, idx]
-    probs = np.exp(shifted - lse[:, None])
-    batch = z.shape[0]
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    rows = np.arange(z.shape[-2])
+    nll = lse - shifted[..., rows, idx]
+    probs = np.exp(shifted - lse[..., None])
+    batch = z.shape[-2]
 
     def back(g, need):
         d = probs.copy()
-        d[rows, idx] -= 1.0
-        return d * (float(g) / batch), None
+        d[..., rows, idx] -= 1.0
+        scale = g / batch
+        return d * (scale[:, None, None] if scale.ndim else scale), None
 
-    return _emit("softmax-cross-entropy", (logits, labels), np.asarray(nll.mean()), back)
+    return _emit("softmax-cross-entropy", (logits, labels), np.asarray(nll.mean(axis=-1)), back)
 
 
 # ---------------------------------------------------------------------------
@@ -577,26 +613,30 @@ PRIMITIVES: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 
 
-def finite_difference(f: Callable[[Sequence[np.ndarray]], float],
+def finite_difference(f: Callable[[list[np.ndarray]], np.ndarray],
                       arrays: Sequence[np.ndarray],
                       step: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradients of a scalar function of several arrays."""
-    grads = []
+    """Central-difference gradients of a scalar function of several arrays.
+
+    ``f`` evaluates every probe point in one call. It gets one array per entry
+    of ``arrays`` with a leading axis of 2N probes, N being the number of
+    coordinates in all: for each coordinate in order, the point moved up by
+    ``step``, then the point moved down. It returns the 2N values.
+    """
     work = [np.array(a, dtype=np.float64) for a in arrays]
-    for k, a in enumerate(work):
-        g = np.zeros_like(a)
-        flat = a.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = f(work)
-            flat[i] = orig - step
-            down = f(work)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
-        grads.append(g)
-    return grads
+    n = sum(a.size for a in work)
+    probes = [np.repeat(a[None], 2 * n, axis=0) for a in work]
+    p = 0
+    for a, stacked in zip(work, probes):
+        flat = stacked.reshape(2 * n, a.size)
+        for i, orig in enumerate(a.reshape(-1)):
+            flat[p, i] = orig + step
+            flat[p + 1, i] = orig - step
+            p += 2
+    values = np.asarray(f(probes), dtype=np.float64)
+    grads = (values[0::2] - values[1::2]) / (2.0 * step)
+    offsets = np.cumsum([a.size for a in work])[:-1]
+    return [g.reshape(a.shape) for g, a in zip(np.split(grads, offsets), work)]
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -145,6 +145,44 @@ def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
             assert relative_error(g_fused, g_ref) <= FUSION_RTOL
 
 
+def stacked_edge_output_and_grads(logits, x, mats, coeffs, op_set):
+    """Output and every input gradient of the fused edge; with a leading slice
+    axis on every array, each slice's loss is summed over its own rows."""
+    with Tape():
+        params = [Value.param(logits), Value.param(x)]
+        weights = {kind: Value.param(m) for kind, m in mats.items()}
+        out = fused_mixed_edge(params[0], params[1], weights, op_set)
+        loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)), axis=(-2, -1))
+    inputs = params + list(weights.values())
+    backward(loss, wrt=inputs)
+    return [out.data] + [p.grad for p in inputs]
+
+
+@pytest.mark.parametrize("op_set", FUSION_OP_SETS)
+def test_stacked_mixed_edge_slices_bit_identical(op_set):
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        slices = int(rng.integers(1, 5))
+        rows, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        logits = rng.normal(scale=2.0, size=(slices, len(op_set)))
+        x = rng.normal(size=(slices, rows, hidden))
+        mats = {kind: rng.normal(size=(slices, hidden, hidden))
+                for kind in op_set if kind in PARAMETERIZED_OPS}
+        coeffs = rng.normal(size=(slices, rows, hidden))
+        stacked = stacked_edge_output_and_grads(logits, x, mats, coeffs, op_set)
+        for s in range(slices):
+            alone = stacked_edge_output_and_grads(
+                logits[s], x[s], {k: m[s] for k, m in mats.items()}, coeffs[s], op_set)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[s], want)
+
+
+def test_mixed_edge_rejects_unstacked_logits_on_stacked_input():
+    matrices = [Value(np.zeros((2, 1, 1))) for _ in PARAMETERIZED_OPS]
+    with pytest.raises(tensor.ShapeError, match="mixed-edge"):
+        mixed_edge_forward(Value(np.zeros(len(OP_ORDER))), Value(np.ones((2, 3, 1))), matrices)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_mixed_edge_non_finite_input_gives_non_finite_output(bad):
@@ -247,7 +285,8 @@ def test_cell_alpha_gradients_match_finite_differences():
         loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)))
     backward(loss, wrt=alpha_params)
 
-    fd = finite_difference(lambda arrs: loss_from(arrs).item(), arrays, step=1e-5)
+    fd = finite_difference(lambda probes: [loss_from(point).item() for point in zip(*probes)],
+                           arrays, step=1e-5)
     for p, g in zip(alpha_params, fd):
         assert relative_error(p.grad, g) < 1e-4
 

@@ -80,7 +80,7 @@ def test_weight_gradients_match_finite_differences(kind):
         out = apply_op(kind, Value(arrays[0]), Value(x))
         return tensor.sum_all(tensor.multiply(out, Value(coeffs))).item()
 
-    fd = finite_difference(f, [w], step=1e-5)
+    fd = finite_difference(lambda probes: [f(point) for point in zip(*probes)], [w], step=1e-5)
     assert relative_error(wp.grad, fd[0]) < 1e-4
 
 

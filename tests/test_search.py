@@ -11,8 +11,8 @@ from cellsearch.fidelity import (
     check_quadratics_exact_hvp,
     fd_unrolled_gradient,
     flatten,
-    hvp_nested_fd,
     make_tiny_cell_task,
+    unrolled_objective,
 )
 from cellsearch.search import (
     WRT_BOTH,
@@ -163,6 +163,31 @@ def test_hvp_leaves_weights_bit_identical(small_task):
     batch = small_task.batch("train", 16, rng)
     hvp_finite_difference(small_task, weights, alpha, vector, batch, 0.01)
     assert {k: v.tobytes() for k, v in weights.items()} == before
+
+
+def hvp_nested_fd(problem, weights, alpha, vector, train_batch, step=1e-6):
+    """Loss-only oracle for the mixed second-derivative product.
+
+    The inner alpha-gradient is itself a central difference of the training
+    loss, its probes run as one stacked forward pass, so no reverse-mode code
+    is exercised anywhere.
+    """
+    keys = list(alpha)
+
+    def alpha_grad_fd(at_weights):
+        def train_loss(probes):
+            stacked = {k: np.broadcast_to(w, (len(probes[0]), *w.shape))
+                       for k, w in at_weights.items()}
+            return loss_value(problem, "train", stacked, dict(zip(keys, probes)), train_batch)
+
+        return dict(zip(keys, finite_difference(train_loss, [alpha[k] for k in keys],
+                                                step=step)))
+
+    plus = {k: w + step * vector[k] for k, w in weights.items()}
+    minus = {k: w - step * vector[k] for k, w in weights.items()}
+    g_plus = alpha_grad_fd(plus)
+    g_minus = alpha_grad_fd(minus)
+    return {k: (g_plus[k] - g_minus[k]) / (2.0 * step) for k in alpha}
 
 
 def test_hvp_matches_nested_loss_only_oracle(small_task):
@@ -499,6 +524,48 @@ def test_network_second_order_gradient_close_to_differenced_objective():
     assert relative_error(flatten(grads), flatten(oracle)) < 1e-2
 
 
+def per_probe_unrolled_gradient(problem, weights, alpha, unroll_lr, train_batch, val_batch):
+    """Reference only: the differenced unrolled objective, one unstacked
+    lookahead and validation pass per probe point."""
+    keys = list(alpha)
+
+    def objective(point):
+        return unrolled_objective(problem, weights, dict(zip(keys, point)), unroll_lr,
+                                  train_batch, val_batch)
+
+    grads = finite_difference(lambda probes: [objective(point) for point in zip(*probes)],
+                              [alpha[k] for k in keys])
+    return dict(zip(keys, grads))
+
+
+def assert_stacked_oracle_matches_per_probe(problem, weights, alpha, train_batch, val_batch):
+    stacked = fd_unrolled_gradient(problem, weights, alpha, 0.1, train_batch, val_batch)
+    ref = per_probe_unrolled_gradient(problem, weights, alpha, 0.1, train_batch, val_batch)
+    assert list(stacked) == list(ref)
+    for k in ref:
+        assert np.array_equal(stacked[k], ref[k]), k
+
+
+def test_stacked_oracle_bit_identical_to_per_probe_passes_on_toy_and_quadratics(toy):
+    assert_stacked_oracle_matches_per_probe(toy, *toy_state(alpha=1.3, w=0.4), None, None)
+    for seed in range(3):
+        problem = QuadraticBilevelProblem(seed=seed)
+        assert_stacked_oracle_matches_per_probe(problem, problem.init_weights(),
+                                                problem.init_alpha(), None, None)
+
+
+def test_stacked_oracle_bit_identical_to_per_probe_passes_on_tiny_cells():
+    # the 20 problems of check_networks_eps_rule(seed=0)
+    for p in range(20):
+        task, _ = make_tiny_cell_task(1000 + p)
+        rng = np.random.default_rng(p)
+        weights = task.init_weights(p)
+        alpha = {k: rng.normal(scale=0.5, size=v.shape) for k, v in task.init_alpha().items()}
+        train_batch = task.batch("train", 16, rng)
+        val_batch = task.batch("val", 16, rng)
+        assert_stacked_oracle_matches_per_probe(task, weights, alpha, train_batch, val_batch)
+
+
 def test_momentum_lookahead_gradient_close_to_differenced_objective():
     # the lookahead with the weight optimizer's velocity (momentum_unroll), on the
     # 20 problems and at the tolerance of check_networks_eps_rule's default seed
@@ -521,7 +588,8 @@ def test_momentum_lookahead_gradient_close_to_differenced_objective():
             lookahead = unrolled_weights(task, weights, probe, 0.1, train_batch, **unroll)
             return loss_value(task, "val", lookahead, probe, val_batch)
 
-        oracle = finite_difference(objective, [alpha[k] for k in keys])
+        oracle = finite_difference(lambda probes: [objective(point) for point in zip(*probes)],
+                                   [alpha[k] for k in keys])
         worst = max(worst, relative_error(flatten(grads), flatten(dict(zip(keys, oracle)))))
     assert worst < 1e-2
 
@@ -555,6 +623,29 @@ def test_single_group_gradients_bit_identical_to_both_groups(desk):
         assert np.array_equal(wgrads_only[k], wgrads[k]), k
     for k in agrads:
         assert np.array_equal(agrads_only[k], agrads[k]), k
+
+
+@pytest.mark.parametrize("reduction", ["mean", "concat"])
+def test_stacked_cell_pass_slices_bit_identical(reduction):
+    data = DataConfig(n=60, dims=3, classes=3, noise=0.8, seed=5).build()
+    task = SyntheticCellTask(data, CellSpec(nodes=5, input_arity=2, hidden=3, k=2,
+                                            reduction=reduction))
+    rng = np.random.default_rng(5)
+    slices = 4
+    weights = {k: rng.normal(size=(slices, *v.shape)) for k, v in task.init_weights(5).items()}
+    alpha = {k: rng.normal(size=(slices, *v.shape)) for k, v in task.init_alpha().items()}
+    batch = task.batch("train", 16, rng)
+    loss, wgrads, agrads = loss_and_grads(task, "train", weights, alpha, batch)
+    assert loss.shape == (slices,)
+    assert np.array_equal(loss_value(task, "train", weights, alpha, batch), loss)
+    for s in range(slices):
+        alone = loss_and_grads(task, "train", {k: w[s] for k, w in weights.items()},
+                               {k: a[s] for k, a in alpha.items()}, batch)
+        assert alone[0] == loss[s]
+        for got, want in ((wgrads, alone[1]), (agrads, alone[2])):
+            assert got.keys() == want.keys()
+            for k in want:
+                assert np.array_equal(got[k][s], want[k]), (s, k)
 
 
 def test_taped_passes_leave_no_cyclic_garbage(desk):

@@ -67,17 +67,105 @@ def test_backward_two_layer_network_matches_finite_differences():
         loss = tensor.mse_loss(matmul(hidden, p2), Value(target))
     backward(loss)
 
-    fd = finite_difference(run, [w1, w2], step=1e-5)
+    fd = finite_difference(lambda probes: [run(point) for point in zip(*probes)], [w1, w2],
+                           step=1e-5)
     assert relative_error(p1.grad, fd[0]) < 1e-4
     assert relative_error(p2.grad, fd[1]) < 1e-4
 
 
-def test_backward_requires_scalar_loss():
-    w = Value.param([1.0, 2.0])
+def test_backward_rejects_loss_of_rank_two_or_more():
+    for shape in [(2, 1), (1, 2, 2)]:
+        w = Value.param(np.ones(shape))
+        with Tape():
+            out = tensor.multiply(w, w)
+        with pytest.raises(TapeError, match="scalar"):
+            backward(out)
+
+
+def test_backward_seeds_every_slice_of_a_stacked_loss():
+    w = Value.param([1.0, 2.0, -3.0])
     with Tape():
         out = tensor.multiply(w, w)
-    with pytest.raises(TapeError, match="scalar"):
-        backward(out)
+    backward(out)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0, -6.0])
+
+
+# --- the slice axis: each slice of a stacked pass is bit-identical to the
+# same pass on that slice alone; a shared operand's gradient sums the slices'.
+
+
+def stacked_and_per_slice(build, stacked, shared=()):
+    """Run ``build`` once on the stacked arrays and once per slice; return the
+    stacked loss and gradients and the per-slice ones, slices along axis 0.
+    Arrays in ``shared`` have no slice axis and every slice uses them."""
+    def run(arrays, fixed):
+        with Tape():
+            params = [Value.param(a) for a in (*arrays, *fixed)]
+            loss = build(*params)
+        backward(loss)
+        return loss.data, [p.grad for p in params]
+
+    loss, grads = run(stacked, shared)
+    per = [run([a[s] for a in stacked], shared) for s in range(len(stacked[0]))]
+    per_loss = np.stack([p[0] for p in per])
+    per_grads = [np.stack([p[1][k] for p in per]) for k in range(len(grads))]
+    for k in range(len(stacked), len(grads)):
+        per_grads[k] = per_grads[k].sum(axis=0)
+    return (loss, grads), (per_loss, per_grads)
+
+
+def assert_bit_identical(stacked, per_slice):
+    (loss, grads), (per_loss, per_grads) = stacked, per_slice
+    assert loss.shape == per_loss.shape and np.array_equal(loss, per_loss)
+    for g, ref in zip(grads, per_grads):
+        assert g.shape == ref.shape and np.array_equal(g, ref)
+
+
+def summed(out, coeffs):
+    return tensor.sum_all(tensor.multiply(out, coeffs), axis=(-2, -1))
+
+
+def test_stacked_matmul_slices_bit_identical():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        s, n, k, m = (int(rng.integers(1, 7)) for _ in range(4))
+        a, b = rng.normal(size=(s, n, k)), rng.normal(size=(s, k, m))
+        coeffs = rng.normal(size=(s, n, m))
+        assert_bit_identical(*stacked_and_per_slice(
+            lambda a, b, c: summed(matmul(a, b), c), [a, b, coeffs]))
+        # a shared left operand (the stems' features) and a shared right one
+        assert_bit_identical(*stacked_and_per_slice(
+            lambda b, c, a0: summed(matmul(a0, b), c), [b, coeffs], shared=[a[0]]))
+        assert_bit_identical(*stacked_and_per_slice(
+            lambda a, c, b0: summed(matmul(a, b0), c), [a, coeffs], shared=[b[0]]))
+
+
+def test_matmul_rejects_unequal_slice_counts():
+    with pytest.raises(ShapeError, match="matrix-multiply"):
+        matmul(Value(np.ones((2, 3, 4))), Value(np.ones((3, 4, 5))))
+
+
+def test_stacked_cross_entropy_slices_bit_identical():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        s, batch, classes = (int(rng.integers(1, 7)), int(rng.integers(1, 20)),
+                             int(rng.integers(2, 5)))
+        logits = rng.normal(scale=3.0, size=(s, batch, classes))
+        labels = Value(rng.integers(0, classes, size=batch).astype(np.float64))
+        assert_bit_identical(*stacked_and_per_slice(
+            lambda z: cross_entropy(z, labels), [logits]))
+
+
+def test_sum_over_row_axes_bit_identical_to_whole_sum():
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        x = rng.normal(size=(int(rng.integers(1, 6)), 1, int(rng.integers(1, 40))))
+        stacked = tensor.sum_all(Value(x), axis=(-2, -1)).data
+        assert np.array_equal(stacked, [tensor.sum_all(Value(row)).data for row in x])
+        assert_bit_identical(*stacked_and_per_slice(
+            lambda v: tensor.sum_all(v, axis=(-2, -1)), [x]))
+    with pytest.raises(ShapeError, match="sum"):
+        tensor.sum_all(Value(np.ones((2, 3))), axis=(-3, -1))
 
 
 def test_backward_requires_tape():

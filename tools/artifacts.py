@@ -71,6 +71,8 @@ def commands(outdir: Path):
                                    "--config", f"inputs/{cfg}.cfg",
                                    "--out", f"evaluate-{cell}/out/metrics.txt"]
     yield "grad-check", ["grad-check"]
+    # a seed whose fidelity check fails (exit 3), so the failing path is covered too
+    yield "grad-check-seed-21", ["grad-check", "--seed", "21"]
 
 
 def main(argv=None) -> int:
