@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor
-from .ops import EDGE_TERMS, NON_ZERO_OPS, OP_ORDER, PARAMETERIZED_OPS, apply_op
+from .ops import EDGE_TERMS, NON_ZERO_OPS, OP_ORDER, apply_op
 from .tensor import ShapeError, Value
 
 
@@ -88,8 +88,14 @@ def edge_key(i: int, j: int) -> str:
 
 
 def weight_name(i: int, j: int, kind: str) -> str:
-    """The network's name for the matrix of operation ``kind`` on edge (i, j)."""
+    """The discrete network's name for the matrix of operation ``kind`` on edge (i, j)."""
     return f"{edge_key(i, j)}:{kind}"
+
+
+def block_name(j: int) -> str:
+    """The relaxed network's name for node j's ``(j, hidden, 3 * hidden)`` block:
+    row i holds edge (i, j)'s matrices side by side, in ``PARAMETERIZED_OPS`` order."""
+    return f"node_{j}"
 
 
 def parse_edge_key(key: str) -> tuple[int, int]:
@@ -124,14 +130,14 @@ def uniform_entropy(n_ops: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mixed_edge_forward(alpha_vec: Value, x: Value, matrices: Sequence[Value]) -> Value:
-    """Softmax-weighted sum of every candidate operation applied to x.
-
-    ``matrices`` are the edge's, in ``PARAMETERIZED_OPS`` order. The softmax
-    runs over the whole registry, so the zero logit, whose term vanishes,
-    still shapes the other weights. The edge is one ``mixed-edge`` record.
-    """
-    return tensor.mixed_edge(alpha_vec, x, matrices, EDGE_TERMS)
+def mixed_edge_forward(alpha_vecs: Sequence[Value], states: Sequence[Value],
+                       block: Value) -> Value:
+    """One intermediate node, one ``mixed-edge`` record: the sum over its
+    incoming edges of each one's softmax-weighted mixture of every candidate
+    operation. Edge k reads ``alpha_vecs[k]``, ``states[k]`` and row k of the
+    node's block. The softmax runs over the whole registry, so the zero logit,
+    whose term vanishes, still shapes the other weights."""
+    return tensor.mixed_edge(alpha_vecs, states, block, EDGE_TERMS)
 
 
 def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
@@ -159,19 +165,15 @@ def cell_forward(spec: CellSpec,
                  inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
     """Relaxed cell pass: every intermediate node sums its mixed edges.
 
-    ``weights`` holds every edge matrix under its ``weight_name``. Returns
-    the reduced output and the full list of node activations (inputs first,
-    then intermediates).
+    ``weights`` holds each intermediate node's block under its ``block_name``.
+    Returns the reduced output and the full list of node activations (inputs
+    first, then intermediates).
     """
     _check_inputs(spec, inputs)
     states: list[Value] = list(inputs)
     for j in spec.intermediate_ids:
-        acc = None
-        for i in range(j):
-            matrices = [weights[weight_name(i, j, kind)] for kind in PARAMETERIZED_OPS]
-            term = mixed_edge_forward(alpha[edge_key(i, j)], states[i], matrices)
-            acc = term if acc is None else tensor.add(acc, term)
-        states.append(acc)
+        states.append(mixed_edge_forward([alpha[edge_key(i, j)] for i in range(j)],
+                                         states[:j], weights[block_name(j)]))
     return _reduce(spec, states[spec.input_arity:]), states
 
 

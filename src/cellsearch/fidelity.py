@@ -25,6 +25,7 @@ from .cell import CellSpec
 from .search import (
     EvalCounters,
     Params,
+    SearchConfig,
     arch_gradient_second_order,
     loss_value,
     unrolled_weights,
@@ -160,7 +161,8 @@ def make_tiny_cell_task(seed: int) -> tuple[SyntheticCellTask, int]:
 
 
 def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
-                            unroll_lr: float = 0.1, epsilon_scale: float = 0.01,
+                            unroll_lr: float = 0.1,
+                            epsilon_scale: float = SearchConfig.hvp_epsilon_scale,
                             tolerance: float = 1e-2,
                             max_params: int = 200) -> FidelityReport:
     """Second-order gradient vs differenced unrolled objective on real cells."""

@@ -6,9 +6,10 @@ output to class logits. Stems, every edge-op matrix, and the head together
 form the inner weight group; the per-edge operation logits form the outer
 (architecture) group and live elsewhere.
 
-Weight dicts are keyed ``stem_{i}``, ``cell.weight_name(i, j, kind)`` and
-``head``, in the relaxed network and in a discrete network instantiated from a
-genotype alike; the latter simply owns fewer edge matrices.
+Weight dicts are keyed ``stem_{i}``, then the cell's matrices, then ``head``.
+The relaxed network holds one block per intermediate node j, keyed
+``cell.block_name(j)``; a discrete network instantiated from a genotype holds
+one matrix per retained parameterized edge, keyed ``cell.weight_name(i, j, kind)``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor
-from .cell import CellSpec, Genotype, cell_forward, discrete_forward, weight_name
+from .cell import CellSpec, Genotype, block_name, cell_forward, discrete_forward, weight_name
 from .ops import OP_ORDER, PARAMETERIZED_OPS, init_linear
 from .tensor import Value
 
@@ -34,26 +35,31 @@ class CellClassifier:
         self.n_classes = n_classes
 
     def init_weights(self, seed: int) -> dict[str, np.ndarray]:
-        """Fresh inner weights for the relaxed network (every edge-op matrix)."""
-        return self._init(seed, [(i, j, kind) for i, j in self.spec.edges() for kind in OP_ORDER])
+        """Fresh inner weights for the relaxed network: one block per node."""
+        stems, mats, head = self._draw(seed, [(i, j, kind) for i, j in self.spec.edges()
+                                              for kind in OP_ORDER])
+        rows = {(i, j): np.concatenate([mats[i, j, kind] for kind in PARAMETERIZED_OPS], axis=1)
+                for i, j in self.spec.edges()}
+        blocks = {block_name(j): np.stack([rows[i, j] for i in range(j)])
+                  for j in self.spec.intermediate_ids}
+        return {**stems, **blocks, "head": head}
 
     def init_genotype_weights(self, genotype: Genotype, seed: int) -> dict[str, np.ndarray]:
         """Fresh inner weights for a derived architecture (retained edges only)."""
-        return self._init(seed, [(pred, self.spec.input_arity + offset, kind)
-                                 for offset, pairs in enumerate(genotype.nodes)
-                                 for pred, kind in pairs])
+        stems, mats, head = self._draw(seed, [(pred, self.spec.input_arity + offset, kind)
+                                              for offset, pairs in enumerate(genotype.nodes)
+                                              for pred, kind in pairs])
+        return {**stems, **{weight_name(*key): m for key, m in mats.items()}, "head": head}
 
-    def _init(self, seed: int, edge_ops) -> dict[str, np.ndarray]:
+    def _draw(self, seed: int, edge_ops):
         """Stems, then a matrix per parameterized ``(i, j, kind)`` in order, then the head."""
         rng = np.random.default_rng(seed)
         hidden = self.spec.hidden
-        weights = {f"stem_{i}": init_linear(rng, self.in_dim, hidden)
-                   for i in range(self.spec.input_arity)}
-        for i, j, kind in edge_ops:
-            if kind in PARAMETERIZED_OPS:
-                weights[weight_name(i, j, kind)] = init_linear(rng, hidden, hidden)
-        weights["head"] = init_linear(rng, self.spec.output_width(), self.n_classes)
-        return weights
+        stems = {f"stem_{i}": init_linear(rng, self.in_dim, hidden)
+                 for i in range(self.spec.input_arity)}
+        mats = {(i, j, kind): init_linear(rng, hidden, hidden)
+                for i, j, kind in edge_ops if kind in PARAMETERIZED_OPS}
+        return stems, mats, init_linear(rng, self.spec.output_width(), self.n_classes)
 
     def _stem_nodes(self, weights: Mapping[str, Value], features: Value) -> list[Value]:
         return [

@@ -87,7 +87,7 @@ class SearchConfig:
     adam_beta2: float = 0.999
     arch_optimizer: str = "adam"  # sgd: plain descent
     unroll_lr: float | None = None  # None: follow the current weight lr
-    hvp_epsilon_scale: float = 0.01
+    hvp_epsilon_scale: float = 1e-4  # the paper's 0.01 crosses ReLU kinks on small cells
     anneal: bool = True
     clip_norm: float | None = 5.0
     momentum_unroll: bool = False

@@ -21,12 +21,12 @@ engine is too sensitive to rounding for single precision.
 
 A pass may carry a leading slice axis: S copies of one program, run as one
 tape. Matrix multiplication takes 2-d operands, or 3-d ones whose leading axis
-holds the S slices, where a 2-d operand is shared by every slice; the mixed
-edge takes stacked logits, input and matrices; cross-entropy gives one mean per
-slice; and ``backward`` seeds every slice of an ``(S,)`` loss with 1. Each
-slice is bit-identical to the same pass run on that slice alone. A parameter
-that carries the slice axis gets each slice's own gradient; one shared across
-slices gets the sum of theirs.
+holds the S slices, where a 2-d operand is shared by every slice; the
+mixed-edge node takes stacked logits, states and weight block; cross-entropy
+gives one mean per slice; and ``backward`` seeds every slice of an ``(S,)``
+loss with 1. Each slice is bit-identical to the same pass run on that slice
+alone. A parameter that carries the slice axis gets each slice's own gradient;
+one shared across slices gets the sum of theirs.
 """
 
 from __future__ import annotations
@@ -230,15 +230,16 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _shape_guard(kind: str, ok: bool, *shapes):
+def _shape_guard(kind: str, ok: bool, *operands: Value):
+    """Raise unless ``ok``; the operands' shapes are read only for the message."""
     if not ok:
-        pretty = " vs ".join(str(s) for s in shapes)
+        pretty = " vs ".join(str(v.shape) for v in operands)
         raise ShapeError(f"{kind}: incompatible shapes {pretty}")
 
 
 def _elementwise_pair(kind: str, a: Value, b: Value):
     """Allow identical shapes, or a 0-d scalar against a tensor."""
-    _shape_guard(kind, a.shape == b.shape or a.ndim == 0 or b.ndim == 0, a.shape, b.shape)
+    _shape_guard(kind, a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0, a, b)
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -298,8 +299,7 @@ def matmul(a: Value, b: Value) -> Value:
         "matrix-multiply",
         2 <= ad.ndim <= 3 and 2 <= bd.ndim <= 3 and ad.shape[-1] == bd.shape[-2]
         and (ad.ndim == 2 or bd.ndim == 2 or ad.shape[0] == bd.shape[0]),
-        a.shape,
-        b.shape,
+        a, b,
     )
     shared = ad.ndim != bd.ndim
 
@@ -385,7 +385,7 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, axis) -> np.ndarray:
 
 def softmax(x: Value, axis: int = -1) -> Value:
     """Softmax along one axis; stable under large logits."""
-    _shape_guard("softmax-over-axis", x.ndim >= 1, x.shape)
+    _shape_guard("softmax-over-axis", x.ndim >= 1, x)
     y = _softmax_forward(x.data, axis)
 
     def back(g, need):
@@ -412,80 +412,81 @@ def _edge_plan(terms: tuple[str, ...], d: int):
     return n_act, tuple(plan)
 
 
-def mixed_edge(logits: Value, x: Value, matrices: Sequence[Value],
+def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value,
                terms: Sequence[str]) -> Value:
-    """Softmax-weighted sum of candidate terms of one input, as one record.
+    """One intermediate node as one record: the sum over its incoming edges,
+    in order, of each edge's softmax-weighted candidate terms.
 
-    ``terms[i]`` names what ``softmax(logits)[i]`` weights: ``"zero"``
-    (nothing), ``"identity"`` (``x`` itself) or an activation kind of
-    ``ACTIVATION_RULES`` applied to ``x @ W``, where each activation term
-    takes the next square matrix of ``matrices`` in order. The matrices are
-    multiplied as one ``(d, n * d)`` block. The zero term is skipped, which
-    is exact for finite ``x``; its logit still counts in the softmax.
-    Stacked, the logits, ``x`` and every matrix share one leading slice axis.
+    Edge k reads ``logits[k]``, ``states[k]`` and ``block[k]``, a ``(d, n * d)``
+    slab. ``terms[i]`` names what ``softmax(logits[k])[i]`` weights: ``"zero"``
+    (nothing), ``"identity"`` (``states[k]``) or an activation kind of
+    ``ACTIVATION_RULES`` applied to ``states[k] @ W``, W being the slab's next
+    ``d`` columns. The zero term is skipped, which is exact for finite states;
+    its logit still counts in the softmax. Stacked, the logits, states and
+    block share one leading slice axis.
     """
-    xd = x.data
-    lead = xd.shape[:-2]
-    d = xd.shape[-1] if 2 <= xd.ndim <= 3 else -1
+    j = len(states)
+    shape = states[0].data.shape if j else ()
+    lead = shape[:-2]
+    d = shape[-1] if 2 <= len(shape) <= 3 else -1
     n_act, plan = _edge_plan(tuple(terms), d)
-    mat_shape = (*lead, d, d)
     _shape_guard(
         "mixed-edge",
-        d >= 0 and logits.data.shape == (*lead, len(terms))
-        and len(matrices) == n_act and all(m.data.shape == mat_shape for m in matrices),
-        logits.shape, x.shape, *(m.shape for m in matrices),
+        d >= 0 and len(logits) == j and all(x.data.shape == shape for x in states)
+        and all(a.data.shape == (*lead, len(terms)) for a in logits)
+        and block.data.shape == (*lead, j, d, n_act * d),
+        *logits, *states, block,
     )
-    w = _softmax_forward(logits.data, -1)
-    # Indexed by term: a weight, or stacked, a (1, 1) block per slice; the
-    # logit gradient sums each term over its rows and columns.
-    tw, axes = (w.T[..., None, None], (-2, -1)) if lead else (w, None)
-    wcat = (np.concatenate([m.data for m in matrices], axis=-1) if matrices
-            else np.zeros((*lead, d, 0)))
-    z = xd @ wcat
+    xd = np.concatenate([x.data[..., None, :, :] for x in states], axis=-3)
+    wd = block.data
+    w = _softmax_forward(np.concatenate([a.data[..., None, :] for a in logits], axis=-2), -1)
+    # Indexed by term: per edge, its weight as a (1, 1) block against its rows.
+    tw = [w[..., i, None, None] for i in range(len(terms))]
+    z = xd @ wd
     ys = [xd if rules is None else rules[0](z[..., cols]) for _, rules, cols in plan]
-    out = np.zeros_like(xd)
+    e = np.zeros_like(xd)
     for (i, _, _), y in zip(plan, ys):
-        out = out + tw[i] * y
+        e = e + tw[i] * y
+    out = e.sum(axis=-3)
 
     def back(g, need):
-        dlogits = dx = None
-        dmats = [None] * n_act
-        if need[0]:
+        ge = g[..., None, :, :]  # every edge gets the node's gradient
+        dlogits, dstates, dblock = [None] * j, [None] * j, None
+        if True in need[:j]:
             dw = np.zeros_like(w)
-            dw_by_term = dw.T
             for (i, _, _), y in zip(plan, ys):
-                dw_by_term[i] = (g * y).sum(axis=axes)
-            dlogits = _softmax_backward(dw, w, -1)
-        need_mats = True in need[2:]
-        if need[1] or need_mats:
+                dw[..., i] = (ge * y).sum(axis=(-2, -1))
+            dl = _softmax_backward(dw, w, -1)
+            dlogits = [dl[..., k, :] for k in range(j)]
+        need_states = True in need[j:2 * j]
+        if need_states or need[2 * j]:
             dz = np.empty_like(z)
             for (i, rules, cols), y in zip(plan, ys):
                 if rules is not None:
-                    dz[..., cols] = rules[1](g * tw[i], z[..., cols], y)
-            if need[1]:
-                dx = dz @ wcat.mT
+                    dz[..., cols] = rules[1](ge * tw[i], z[..., cols], y)
+            if need_states:
+                dx = dz @ wd.mT
                 for i, rules, _ in plan:
                     if rules is None:
-                        dx = dx + g * tw[i]
-            if need_mats:
-                dwcat = xd.mT @ dz
-                dmats = [dwcat[..., k * d:(k + 1) * d] if need[2 + k] else None
-                         for k in range(n_act)]
-        return (dlogits, dx, *dmats)
+                        dx = dx + ge * tw[i]
+                dstates = [dx[..., k, :, :] for k in range(j)]
+            if need[2 * j]:
+                dblock = xd.mT @ dz
+        return (*dlogits, *dstates, dblock)
 
-    return _emit("mixed-edge", (logits, x, *matrices), out, back)
+    return _emit("mixed-edge", (*logits, *states, block), out, back)
 
 
 def concatenate(values: Sequence[Value], axis: int = 0) -> Value:
-    _shape_guard("concatenate", len(values) >= 1, ())
+    _shape_guard("concatenate", len(values) >= 1)
     base = list(values[0].shape)
     for v in values[1:]:
         other = list(v.shape)
         same_rank = len(other) == len(base)
-        _shape_guard("concatenate", same_rank, values[0].shape, v.shape)
+        _shape_guard("concatenate", same_rank, values[0], v)
         probe = [d for i, d in enumerate(other) if i != axis % len(base)]
         ref = [d for i, d in enumerate(base) if i != axis % len(base)]
-        _shape_guard("concatenate", probe == ref, values[0].shape, v.shape)
+        _shape_guard("concatenate", probe == ref, values[0], v)
     sizes = [v.shape[axis % v.ndim] for v in values]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -507,7 +508,7 @@ def mean(x: Value, axis: int | None = None) -> Value:
 
         return _emit("mean-over-axis", (x,), np.asarray(x.data.mean()), back)
 
-    _shape_guard("mean-over-axis", -x.ndim <= axis < x.ndim, x.shape)
+    _shape_guard("mean-over-axis", -x.ndim <= axis < x.ndim, x)
     n = x.shape[axis]
 
     def back(g, need):
@@ -519,7 +520,7 @@ def mean(x: Value, axis: int | None = None) -> Value:
 def sum_all(x: Value, axis: int | tuple[int, ...] | None = None) -> Value:
     """Sum over the given axes, or over all elements when axis is None."""
     axes = () if axis is None else np.atleast_1d(axis)
-    _shape_guard("sum", all(-x.ndim <= a < x.ndim for a in axes), x.shape)
+    _shape_guard("sum", all(-x.ndim <= a < x.ndim for a in axes), x)
 
     def back(g, need):
         return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
@@ -530,7 +531,7 @@ def sum_all(x: Value, axis: int | tuple[int, ...] | None = None) -> Value:
 
 def select(x: Value, index: int) -> Value:
     """Pick one entry of a 1-d value as a scalar."""
-    _shape_guard("select-index", x.ndim == 1 and 0 <= index < x.shape[0], x.shape)
+    _shape_guard("select-index", x.ndim == 1 and 0 <= index < x.shape[0], x)
 
     def back(g, need):
         out = np.zeros(x.shape)
@@ -541,7 +542,7 @@ def select(x: Value, index: int) -> Value:
 
 
 def mse_loss(pred: Value, target: Value) -> Value:
-    _shape_guard("mean-squared-error", pred.shape == target.shape, pred.shape, target.shape)
+    _shape_guard("mean-squared-error", pred.shape == target.shape, pred, target)
     diff = pred.data - target.data
     n = max(pred.size, 1)
 
@@ -560,13 +561,12 @@ def cross_entropy(logits: Value, labels) -> Value:
     differentiated.
     """
     idx = labels.data.astype(np.int64)
+    z = logits.data
     _shape_guard(
         "softmax-cross-entropy",
-        2 <= logits.ndim <= 3 and idx.ndim == 1 and idx.shape[0] == logits.shape[-2],
-        logits.shape,
-        labels.shape,
+        2 <= z.ndim <= 3 and idx.ndim == 1 and idx.shape[0] == z.shape[-2],
+        logits, labels,
     )
-    z = logits.data
     shifted = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
     rows = np.arange(z.shape[-2])

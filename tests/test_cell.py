@@ -5,10 +5,12 @@ import pytest
 
 from cellsearch import tensor
 from cellsearch.cell import (
+    REDUCTIONS,
     CellError,
     CellSpec,
     Genotype,
     alpha_entropy,
+    block_name,
     cell_forward,
     derive_genotype,
     discrete_forward,
@@ -22,6 +24,7 @@ from cellsearch.cell import (
     uniform_entropy,
     weight_name,
 )
+from cellsearch.network import CellClassifier
 from cellsearch.ops import (
     NON_ZERO_OPS,
     OP_ORDER,
@@ -37,13 +40,41 @@ def rows(*vals):
     return Value(np.asarray(vals, dtype=np.float64).reshape(1, -1))
 
 
-def make_params(spec, seed=0):
-    rng = np.random.default_rng(seed)
+def edge_matrix(block, i, k):
+    """Edge i's matrix for the k-th activation term, sliced out of a node block."""
+    d = block.shape[-2]
+    return block[..., i, :, k * d:(k + 1) * d]
+
+
+def node_blocks(spec, edge_mats):
+    """Per intermediate node j, the block whose row i holds the matrices of edge
+    (i, j), keyed by ``weight_name``, side by side in PARAMETERIZED_OPS order."""
     return {
-        weight_name(i, j, kind): Value(init_linear(rng, spec.hidden, spec.hidden))
+        block_name(j): np.stack([
+            np.concatenate([edge_mats[weight_name(i, j, kind)] for kind in PARAMETERIZED_OPS],
+                           axis=-1)
+            for i in range(j)
+        ])
+        for j in spec.intermediate_ids
+    }
+
+
+def draw_edge_matrices(spec, rng):
+    """One matrix per (edge, parameterized kind), drawn in that order."""
+    return {
+        weight_name(i, j, kind): init_linear(rng, spec.hidden, spec.hidden)
         for i, j in spec.edges()
         for kind in PARAMETERIZED_OPS
     }
+
+
+def make_params(spec, seed=0):
+    blocks = node_blocks(spec, draw_edge_matrices(spec, np.random.default_rng(seed)))
+    return {name: Value(block) for name, block in blocks.items()}
+
+
+def no_matrices(edges, d):
+    return Value(np.zeros((edges, d, 0)))
 
 
 # --- mixed edge -------------------------------------------------------------
@@ -51,13 +82,14 @@ def make_params(spec, seed=0):
 
 def test_mixed_edge_uniform_zero_identity_halves_input():
     x = rows(2.0, -4.0)
-    out = tensor.mixed_edge(Value([0.0, 0.0]), x, [], ("zero", "identity"))
+    out = tensor.mixed_edge([Value([0.0, 0.0])], [x], no_matrices(1, 2), ("zero", "identity"))
     np.testing.assert_allclose(out.data, x.data / 2.0, rtol=0, atol=1e-15)
 
 
 def test_mixed_edge_exact_softmax_arithmetic():
     x = rows(3.0, 9.0)
-    out = tensor.mixed_edge(Value([np.log(2.0), 0.0]), x, [], ("identity", "zero"))
+    out = tensor.mixed_edge([Value([np.log(2.0), 0.0])], [x], no_matrices(1, 2),
+                            ("identity", "zero"))
     np.testing.assert_allclose(out.data, (2.0 / 3.0) * x.data, rtol=1e-15)
 
 
@@ -65,8 +97,8 @@ def test_mixed_edge_one_hot_saturation():
     x = rows(1.0, -2.0, 0.5)
     spec_alpha = np.full(len(OP_ORDER), -40.0)
     spec_alpha[OP_ORDER.index("identity")] = 40.0
-    matrices = [Value(np.zeros((3, 3))) for _ in PARAMETERIZED_OPS]
-    out = mixed_edge_forward(Value(spec_alpha), x, matrices)
+    block = Value(np.zeros((1, 3, 3 * len(PARAMETERIZED_OPS))))
+    out = mixed_edge_forward([Value(spec_alpha)], [x], block)
     np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
 
@@ -78,18 +110,32 @@ def test_mixed_edge_weights_sum_to_one():
 
 
 def test_mixed_edge_rejects_wrong_logit_length():
-    matrices = [Value(np.zeros((1, 1))) for _ in PARAMETERIZED_OPS]
+    block = Value(np.zeros((1, 1, len(PARAMETERIZED_OPS))))
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
-        mixed_edge_forward(Value([0.0, 0.0]), rows(1.0), matrices)
+        mixed_edge_forward([Value([0.0, 0.0])], [rows(1.0)], block)
 
 
-def fused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
-    """The fused edge: the cell's own on the registry, the primitive with the
+@pytest.mark.parametrize("logit_count, state_count, block_shape", [
+    (1, 2, (2, 1, 3)),
+    (2, 2, (1, 1, 3)),
+    (2, 2, (2, 1, 2)),
+    (0, 0, (0, 1, 3)),
+], ids=["logits-fewer-than-states", "block-rows-fewer-than-edges", "block-too-narrow",
+        "no-edges"])
+def test_mixed_edge_rejects_a_block_or_logit_count_unlike_its_edges(
+        logit_count, state_count, block_shape):
+    logits = [Value(np.zeros(len(OP_ORDER))) for _ in range(logit_count)]
+    states = [rows(1.0) for _ in range(state_count)]
+    with pytest.raises(tensor.ShapeError, match="mixed-edge"):
+        mixed_edge_forward(logits, states, Value(np.zeros(block_shape)))
+
+
+def fused_node(alpha_vecs, states, block, op_set):
+    """The node record: the cell's own on the registry, the primitive with the
     same terms on any other operation set."""
     if op_set == OP_ORDER:
-        return mixed_edge_forward(alpha_vec, x, [edge_op_params[k] for k in PARAMETERIZED_OPS])
-    matrices = [edge_op_params[kind] for kind in op_set if kind in edge_op_params]
-    return tensor.mixed_edge(alpha_vec, x, matrices, tuple(OPS[kind] for kind in op_set))
+        return mixed_edge_forward(alpha_vecs, states, block)
+    return tensor.mixed_edge(alpha_vecs, states, block, tuple(OPS[kind] for kind in op_set))
 
 
 def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
@@ -105,6 +151,15 @@ def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
     return out
 
 
+def unfused_node(alpha_vecs, states, edge_params, op_set):
+    """Reference only: the per-edge reference, summed over the edges in order."""
+    out = None
+    for alpha_vec, x, params in zip(alpha_vecs, states, edge_params):
+        term = unfused_mixed_edge(alpha_vec, x, params, op_set)
+        out = term if out is None else tensor.add(out, term)
+    return out
+
+
 FUSION_RTOL = 1e-12  # float64: the two differ only in summation order
 FUSION_OP_SETS = [
     OP_ORDER,
@@ -114,48 +169,64 @@ FUSION_OP_SETS = [
 ]
 
 
-def edge_output_and_grads(edge_fn, logits, x, mats, coeffs, op_set):
+def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
+    """Output and every input gradient of one node: per edge its logits and
+    state, then per edge and activation term its matrix.
+
+    ``logits`` is ([slices,] edges, terms), ``xs`` ([slices,] edges, rows, d)
+    and ``block`` ([slices,] edges, d, n * d); each slice's loss is summed over
+    its own rows. The node record reads the block; the per-edge reference (no
+    slice axis) reads the matrices sliced out of it.
+    """
+    edges = xs.shape[-3]
+    kinds = [kind for kind in op_set if kind in PARAMETERIZED_OPS]
     with Tape():
-        params = [Value.param(logits), Value.param(x)]
-        weights = {kind: Value.param(m) for kind, m in mats.items()}
-        out = edge_fn(params[0], params[1], weights, op_set)
-        loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)))
-    inputs = params + list(weights.values())
+        alpha = [Value.param(logits[..., e, :]) for e in range(edges)]
+        states = [Value.param(xs[..., e, :, :]) for e in range(edges)]
+        if fused:
+            mats = [Value.param(block)]
+            out = fused_node(alpha, states, mats[0], op_set)
+        else:
+            per_edge = [{kind: Value.param(edge_matrix(block, e, k))
+                         for k, kind in enumerate(kinds)} for e in range(edges)]
+            mats = [m for params in per_edge for m in params.values()]
+            out = unfused_node(alpha, states, per_edge, op_set)
+        loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)), axis=(-2, -1))
+    inputs = [*alpha, *states, *mats]
     backward(loss, wrt=inputs)
-    return out.data, [p.grad for p in inputs]
+    grads = [p.grad for p in inputs]
+    if fused:
+        grads[-1:] = [edge_matrix(grads[-1], e, k) for e in range(edges) for k in range(len(kinds))]
+    return [out.data, *grads]
+
+
+def random_node(rng, op_set, slices=()):
+    edges = int(rng.integers(1, 5))
+    n_rows, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    n_act = sum(kind in PARAMETERIZED_OPS for kind in op_set)
+    logits = rng.normal(scale=2.0, size=(*slices, edges, len(op_set)))
+    xs = rng.normal(size=(*slices, edges, n_rows, hidden))
+    block = rng.normal(size=(*slices, edges, hidden, n_act * hidden))
+    coeffs = rng.normal(size=(*slices, n_rows, hidden))
+    return logits, xs, block, coeffs
 
 
 @pytest.mark.parametrize("op_set", FUSION_OP_SETS)
 @pytest.mark.parametrize("saturate", [False, True])
 def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
+    """The node record against the per-edge reference summed over its edges,
+    for one to four edges."""
     rng = np.random.default_rng(7)
     for _ in range(10):
-        rows, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-        logits = rng.normal(scale=2.0, size=len(op_set))
+        logits, xs, block, coeffs = random_node(rng, op_set)
         if saturate:
-            logits = saturated(op_set, op_set[int(rng.integers(len(op_set)))], -40.0, 40.0)
-        x = rng.normal(size=(rows, hidden))
-        mats = {kind: rng.normal(size=(hidden, hidden))
-                for kind in op_set if kind in PARAMETERIZED_OPS}
-        coeffs = rng.normal(size=(rows, hidden))
-        fused = edge_output_and_grads(fused_mixed_edge, logits, x, mats, coeffs, op_set)
-        ref = edge_output_and_grads(unfused_mixed_edge, logits, x, mats, coeffs, op_set)
-        assert relative_error(fused[0], ref[0]) <= FUSION_RTOL
-        for g_fused, g_ref in zip(fused[1], ref[1]):
-            assert relative_error(g_fused, g_ref) <= FUSION_RTOL
-
-
-def stacked_edge_output_and_grads(logits, x, mats, coeffs, op_set):
-    """Output and every input gradient of the fused edge; with a leading slice
-    axis on every array, each slice's loss is summed over its own rows."""
-    with Tape():
-        params = [Value.param(logits), Value.param(x)]
-        weights = {kind: Value.param(m) for kind, m in mats.items()}
-        out = fused_mixed_edge(params[0], params[1], weights, op_set)
-        loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)), axis=(-2, -1))
-    inputs = params + list(weights.values())
-    backward(loss, wrt=inputs)
-    return [out.data] + [p.grad for p in inputs]
+            logits = np.stack([saturated(op_set, op_set[int(rng.integers(len(op_set)))],
+                                         -40.0, 40.0) for _ in logits])
+        fused = node_output_and_grads(True, logits, xs, block, coeffs, op_set)
+        ref = node_output_and_grads(False, logits, xs, block, coeffs, op_set)
+        assert len(fused) == len(ref)
+        for got, want in zip(fused, ref):
+            assert relative_error(got, want) <= FUSION_RTOL
 
 
 @pytest.mark.parametrize("op_set", FUSION_OP_SETS)
@@ -163,24 +234,18 @@ def test_stacked_mixed_edge_slices_bit_identical(op_set):
     rng = np.random.default_rng(7)
     for _ in range(10):
         slices = int(rng.integers(1, 5))
-        rows, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-        logits = rng.normal(scale=2.0, size=(slices, len(op_set)))
-        x = rng.normal(size=(slices, rows, hidden))
-        mats = {kind: rng.normal(size=(slices, hidden, hidden))
-                for kind in op_set if kind in PARAMETERIZED_OPS}
-        coeffs = rng.normal(size=(slices, rows, hidden))
-        stacked = stacked_edge_output_and_grads(logits, x, mats, coeffs, op_set)
+        logits, xs, block, coeffs = random_node(rng, op_set, (slices,))
+        stacked = node_output_and_grads(True, logits, xs, block, coeffs, op_set)
         for s in range(slices):
-            alone = stacked_edge_output_and_grads(
-                logits[s], x[s], {k: m[s] for k, m in mats.items()}, coeffs[s], op_set)
+            alone = node_output_and_grads(True, logits[s], xs[s], block[s], coeffs[s], op_set)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[s], want)
 
 
 def test_mixed_edge_rejects_unstacked_logits_on_stacked_input():
-    matrices = [Value(np.zeros((2, 1, 1))) for _ in PARAMETERIZED_OPS]
+    block = Value(np.zeros((2, 1, 1, len(PARAMETERIZED_OPS))))
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
-        mixed_edge_forward(Value(np.zeros(len(OP_ORDER))), Value(np.ones((2, 3, 1))), matrices)
+        mixed_edge_forward([Value(np.zeros(len(OP_ORDER)))], [Value(np.ones((2, 3, 1)))], block)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -189,8 +254,8 @@ def test_mixed_edge_non_finite_input_gives_non_finite_output(bad):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 3))
     x[1, 2] = bad
-    matrices = [Value(rng.normal(size=(3, 3))) for _ in PARAMETERIZED_OPS]
-    out = mixed_edge_forward(Value(np.zeros(len(OP_ORDER))), Value(x), matrices)
+    block = Value(rng.normal(size=(1, 3, 3 * len(PARAMETERIZED_OPS))))
+    out = mixed_edge_forward([Value(np.zeros(len(OP_ORDER)))], [Value(x)], block)
     assert not np.all(np.isfinite(out.data))
 
 
@@ -260,11 +325,7 @@ def test_cell_alpha_gradients_match_finite_differences():
     spec = CellSpec(nodes=5, input_arity=2, hidden=3, k=2)
     rng = np.random.default_rng(9)
     raw_alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
-    param_arrays = {
-        weight_name(i, j, kind): init_linear(rng, spec.hidden, spec.hidden)
-        for i, j in spec.edges()
-        for kind in PARAMETERIZED_OPS
-    }
+    param_arrays = node_blocks(spec, draw_edge_matrices(spec, rng))
     x0 = rng.normal(size=(2, 3))
     x1 = rng.normal(size=(2, 3))
     coeffs = rng.normal(size=(2, 3))
@@ -448,13 +509,14 @@ def test_discrete_forward_matches_saturated_mixed_forward():
     # two-predecessor first node for the exact comparison.
     first_node_spec = one_node_spec(hidden=4, k=2)
     sub_alpha = {key: alpha_raw[key] for key in (edge_key(0, 2), edge_key(1, 2))}
-    sub_params = {weight_name(i, 2, kind): params[weight_name(i, 2, kind)]
-                  for i in range(2) for kind in PARAMETERIZED_OPS}
+    sub_params = {block_name(2): params[block_name(2)]}
+    edge_params = {weight_name(i, 2, kind): Value(edge_matrix(params[block_name(2)].data, i, k))
+                   for i in range(2) for k, kind in enumerate(PARAMETERIZED_OPS)}
     mixed_out, _ = cell_forward(
         first_node_spec, {k: Value(v) for k, v in sub_alpha.items()}, sub_params, inputs
     )
     sub_geno = derive_genotype(first_node_spec, sub_alpha)
-    disc_out, _ = discrete_forward(sub_geno, sub_params, inputs)
+    disc_out, _ = discrete_forward(sub_geno, edge_params, inputs)
     np.testing.assert_allclose(mixed_out.data, disc_out.data, atol=1e-9)
 
 
@@ -492,6 +554,19 @@ def test_genotype_construction_enforces_each_rule(nodes, message):
 
 
 # --- init, entropy, sampling ------------------------------------------------
+
+
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+def test_relaxed_init_blocks_hold_the_per_edge_draw(reduction):
+    spec = CellSpec(nodes=6, input_arity=2, hidden=4, k=2, reduction=reduction)
+    weights = CellClassifier(spec, in_dim=3, n_classes=2).init_weights(5)
+    rng = np.random.default_rng(5)
+    stems = {f"stem_{i}": init_linear(rng, 3, spec.hidden) for i in range(spec.input_arity)}
+    blocks = node_blocks(spec, draw_edge_matrices(spec, rng))
+    expected = {**stems, **blocks, "head": init_linear(rng, spec.output_width(), 2)}
+    assert list(weights) == list(expected)
+    for name, array in expected.items():
+        assert np.array_equal(weights[name], array), name
 
 
 def test_init_alpha_uniform_attention():

@@ -8,6 +8,7 @@ from cellsearch.cell import CellSpec
 from cellsearch.cli import build_problem, load_config, search_config_from
 from cellsearch.fidelity import (
     QuadraticBilevelProblem,
+    check_networks_eps_rule,
     check_quadratics_exact_hvp,
     fd_unrolled_gradient,
     flatten,
@@ -564,6 +565,12 @@ def test_stacked_oracle_bit_identical_to_per_probe_passes_on_tiny_cells():
         train_batch = task.batch("train", 16, rng)
         val_batch = task.batch("val", 16, rng)
         assert_stacked_oracle_matches_per_probe(task, weights, alpha, train_batch, val_batch)
+
+
+def test_eps_rule_passes_at_the_default_scale_on_every_grad_check_problem():
+    # grad-check --seed s checks problems s..s+19, so seeds 0..31 cover problems 0..50
+    report = check_networks_eps_rule(seed=0, n_problems=51)
+    assert report.passed, f"max relative error {report.max_error:.3e}"
 
 
 def test_momentum_lookahead_gradient_close_to_differenced_objective():

@@ -259,10 +259,12 @@ def test_relaxed_desk_pass_is_one_record_per_mixed_edge():
     alpha = {k: Value.param(v) for k, v in task.init_alpha().items()}
     batch = task.batch("train", 48, np.random.default_rng(0))
     kinds, read = recorded(lambda: task.loss("train", weights, alpha, batch))
-    # 9 edges; 6 node sums + 2 reduction adds; 2 stems + head; the mean; the loss
-    assert kinds == {"mixed-edge": 9, "add": 8, "matrix-multiply": 3,
+    # 3 intermediate nodes of 2, 3 and 4 edges; 2 reduction adds; 2 stems + head;
+    # the mean; the loss
+    assert kinds == {"mixed-edge": 3, "add": 2, "matrix-multiply": 3,
                      "scale-by-constant": 1, "softmax-cross-entropy": 1}
-    assert sum(kinds.values()) == 22
+    assert sum(kinds.values()) == 10
+    assert len(weights) == 6  # 2 stems, a block per node, the head
     # every matrix made is read: one left out would get a zero gradient silently
     assert read == {id(v) for v in [*weights.values(), *alpha.values()]}
 

@@ -35,6 +35,8 @@ CONFIGS = {
     "desk-momentum-unroll": ("desk.cfg", {"momentum_unroll": "true"}),
     "desk-concat": ("desk.cfg", {"steps": "100", "cell_reduction": "concat"}),
     "toy": ("toy.cfg", {}),
+    # a search whose weights overflow (exit 3), so the failing path is covered too
+    "desk-diverging": ("desk.cfg", {"weight_lr": "1e9", "clip_norm": "none", "anneal": "false"}),
 }
 
 
@@ -71,8 +73,6 @@ def commands(outdir: Path):
                                    "--config", f"inputs/{cfg}.cfg",
                                    "--out", f"evaluate-{cell}/out/metrics.txt"]
     yield "grad-check", ["grad-check"]
-    # a seed whose fidelity check fails (exit 3), so the failing path is covered too
-    yield "grad-check-seed-21", ["grad-check", "--seed", "21"]
 
 
 def main(argv=None) -> int:
@@ -91,7 +91,9 @@ def main(argv=None) -> int:
         text = (checkout / "configs" / base).read_text()
         (outdir / "inputs" / f"{name}.cfg").write_text(with_keys(text, keys))
 
+    # numpy's overflow warnings quote source lines by number, which any edit moves
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONWARNINGS="ignore::RuntimeWarning",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for name, cli_args in commands(outdir):
         (outdir / name / "out").mkdir(parents=True, exist_ok=True)
