@@ -107,6 +107,8 @@ def _casts(cls, keys: dict) -> dict:
             for key, name in keys.items()}
 
 
+RANDOM_SAMPLES = 8  # genotypes a random search draws unless n_samples says otherwise
+
 CONFIG_KEYS = {
     "task": _cast_choice("synthetic", "toy"),
     **_casts(DataConfig, DATA_KEYS),
@@ -338,8 +340,9 @@ def cmd_search(args) -> int:
     if config.mode == "random":
         if not problem.has_cell:
             raise ConfigError("random mode needs a dataset task, not the toy problem")
-        result = _run_random_to_dir(config, problem, cfg, out, cfg.get("n_samples", 8))
-        print(f"best of {cfg.get('n_samples', 8)}: val_accuracy={result.best_score:.4f}")
+        n_samples = cfg.get("n_samples", RANDOM_SAMPLES)
+        result = _run_random_to_dir(config, problem, cfg, out, n_samples)
+        print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
         return 0
     traj = _run_search_to_dir(config, problem, cfg, out)
     if traj.diverged:
@@ -427,7 +430,7 @@ def cmd_random_search(args) -> int:
     out = output_path(args.out, "output directory", directory=True)
     problem = build_problem(cfg)
     config = search_config_from(cfg)
-    n_samples = args.samples if args.samples is not None else cfg.get("n_samples", 8)
+    n_samples = cfg.get("n_samples", RANDOM_SAMPLES) if args.samples is None else args.samples
     result = _run_random_to_dir(config, problem, cfg, out, n_samples)
     print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
     print("genotype:", genotype_one_liner(result.best))

@@ -78,10 +78,10 @@ def count_relaxed(query: SpaceQuery) -> int:
     return per_cell**query.multiplicity
 
 
-def scientific(n: int, digits: int = 3) -> str:
-    """Exact-integer scientific notation that never rounds through floats."""
+def scientific(n: int) -> str:
+    """Exact-integer scientific notation, truncated to four figures, never rounded via floats."""
     text = str(n)
     if len(text) == 1:
         return text
-    mantissa = text[0] + "." + text[1 : 1 + digits]
+    mantissa = text[0] + "." + text[1:4]
     return f"{mantissa}e{len(text) - 1}"

@@ -25,13 +25,15 @@ from .cell import CellSpec
 from .search import (
     EvalCounters,
     Params,
-    SearchConfig,
     arch_gradient_second_order,
     loss_value,
     unrolled_weights,
 )
 from .tasks import DataConfig, SyntheticCellTask
 from .tensor import Value
+
+# The virtual training step of every oracle problem.
+UNROLL_LR = 0.1
 
 
 @dataclass
@@ -53,7 +55,7 @@ def unrolled_objective(problem, weights: Params, alpha: Params, unroll_lr: float
 
 
 def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: float,
-                         train_batch, val_batch, step: float = 1e-5) -> Params:
+                         train_batch, val_batch) -> Params:
     """Central differences of the unrolled objective over every logit.
 
     All probes run as one stacked pass: the logits carry the probe axis, and
@@ -67,7 +69,7 @@ def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: flo
         return unrolled_objective(problem, stacked, dict(zip(keys, probes)), unroll_lr,
                                   train_batch, val_batch)
 
-    grads = tensor.finite_difference(objective, [alpha[k] for k in keys], step=step)
+    grads = tensor.finite_difference(objective, [alpha[k] for k in keys])
     return dict(zip(keys, grads))
 
 
@@ -86,8 +88,9 @@ class QuadraticBilevelProblem:
 
     has_cell = False
 
-    def __init__(self, dim_w: int = 6, dim_alpha: int = 4, seed: int = 0):
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
+        dim_w, dim_alpha = 6, 4
 
         def psd(n):
             m = rng.normal(size=(n, n))
@@ -148,39 +151,30 @@ class QuadraticBilevelProblem:
         return {"alpha": vector["w"] @ self.cross_train}
 
 
-def make_tiny_cell_task(seed: int) -> tuple[SyntheticCellTask, int]:
-    """A cell classifier small enough for coordinate-wise differencing.
-
-    Returns the task and its inner parameter count (stems, edges, head).
-    """
+def make_tiny_cell_task(seed: int) -> SyntheticCellTask:
+    """A cell classifier small enough for coordinate-wise differencing: 159
+    inner parameters (stems, edges, head)."""
     spec = CellSpec(nodes=5, input_arity=2, hidden=3, k=2)
     data = DataConfig(n=60, dims=3, classes=2, noise=0.8, seed=seed)
-    task = SyntheticCellTask(data.build(), spec)
-    n_params = sum(v.size for v in task.init_weights(seed).values())
-    return task, n_params
+    return SyntheticCellTask(data.build(), spec)
 
 
 def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
-                            unroll_lr: float = 0.1,
-                            epsilon_scale: float = SearchConfig.hvp_epsilon_scale,
-                            tolerance: float = 1e-2,
-                            max_params: int = 200) -> FidelityReport:
-    """Second-order gradient vs differenced unrolled objective on real cells."""
+                            tolerance: float = 1e-2) -> FidelityReport:
+    """Second-order gradient, at the search's default ε rule, vs differenced
+    unrolled objective on real cells."""
     worst = 0.0
     for p in range(n_problems):
-        task, n_params = make_tiny_cell_task(seed + 1000 + p)
-        assert n_params <= max_params, f"fidelity network too large: {n_params}"
+        task = make_tiny_cell_task(seed + 1000 + p)
         rng = np.random.default_rng(seed + p)
         weights = task.init_weights(seed + p)
         alpha = {k: rng.normal(scale=0.5, size=v.shape)
                  for k, v in task.init_alpha().items()}
         train_batch = task.batch("train", 16, rng)
         val_batch = task.batch("val", 16, rng)
-        grads, _ = arch_gradient_second_order(
-            task, weights, alpha, unroll_lr, train_batch, val_batch,
-            epsilon_scale=epsilon_scale,
-        )
-        oracle = fd_unrolled_gradient(task, weights, alpha, unroll_lr,
+        grads, _ = arch_gradient_second_order(task, weights, alpha, UNROLL_LR,
+                                              train_batch, val_batch)
+        oracle = fd_unrolled_gradient(task, weights, alpha, UNROLL_LR,
                                       train_batch, val_batch)
         worst = max(worst, tensor.relative_error(flatten(grads), flatten(oracle)))
     return FidelityReport("cell networks, differenced correction", n_problems,
@@ -188,7 +182,6 @@ def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
 
 
 def check_quadratics_exact_hvp(seed: int = 0, n_problems: int = 20,
-                               unroll_lr: float = 0.1,
                                tolerance: float = 1e-4) -> FidelityReport:
     """Second-order gradient with the exact correction vs differenced objective."""
     worst = 0.0
@@ -197,10 +190,10 @@ def check_quadratics_exact_hvp(seed: int = 0, n_problems: int = 20,
         weights = problem.init_weights()
         alpha = problem.init_alpha()
         grads, _ = arch_gradient_second_order(
-            problem, weights, alpha, unroll_lr, None, None,
+            problem, weights, alpha, UNROLL_LR, None, None,
             hvp_fn=problem.exact_hvp,
         )
-        oracle = fd_unrolled_gradient(problem, weights, alpha, unroll_lr, None, None)
+        oracle = fd_unrolled_gradient(problem, weights, alpha, UNROLL_LR, None, None)
         worst = max(worst, tensor.relative_error(flatten(grads), flatten(oracle)))
     return FidelityReport("quadratic problems, exact correction", n_problems,
                           worst, tolerance, worst < tolerance)

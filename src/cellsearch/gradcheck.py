@@ -188,7 +188,7 @@ def _case_for(kind: str, rng):
 
 
 def check_kind(kind: str, seed: int = 0, cases: int = 20,
-               step: float = DEFAULT_STEP, tolerance: float = DEFAULT_TOLERANCE) -> KindReport:
+               tolerance: float = DEFAULT_TOLERANCE) -> KindReport:
     """Compare reverse-mode and central-difference gradients for one kind."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -204,18 +204,17 @@ def check_kind(kind: str, seed: int = 0, cases: int = 20,
         def f(probes):
             return [build([Value(a) for a in point]).item() for point in zip(*probes)]
 
-        fd_grads = finite_difference(f, arrays, step=step)
+        fd_grads = finite_difference(f, arrays, step=DEFAULT_STEP)
         for g_ad, g_fd in zip(ad_grads, fd_grads):
             worst = max(worst, relative_error(g_ad, g_fd))
     return KindReport(kind, cases, worst, tolerance, worst < tolerance)
 
 
 def check_all_primitives(seed: int = 0, cases_per_kind: int = 20,
-                         step: float = DEFAULT_STEP,
                          tolerance: float = DEFAULT_TOLERANCE) -> list[KindReport]:
     """Run the gradient check for every registered primitive kind."""
     reports = []
     for offset, kind in enumerate(tensor.PRIMITIVES):
         reports.append(check_kind(kind, seed=seed + offset, cases=cases_per_kind,
-                                  step=step, tolerance=tolerance))
+                                  tolerance=tolerance))
     return reports

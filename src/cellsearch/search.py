@@ -340,7 +340,7 @@ def hvp_finite_difference(problem, weights: Params, alpha: Params, vector: Param
 def arch_gradient_second_order(problem, weights: Params, alpha: Params,
                                unroll_lr: float, train_batch, val_batch,
                                counters: EvalCounters | None = None,
-                               epsilon_scale: float = 0.01,
+                               epsilon_scale: float = SearchConfig.hvp_epsilon_scale,
                                hvp_fn: Callable[..., Params] | None = None,
                                velocity: Params | None = None,
                                momentum: float = 0.0,
@@ -520,17 +520,15 @@ def search(config: SearchConfig, problem,
 # ---------------------------------------------------------------------------
 
 
-def train_genotype(problem, genotype: Genotype, config: SearchConfig,
-                   seed: int | None = None,
-                   counters: EvalCounters | None = None) -> tuple[float, Params]:
+def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[float, Params]:
     """Train a derived architecture from fresh weights on the training split.
 
     Returns (validation accuracy, trained weights). Search-time weights are
-    never reused; every evaluation starts from its own seeded init.
+    never reused; every evaluation starts from its own init, seeded by
+    ``config.eval_seed``.
     """
-    seed = config.eval_seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    weights = problem.model.init_genotype_weights(genotype, seed)
+    rng = np.random.default_rng(config.eval_seed)
+    weights = problem.model.init_genotype_weights(genotype, config.eval_seed)
     opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
                       weight_decay=config.weight_decay_weights)
     schedule = (CosineSchedule(config.weight_lr, config.eval_steps)
@@ -543,10 +541,6 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig,
             wv = _wrap(weights)
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss)
-        if counters is not None:
-            counters.forward_passes += 1
-            counters.backward_passes += 1
-            counters.weight_grad_evals += 1
         backward(loss, wrt=wv.values())
         wgrads = _grads_from(wv, "retraining loss")
         if config.clip_norm is not None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cell import CellSpec, Genotype, derive_genotype, init_alpha
 from .network import CellClassifier
-from .tensor import Value, cross_entropy
+from .tensor import Value, add, cross_entropy, multiply, scale, subtract
 
 TOY_START_ALPHA = 2.0
 TOY_START_W = -2.0
@@ -31,13 +31,6 @@ SPLITS = ("train", "val", "test")
 
 class DataError(ValueError):
     """Malformed dataset files or invalid dataset configuration."""
-
-
-def toy_losses(alpha: float, w: float) -> tuple[float, float]:
-    """Closed-form (training loss, validation loss) of the analytic problem."""
-    train = w * w - 2.0 * alpha * w + alpha * alpha
-    val = alpha * w - 2.0 * alpha + 1.0
-    return train, val
 
 
 class ToyBilevelTask:
@@ -54,14 +47,13 @@ class ToyBilevelTask:
     def loss(self, split: str, weights, alpha, batch) -> Value:
         w = weights["w"]
         a = alpha["alpha"]
-        if split == "train":
-            return w * w - 2.0 * (a * w) + a * a
-        if split == "val":
-            return a * w - 2.0 * a + 1.0
+        if split == "train":  # w w - 2 (a w) + a a
+            return add(subtract(multiply(w, w), scale(multiply(a, w), 2.0)), multiply(a, a))
+        if split == "val":  # a w - 2 a + 1
+            return add(subtract(multiply(a, w), scale(a, 2.0)), Value(1.0))
         if split == "joint":
-            return self.loss("train", weights, alpha, batch) + self.loss(
-                "val", weights, alpha, batch
-            )
+            return add(self.loss("train", weights, alpha, batch),
+                       self.loss("val", weights, alpha, batch))
         raise ValueError(f"unknown split {split!r}")
 
     def batch(self, split: str, size: int, rng) -> None:
@@ -137,33 +129,31 @@ def make_synthetic_classification(n: int, dims: int, classes: int, noise: float,
     return Dataset(features[order], labels[order], np.full(n, "train", dtype="<U5"))
 
 
+def _retag(dataset: Dataset, pool: np.ndarray, tag: str, fraction: float, seed: int,
+           name: str) -> Dataset:
+    """Tag a seeded ``fraction`` of the ``pool`` rows ``tag`` and the rest of
+    the pool train; rows outside the pool keep their tags."""
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"{name} fraction must be in (0, 1), got {fraction}")
+    n_tagged = int(round(len(pool) * fraction))
+    if n_tagged == 0 or n_tagged == len(pool):
+        raise DataError(f"{name} split would leave one side empty")
+    order = np.random.default_rng(seed).permutation(len(pool))
+    tags = dataset.tags.astype("<U5")
+    tags[pool] = "train"
+    tags[pool[order[:n_tagged]]] = tag
+    return Dataset(dataset.features.copy(), dataset.labels.copy(), tags)
+
+
 def carve_test_split(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Move a seeded random fraction of all rows into the test split."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"test fraction must be in (0, 1), got {fraction}")
-    n = len(dataset.features)
-    n_test = int(round(n * fraction))
-    if n_test == 0 or n_test == n:
-        raise DataError("test split would leave one side empty")
-    order = np.random.default_rng(seed).permutation(n)
-    tags = np.full(n, "train", dtype="<U5")
-    tags[order[:n_test]] = "test"
-    return Dataset(dataset.features.copy(), dataset.labels.copy(), tags)
+    return _retag(dataset, np.arange(len(dataset.features)), "test", fraction, seed, "test")
 
 
 def holdout_split(dataset: Dataset, fraction: float = 0.5, seed: int = 0) -> Dataset:
     """Re-tag the non-test rows: a seeded ``fraction`` becomes validation."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"holdout fraction must be in (0, 1), got {fraction}")
-    tags = dataset.tags.copy()
-    pool = np.flatnonzero(tags != "test")
-    n_val = int(round(len(pool) * fraction))
-    if n_val == 0 or n_val == len(pool):
-        raise DataError("holdout split would leave one side empty")
-    order = np.random.default_rng(seed).permutation(len(pool))
-    tags[pool] = "train"
-    tags[pool[order[:n_val]]] = "val"
-    return Dataset(dataset.features.copy(), dataset.labels.copy(), tags)
+    return _retag(dataset, np.flatnonzero(dataset.tags != "test"), "val", fraction, seed,
+                  "holdout")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ that mask as ``need`` and may return ``None`` for inputs that need none.
 so a finished pass holds no reference cycle and is freed by reference
 counting, without waiting for the cyclic collector.
 
+``Value`` has no arithmetic operators: each operation is a call to its
+primitive, so every record a program makes shows at its call site.
+
 Shape rules are deliberately narrow: elementwise primitives require identical
 shapes, and the only broadcasting allowed is a 0-d scalar against a tensor.
 Everything is float64; the finite-difference machinery built on top of this
@@ -100,28 +103,6 @@ class Value:
     def __repr__(self) -> str:
         tag = "param " if self.is_param else ""
         return f"Value({tag}shape={self.shape})"
-
-    # Arithmetic sugar. Python scalars go through scale/add-constant paths.
-    def __add__(self, other):
-        return add(self, _as_value(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return subtract(self, _as_value(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-
-def _as_value(x) -> Value:
-    if isinstance(x, Value):
-        return x
-    return Value(np.asarray(x, dtype=np.float64))
 
 
 class Tape:
@@ -222,11 +203,11 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Primitives. Each takes Values (only the operator sugar converts Python
-# scalars), checks its shape rule, computes with numpy, and registers
-# a closure ``back(g, need)`` producing input gradients aligned with the
-# ``inputs`` tuple. ``need`` flags the inputs that need one; a closure may
-# return None for the others (and always does for class labels).
+# Primitives. Each takes Values (``scale`` also takes a Python constant),
+# checks its shape rule, computes with numpy, and registers a closure
+# ``back(g, need)`` producing input gradients aligned with the ``inputs``
+# tuple. ``need`` flags the inputs that need one; a closure may return None
+# for the others (and always does for class labels).
 # ---------------------------------------------------------------------------
 
 

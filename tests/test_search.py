@@ -36,8 +36,9 @@ from cellsearch.search import (
     train_genotype,
     unrolled_weights,
 )
-from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask, toy_losses
-from cellsearch.tensor import Value, finite_difference, relative_error
+from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask
+from cellsearch.tensor import Value, finite_difference, relative_error, scale
+from test_tasks import toy_losses
 
 DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
@@ -229,8 +230,15 @@ def test_second_order_with_curvature_matched_step_is_exact_hypergradient(toy, al
 
 def test_second_order_epsilon_rule(toy):
     weights, alpha = toy_state(alpha=0.5, w=0.1)  # val gradient over w' is a = 0.5
-    _, info = arch_gradient_second_order(toy, weights, alpha, 0.1, None, None)
+    _, info = arch_gradient_second_order(toy, weights, alpha, 0.1, None, None,
+                                         epsilon_scale=0.01)
     assert info.epsilon == pytest.approx(0.02)
+
+
+def test_second_order_epsilon_scale_defaults_to_the_search_configs(toy):
+    weights, alpha = toy_state(alpha=0.5, w=0.1)  # val gradient over w' is a = 0.5
+    _, info = arch_gradient_second_order(toy, weights, alpha, 0.1, None, None)
+    assert info.epsilon == pytest.approx(SearchConfig().hvp_epsilon_scale / 0.5)
 
 
 def test_second_order_skips_correction_for_vanishing_val_gradient(toy):
@@ -366,7 +374,7 @@ class WeightStepNanToy(ToyBilevelTask):
         if split == self.split:
             self.calls += 1
             if self.calls == 4:
-                return out * float("nan")
+                return scale(out, float("nan"))
         return out
 
 
@@ -512,10 +520,10 @@ def test_quadratic_problem_exact_correction_is_exact():
 
 
 def test_network_second_order_gradient_close_to_differenced_objective():
-    task, n_params = make_tiny_cell_task(400)
-    assert n_params <= 200
+    task = make_tiny_cell_task(400)
     rng = np.random.default_rng(2)
     weights = task.init_weights(2)
+    assert sum(w.size for w in weights.values()) <= 200
     alpha = {k: rng.normal(scale=0.5, size=v.shape) for k, v in task.init_alpha().items()}
     train_batch = task.batch("train", 16, rng)
     val_batch = task.batch("val", 16, rng)
@@ -558,7 +566,7 @@ def test_stacked_oracle_bit_identical_to_per_probe_passes_on_toy_and_quadratics(
 def test_stacked_oracle_bit_identical_to_per_probe_passes_on_tiny_cells():
     # the 20 problems of check_networks_eps_rule(seed=0)
     for p in range(20):
-        task, _ = make_tiny_cell_task(1000 + p)
+        task = make_tiny_cell_task(1000 + p)
         rng = np.random.default_rng(p)
         weights = task.init_weights(p)
         alpha = {k: rng.normal(scale=0.5, size=v.shape) for k, v in task.init_alpha().items()}
@@ -578,7 +586,7 @@ def test_momentum_lookahead_gradient_close_to_differenced_objective():
     # 20 problems and at the tolerance of check_networks_eps_rule's default seed
     worst = 0.0
     for p in range(20):
-        task, _ = make_tiny_cell_task(1000 + p)
+        task = make_tiny_cell_task(1000 + p)
         rng = np.random.default_rng(p)
         weights = task.init_weights(p)
         alpha = {k: rng.normal(scale=0.5, size=v.shape) for k, v in task.init_alpha().items()}

@@ -18,7 +18,6 @@ from cellsearch.tasks import (
     holdout_split,
     load_delimited,
     make_synthetic_classification,
-    toy_losses,
 )
 from cellsearch.tensor import Tape, Value, backward
 
@@ -30,6 +29,14 @@ def save_delimited(dataset: Dataset, path) -> None:
         writer.writerow(names + ["label", "split"])
         for row, label, tag in zip(dataset.features, dataset.labels, dataset.tags):
             writer.writerow([repr(float(v)) for v in row] + [int(label), tag])
+
+
+def toy_losses(alpha: float, w: float) -> tuple[float, float]:
+    """Reference only: closed-form (training loss, validation loss) of the
+    analytic problem."""
+    train = w * w - 2.0 * alpha * w + alpha * alpha
+    val = alpha * w - 2.0 * alpha + 1.0
+    return train, val
 
 
 def test_toy_losses_at_start_point():
@@ -70,6 +77,22 @@ def test_toy_autodiff_gradients_match_closed_forms():
         backward(val)
         assert weights["w"].grad == pytest.approx(a_val, abs=1e-12)
         assert alpha["alpha"].grad == pytest.approx(w_val - 2.0, abs=1e-12)
+
+
+TOY_PASS_KINDS = {
+    "train": ["elementwise-multiply", "elementwise-multiply", "scale-by-constant", "subtract",
+              "elementwise-multiply", "add"],
+    "val": ["elementwise-multiply", "scale-by-constant", "subtract", "add"],
+}
+
+
+@pytest.mark.parametrize("split", TOY_PASS_KINDS)
+def test_toy_pass_records_these_kinds_in_order(split):
+    weights = {"w": Value.param(np.asarray(0.3))}
+    alpha = {"alpha": Value.param(np.asarray(-1.1))}
+    with Tape() as tape:
+        ToyBilevelTask().loss(split, weights, alpha, None)
+    assert [record[0] for record in tape.records] == TOY_PASS_KINDS[split]
 
 
 def test_toy_start_point_values():

@@ -73,6 +73,7 @@ def commands(outdir: Path):
                                    "--config", f"inputs/{cfg}.cfg",
                                    "--out", f"evaluate-{cell}/out/metrics.txt"]
     yield "grad-check", ["grad-check"]
+    yield "count", ["count", "--intermediates", "4", "--ops", "7", "--multiplicity", "2"]
 
 
 def main(argv=None) -> int:
