@@ -67,10 +67,12 @@ def _cast_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _cast_optional_float(text: str):
-    if text.lower() in ("auto", "none"):
-        return None
-    return float(text)
+def _cast_optional_float(word: str):
+    """A float, or None for ``word``, the one word the key takes."""
+    def cast(text: str):
+        return None if text.lower() == word else float(text)
+
+    return cast
 
 
 def _cast_choice(*choices):
@@ -95,14 +97,15 @@ SEARCH_KEYS = {f.name: f.name for f in dataclasses.fields(SearchConfig)}
 
 _CHOICES = {"mode": MODES, "joint_submode": JOINT_SUBMODES,
             "arch_optimizer": ARCH_OPTIMIZERS, "reduction": REDUCTIONS}
-_CASTS = {"int": int, "float": float, "bool": _cast_bool, "str | None": str,
-          "float | None": _cast_optional_float}
+_NONE_WORDS = {"unroll_lr": "auto", "clip_norm": "none"}  # optional float -> its word
+_CASTS = {"int": int, "float": float, "bool": _cast_bool, "str | None": str}
 
 
 def _casts(cls, keys: dict) -> dict:
     """Config key -> cast, from the annotations of the fields ``keys`` names."""
     by_name = {f.name: f for f in dataclasses.fields(cls)}
     return {key: _cast_choice(*_CHOICES[name]) if name in _CHOICES
+            else _cast_optional_float(_NONE_WORDS[name]) if name in _NONE_WORDS
             else _CASTS[by_name[name].type]
             for key, name in keys.items()}
 
@@ -314,36 +317,11 @@ def _run_search_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path) 
 # ---------------------------------------------------------------------------
 
 
-def _run_random_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path,
-                       n_samples: int):
-    result = random_search(config, problem, n_samples)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "genotype.json").write_text(result.best.to_json())
-    lines = ["sample,val_accuracy"]
-    lines += [f"{i},{_fmt(score)}" for i, score in enumerate(result.scores)]
-    (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
-    write_manifest(out_dir, cfg, [config.seed])
-    write_summary(out_dir, {
-        "mode": "random",
-        "samples": n_samples,
-        "best_score": _fmt(result.best_score),
-        "genotype": genotype_one_liner(result.best),
-    })
-    return result
-
-
 def cmd_search(args) -> int:
     cfg = load_config(args.config)
     out = output_path(args.out, "output directory", directory=True)
     config = search_config_from(cfg)
     problem = build_problem(cfg)
-    if config.mode == "random":
-        if not problem.has_cell:
-            raise ConfigError("random mode needs a dataset task, not the toy problem")
-        n_samples = cfg.get("n_samples", RANDOM_SAMPLES)
-        result = _run_random_to_dir(config, problem, cfg, out, n_samples)
-        print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
-        return 0
     traj = _run_search_to_dir(config, problem, cfg, out)
     if traj.diverged:
         print("search diverged:", "; ".join(traj.events), file=sys.stderr)
@@ -431,7 +409,19 @@ def cmd_random_search(args) -> int:
     problem = build_problem(cfg)
     config = search_config_from(cfg)
     n_samples = cfg.get("n_samples", RANDOM_SAMPLES) if args.samples is None else args.samples
-    result = _run_random_to_dir(config, problem, cfg, out, n_samples)
+    result = random_search(config, problem, n_samples)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "genotype.json").write_text(result.best.to_json())
+    lines = ["sample,val_accuracy"]
+    lines += [f"{i},{_fmt(score)}" for i, score in enumerate(result.scores)]
+    (out / "samples.csv").write_text("\n".join(lines) + "\n")
+    write_manifest(out, cfg, [config.seed])
+    write_summary(out, {
+        "mode": "random",
+        "samples": n_samples,
+        "best_score": _fmt(result.best_score),
+        "genotype": genotype_one_liner(result.best),
+    })
     print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
     print("genotype:", genotype_one_liner(result.best))
     return 0
@@ -441,7 +431,6 @@ def cmd_count(args) -> int:
     query = SpaceQuery(
         intermediates=args.intermediates,
         nonzero_ops=args.ops,
-        retained=args.retained,
         multiplicity=args.multiplicity,
     )
     discrete = count_discrete(query)
@@ -525,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact search-space sizes")
     p.add_argument("--intermediates", type=int, required=True)
     p.add_argument("--ops", type=int, required=True, help="non-zero operation count")
-    p.add_argument("--retained", type=int, default=2)
     p.add_argument("--multiplicity", type=int, default=1)
     p.set_defaults(func=cmd_count)
 

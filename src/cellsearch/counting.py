@@ -1,8 +1,10 @@
 """Exact sizes of the discrete and relaxed cell search spaces.
 
-All arithmetic is plain Python integers, so results are exact at any size.
-Counting ignores graph isomorphism: two architectures that differ only by a
-relabeling are counted separately.
+The cell shape is fixed: two input nodes, and two edges kept per
+intermediate node after discretization. All arithmetic is plain Python
+integers, so results are exact at any size. Counting ignores graph
+isomorphism: two architectures that differ only by a relabeling are counted
+separately.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ class SpaceQuery:
     """Shape of the space to count.
 
     ``intermediates`` is the number of learned nodes, ``nonzero_ops`` the
-    size of the candidate set excluding zero, ``retained`` the edges kept per
-    node after discretization, and ``multiplicity`` how many cell types are
-    learned jointly (2 when a second cell kind shares the encoding).
+    size of the candidate set excluding zero, and ``multiplicity`` how many
+    cell types are learned jointly (2 when a second cell kind shares the
+    encoding).
     """
 
     intermediates: int
     nonzero_ops: int
-    retained: int = 2
-    input_arity: int = 2
     multiplicity: int = 1
 
     def __post_init__(self):
@@ -36,12 +36,6 @@ class SpaceQuery:
             raise CountError("need at least one intermediate node")
         if self.nonzero_ops < 1:
             raise CountError("need at least one non-zero operation")
-        if self.input_arity != 2:
-            raise CountError("counting formulas assume two input nodes")
-        if not 1 <= self.retained <= self.input_arity + self.intermediates - 1:
-            raise CountError(
-                f"retained edges {self.retained} exceeds available predecessors"
-            )
         if self.multiplicity < 1:
             raise CountError("multiplicity must be at least 1")
 
@@ -56,13 +50,8 @@ def count_discrete(query: SpaceQuery) -> int:
     """Distinct derived architectures: product over nodes of C(m+1, 2) * p^2.
 
     The m-th intermediate node chooses 2 of its m+1 predecessors and one of
-    p non-zero operations per chosen edge. Only k=2 has this product shape;
-    other values are rejected rather than silently generalized.
+    p non-zero operations per chosen edge.
     """
-    if query.retained != 2:
-        raise CountError(
-            f"discrete count is defined for 2 retained edges per node, got {query.retained}"
-        )
     per_cell = 1
     for m in range(1, query.intermediates + 1):
         per_cell *= math.comb(m + 1, 2) * query.nonzero_ops**2

@@ -23,7 +23,6 @@ import numpy as np
 from . import tensor
 from .cell import CellSpec
 from .search import (
-    EvalCounters,
     Params,
     arch_gradient_second_order,
     loss_value,
@@ -46,12 +45,10 @@ class FidelityReport:
 
 
 def unrolled_objective(problem, weights: Params, alpha: Params, unroll_lr: float,
-                       train_batch, val_batch,
-                       counters: EvalCounters | None = None) -> float:
+                       train_batch, val_batch) -> float:
     """Validation loss after one virtual training step at the given logits."""
-    lookahead = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch,
-                                 counters=counters)
-    return loss_value(problem, "val", lookahead, alpha, val_batch, counters=counters)
+    lookahead = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch)
+    return loss_value(problem, "val", lookahead, alpha, val_batch)
 
 
 def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: float,
@@ -86,8 +83,6 @@ class QuadraticBilevelProblem:
     single row vectors.
     """
 
-    has_cell = False
-
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         dim_w, dim_alpha = 6, 4
@@ -107,7 +102,7 @@ class QuadraticBilevelProblem:
         self.w0 = {"w": rng.normal(size=(1, dim_w))}
         self.alpha0 = {"alpha": rng.normal(size=(1, dim_alpha))}
 
-    def init_weights(self, seed: int = 0) -> Params:
+    def init_weights(self) -> Params:
         return {k: v.copy() for k, v in self.w0.items()}
 
     def init_alpha(self) -> Params:
@@ -139,12 +134,6 @@ class QuadraticBilevelProblem:
                 tensor.add(self._linear(w, self.lin_val_w), self._linear(a, self.lin_val_a)),
             )
         raise ValueError(f"unknown split {split!r}")
-
-    def batch(self, split: str, size: int, rng) -> None:
-        return None
-
-    def derive(self, alpha_arrays) -> None:
-        return None
 
     def exact_hvp(self, vector: Params) -> Params:
         """The constant mixed second derivative applied to a weight vector."""

@@ -65,7 +65,7 @@ class EvalCounters:
 
 
 BILEVEL_MODES = ("second-order", "first-order")
-MODES = BILEVEL_MODES + ("joint", "random")
+MODES = BILEVEL_MODES + ("joint",)
 JOINT_SUBMODES = ("coordinate", "simultaneous")
 ARCH_OPTIMIZERS = ("adam", "sgd")
 
@@ -267,14 +267,12 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
     return loss_val, wgrads, agrads
 
 
-def loss_value(problem, split: str, weights: Params, alpha: Params, batch,
-               counters: EvalCounters | None = None) -> float | np.ndarray:
+def loss_value(problem, split: str, weights: Params, alpha: Params,
+               batch) -> float | np.ndarray:
     """Forward-only loss evaluation (no tape, no gradients); one loss per
     slice when the arrays are stacked."""
     loss = problem.loss(split, {k: Value(v) for k, v in weights.items()},
                         {k: Value(v) for k, v in alpha.items()}, batch)
-    if counters is not None:
-        counters.forward_passes += 1
     return _require_finite(f"{split} loss", loss)
 
 
@@ -353,8 +351,6 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
     correction vanishes and this reduces, bit for bit, to the plain
     validation gradient at the current weights.
     """
-    if unroll_lr < 0:
-        raise ValueError("unroll step must be non-negative")
     if unroll_lr == 0.0:
         grads, val_loss = arch_gradient_first_order(problem, weights, alpha,
                                                     val_batch, counters=counters)
@@ -476,13 +472,7 @@ def search(config: SearchConfig, problem,
     Joint mode runs the same loop with ``_joint_step``. Divergence stops the
     loop and returns the trajectory collected so far, flagged.
     """
-    if config.mode == "joint":
-        step = _joint_step
-    elif config.mode in BILEVEL_MODES:
-        step = _bilevel_step
-    else:
-        raise ValueError(f"search does not handle mode {config.mode!r}")
-
+    step = _joint_step if config.mode == "joint" else _bilevel_step
     rng = np.random.default_rng(config.seed)
     traj = Trajectory(final_weights=problem.init_weights(config.seed),
                       final_alpha=problem.init_alpha())

@@ -1,10 +1,10 @@
 """Dense float64 arrays with a recorded computation tape for reverse-mode gradients.
 
 The engine is define-by-run: opening a ``Tape`` as a context manager makes it
-the active tape for the current thread, and every primitive applied while it
-is active appends one record. Records are appended in execution order, which
-is a topological order by construction, so ``backward`` is a single reverse
-sweep with no sorting.
+the active tape, and every primitive applied while it is active appends one
+record. Records are appended in execution order, which is a topological
+order by construction, so ``backward`` is a single reverse sweep with no
+sorting.
 
 Which values need a gradient is settled at record time: parameters carry
 ``requires_grad``, each record stores which of its inputs need a gradient,
@@ -35,7 +35,6 @@ one shared across slices gets the sum of theirs.
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,11 +49,7 @@ class TapeError(RuntimeError):
     backward on a tape that an earlier backward consumed."""
 
 
-_STATE = threading.local()
-
-
-def _active_tape():
-    return getattr(_STATE, "tape", None)
+_active: "Tape | None" = None  # the tape primitives record on, if any
 
 
 class Value:
@@ -108,9 +103,8 @@ class Value:
 class Tape:
     """Append-only record of primitive applications, in execution order.
 
-    Use as a context manager; at most one tape may be active per thread.
-    The tape and its values belong to one thread; independent tapes share
-    no state. ``backward`` empties the tape.
+    Use as a context manager; at most one tape may be active at a time.
+    Independent tapes share no state. ``backward`` empties the tape.
     """
 
     __slots__ = ("records", "_consumed")
@@ -120,13 +114,15 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
-            raise TapeError("a tape is already active in this thread")
-        _STATE.tape = self
+        global _active
+        if _active is not None:
+            raise TapeError("a tape is already active")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _STATE.tape = None
+        global _active
+        _active = None
         return False
 
     @property
@@ -148,9 +144,8 @@ class Tape:
 def _emit(kind: str, inputs: tuple[Value, ...], out_data: np.ndarray, backward_fn) -> Value:
     """Create the output Value and record it on the active tape, if any."""
     out = Value(out_data)
-    tape = _active_tape()
-    if tape is not None:
-        tape._record(kind, inputs, out, backward_fn)
+    if _active is not None:
+        _active._record(kind, inputs, out, backward_fn)
     return out
 
 

@@ -188,6 +188,18 @@ def test_search_divergence_exits_3(tmp_path, capsys):
     assert (out / "trajectory.csv").exists()  # partial trajectory still written
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_evaluate_divergence_exits_3_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "explode.cfg"
+    cfg.write_text(SMALL_CFG.replace("weight_lr = 0.05", "weight_lr = 1e9")
+                   .replace("eval_steps = 8", "eval_steps = 20")
+                   + "clip_norm = none\nanneal = false\n")
+    genotype = tmp_path / "g.json"
+    genotype.write_text(small_genotype())
+    assert main(["evaluate", "--genotype", str(genotype), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "numerical failure: retraining loss is not finite: nan\n"
+
+
 def test_trajectory_file_round_trips(small_cfg, tmp_path):
     out = tmp_path / "run"
     main(["search", "--config", str(small_cfg), "--out", str(out)])
@@ -196,16 +208,6 @@ def test_trajectory_file_round_trips(small_cfg, tmp_path):
     assert all(np.isfinite(r.train_loss) and np.isfinite(r.val_loss) for r in records)
     assert records[2].snapshot == "alpha/step_000002.tsv"
     assert records[0].hvp_epsilon is not None  # second-order mode logs its step
-
-
-def test_search_command_routes_random_mode(small_cfg, tmp_path, capsys):
-    cfg = tmp_path / "rand.cfg"
-    cfg.write_text(SMALL_CFG.replace("mode = second-order", "mode = random")
-                   + "n_samples = 3\n")
-    out = tmp_path / "rand_run"
-    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
-    Genotype.from_json((out / "genotype.json").read_text()).validate()
-    assert len((out / "samples.csv").read_text().splitlines()) == 4
 
 
 def test_search_command_routes_joint_mode(small_cfg, tmp_path, capsys):
@@ -373,8 +375,10 @@ def test_count_multiplicity_two(capsys):
     assert f"relaxed_exact: {8**28}" in out
 
 
-def test_count_rejects_unsupported_retained(capsys):
-    assert main(["count", "--intermediates", "4", "--ops", "7", "--retained", "3"]) == 2
+def test_count_rejects_empty_cell_with_one_line(capsys):
+    assert main(["count", "--intermediates", "0", "--ops", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: need at least one intermediate node\n"
 
 
 # --- malformed inputs at the boundaries ---------------------------------------
@@ -480,6 +484,9 @@ def small_cfg_with(line: str) -> str:
     ("search", "config", "momentum = -0.5", "momentum must be in [0, 1)"),
     ("search", "config", "weight_decay_weights = -1", "weight decays must be non-negative"),
     ("search", "config", "weight_decay_alpha = -5", "weight decays must be non-negative"),
+    ("search", "config", "mode = random", "expected one of"),
+    ("search", "config", "clip_norm = auto", "bad value for 'clip_norm'"),
+    ("search", "config", "unroll_lr = none", "bad value for 'unroll_lr'"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
@@ -493,7 +500,7 @@ def small_cfg_with(line: str) -> str:
         "random-search-out-file", "search-out-under-file", "derive-out-directory",
         "derive-out-missing-parent", "evaluate-out-directory", "negative-snapshot-every",
         "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
-        "negative-weight-decay-alpha"])
+        "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"
@@ -566,11 +573,10 @@ def test_zero_budget_with_anneal_runs_zero_steps(tmp_path, command, line):
         assert read_trajectory(out / "trajectory.csv") == []
 
 
-@pytest.mark.parametrize("command", ["search", "random-search"])
+@pytest.mark.parametrize("command", ["random-search"])
 def test_random_zero_samples_exits_2_with_one_line(tmp_path, capsys, command):
     cfg = tmp_path / "rand.cfg"
-    cfg.write_text(SMALL_CFG.replace("mode = second-order", "mode = random")
-                   + "n_samples = 0\n")
+    cfg.write_text(SMALL_CFG + "n_samples = 0\n")
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -42,12 +42,12 @@ def test_relaxed_count_two_cell_types():
 
 def test_relaxed_count_single_intermediate():
     for p in range(1, 6):
-        assert count_relaxed(SpaceQuery(intermediates=1, nonzero_ops=p, retained=1)) == (p + 1) ** 2
+        assert count_relaxed(SpaceQuery(intermediates=1, nonzero_ops=p)) == (p + 1) ** 2
 
 
 def test_relaxed_edge_count():
     assert relaxed_edge_count(SpaceQuery(intermediates=4, nonzero_ops=7)) == 14
-    assert relaxed_edge_count(SpaceQuery(intermediates=1, nonzero_ops=1, retained=1)) == 2
+    assert relaxed_edge_count(SpaceQuery(intermediates=1, nonzero_ops=1)) == 2
     assert relaxed_edge_count(SpaceQuery(intermediates=3, nonzero_ops=4)) == 9
 
 
@@ -83,20 +83,11 @@ def test_counts_exact_at_large_sizes():
     assert isinstance(count_relaxed(q), int)
 
 
-def test_unsupported_retained_count_rejected():
-    with pytest.raises(CountError, match="2 retained edges"):
-        count_discrete(SpaceQuery(intermediates=4, nonzero_ops=7, retained=1))
-
-
 def test_query_validation():
     with pytest.raises(CountError):
         SpaceQuery(intermediates=0, nonzero_ops=7)
     with pytest.raises(CountError):
         SpaceQuery(intermediates=4, nonzero_ops=0)
-    with pytest.raises(CountError):
-        SpaceQuery(intermediates=1, nonzero_ops=2, retained=3)
-    with pytest.raises(CountError):
-        SpaceQuery(intermediates=4, nonzero_ops=7, input_arity=3)
     with pytest.raises(CountError):
         SpaceQuery(intermediates=4, nonzero_ops=7, multiplicity=0)
 

@@ -310,6 +310,20 @@ def test_toy_outer_objective_separation(toy):
     assert outer(float(first.final_alpha["alpha"])) == pytest.approx(1.0, abs=1e-3)
 
 
+class ZeroAlphaToy(ToyBilevelTask):
+    """The toy problem started at alpha = 0, where d(val loss)/dw = alpha vanishes."""
+
+    def init_alpha(self):
+        return {"alpha": np.asarray(0.0)}
+
+
+def test_vanishing_val_gradient_skips_correction_and_records_event():
+    traj = search(toy_search_config(steps=2), ZeroAlphaToy())
+    assert traj.events == ["iter 0: correction skipped, vanishing val gradient"]
+    assert traj.records[0].hvp_epsilon is None
+    assert traj.records[1].hvp_epsilon is not None
+
+
 def test_search_is_deterministic(small_task):
     config = SearchConfig(mode="second-order", steps=8, batch_size=12, seed=3,
                           weight_lr=0.05, arch_lr=1e-3, eval_steps=0)

@@ -72,6 +72,10 @@ def commands(outdir: Path):
         yield f"evaluate-{cell}", ["evaluate", "--genotype", genotype,
                                    "--config", f"inputs/{cfg}.cfg",
                                    "--out", f"evaluate-{cell}/out/metrics.txt"]
+    # a retrain whose weights overflow, so cli.main's exit 3 is covered too
+    yield "evaluate-diverging", ["evaluate", "--genotype", "derive-mean/out/genotype.json",
+                                 "--config", "inputs/desk-diverging.cfg",
+                                 "--out", "evaluate-diverging/out/metrics.txt"]
     yield "grad-check", ["grad-check"]
     yield "count", ["count", "--intermediates", "4", "--ops", "7", "--multiplicity", "2"]
 
