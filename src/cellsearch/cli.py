@@ -39,7 +39,6 @@ from .ops import OP_ORDER
 from .optim import OptimizerError
 from .search import (
     ARCH_OPTIMIZERS,
-    BILEVEL_MODES,
     JOINT_SUBMODES,
     MODES,
     ConfigError,
@@ -48,7 +47,6 @@ from .search import (
     Trajectory,
     random_search,
     search,
-    toy_search_config,
     train_genotype,
 )
 from .tasks import DataConfig, DataError, SyntheticCellTask, ToyBilevelTask
@@ -285,33 +283,6 @@ def _search_summary(config: SearchConfig, traj: Trajectory, problem) -> dict:
     return entries
 
 
-def _run_search_to_dir(config: SearchConfig, problem, cfg: dict, out_dir: Path) -> Trajectory:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot_hook = None
-    if problem.has_cell:
-        alpha_dir = out_dir / "alpha"
-        alpha_dir.mkdir(exist_ok=True)
-
-        def snapshot_hook(t, alpha):
-            every = config.snapshot_every
-            if every > 0 and t % every == 0:
-                name = f"alpha/step_{t:06d}.tsv"
-                (out_dir / name).write_text(format_alpha(alpha))
-                return name
-            return ""
-
-    traj = search(config, problem, snapshot_hook=snapshot_hook)
-    if problem.has_cell:
-        final_name = f"alpha/step_{len(traj.records):06d}.tsv"
-        (out_dir / final_name).write_text(format_alpha(traj.final_alpha))
-        if traj.genotype is not None:
-            (out_dir / "genotype.json").write_text(traj.genotype.to_json())
-    write_trajectory(out_dir, traj)
-    write_manifest(out_dir, cfg, [config.seed])
-    write_summary(out_dir, _search_summary(config, traj, problem))
-    return traj
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -322,7 +293,28 @@ def cmd_search(args) -> int:
     out = output_path(args.out, "output directory", directory=True)
     config = search_config_from(cfg)
     problem = build_problem(cfg)
-    traj = _run_search_to_dir(config, problem, cfg, out)
+    out.mkdir(parents=True, exist_ok=True)
+    snapshot_hook = None
+    if problem.has_cell:
+        (out / "alpha").mkdir(exist_ok=True)
+
+        def snapshot_hook(t, alpha):
+            every = config.snapshot_every
+            if every > 0 and t % every == 0:
+                name = f"alpha/step_{t:06d}.tsv"
+                (out / name).write_text(format_alpha(alpha))
+                return name
+            return ""
+
+    traj = search(config, problem, snapshot_hook=snapshot_hook)
+    if problem.has_cell:
+        final_name = f"alpha/step_{len(traj.records):06d}.tsv"
+        (out / final_name).write_text(format_alpha(traj.final_alpha))
+        if traj.genotype is not None:
+            (out / "genotype.json").write_text(traj.genotype.to_json())
+    write_trajectory(out, traj)
+    write_manifest(out, cfg, [config.seed])
+    write_summary(out, _search_summary(config, traj, problem))
     if traj.diverged:
         print("search diverged:", "; ".join(traj.events), file=sys.stderr)
         return 3
@@ -333,24 +325,6 @@ def cmd_search(args) -> int:
     if traj.genotype is not None:
         print("genotype:", genotype_one_liner(traj.genotype))
     return 0
-
-
-def cmd_toy_bilevel(args) -> int:
-    config = toy_search_config(
-        mode=args.mode, steps=args.steps, unroll_lr=args.unroll_lr,
-        weight_lr=args.weight_lr, arch_lr=args.arch_lr, seed=args.seed,
-    )
-    problem = ToyBilevelTask()
-    if args.out is not None:
-        cfg = {"task": "toy", "mode": args.mode, "steps": args.steps, "seed": args.seed}
-        out = output_path(args.out, "output directory", directory=True)
-        traj = _run_search_to_dir(config, problem, cfg, out)
-    else:
-        traj = search(config, problem)
-    alpha = float(traj.final_alpha["alpha"])
-    w = float(traj.final_weights["w"])
-    print(f"alpha={alpha:.6f} w={w:.6f}")
-    return 3 if traj.diverged else 0
 
 
 def cmd_derive(args) -> int:
@@ -408,7 +382,7 @@ def cmd_random_search(args) -> int:
     out = output_path(args.out, "output directory", directory=True)
     problem = build_problem(cfg)
     config = search_config_from(cfg)
-    n_samples = cfg.get("n_samples", RANDOM_SAMPLES) if args.samples is None else args.samples
+    n_samples = cfg.get("n_samples", RANDOM_SAMPLES)
     result = random_search(config, problem, n_samples)
     out.mkdir(parents=True, exist_ok=True)
     (out / "genotype.json").write_text(result.best.to_json())
@@ -444,18 +418,17 @@ def cmd_count(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if args.seed < 0 or args.cases < 1 or args.problems < 1:
-        raise ConfigError("grad-check needs --seed >= 0, --cases >= 1 and --problems >= 1")
+    if args.seed < 0:
+        raise ConfigError("grad-check needs --seed >= 0")
     ok = True
     worst = 0.0
-    for report in check_all_primitives(seed=args.seed, cases_per_kind=args.cases):
+    for report in check_all_primitives(seed=args.seed):
         status = "PASS" if report.passed else "FAIL"
         ok &= report.passed
         worst = max(worst, report.max_error)
         print(f"primitive {report.kind:>22}: max_rel_err={report.max_error:.3e} "
               f"(tol {report.tolerance:g}) {status}")
-    for report in run_fidelity_suite(seed=args.seed, n_networks=args.problems,
-                                     n_quadratics=args.problems):
+    for report in run_fidelity_suite(seed=args.seed):
         status = "PASS" if report.passed else "FAIL"
         ok &= report.passed
         print(f"fidelity {report.label}: max_rel_err={report.max_error:.3e} "
@@ -481,18 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("toy-bilevel", help="run the analytic scalar problem")
-    p.add_argument("--mode", default="second-order",
-                   choices=BILEVEL_MODES)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--unroll-lr", type=float, default=None,
-                   help="lookahead step; defaults to the weight learning rate")
-    p.add_argument("--weight-lr", type=float, default=0.5)
-    p.add_argument("--arch-lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="optional output directory")
-    p.set_defaults(func=cmd_toy_bilevel)
-
     p = sub.add_parser("derive", help="discretize a logit snapshot into a genotype")
     p.add_argument("--alpha", required=True, help="logit snapshot (.tsv)")
     p.add_argument("--config", default=None, help="config carrying the cell shape")
@@ -507,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-search", help="best of n uniformly sampled genotypes")
     p.add_argument("--config", required=True)
-    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_random_search)
 
@@ -519,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="gradient and lookahead fidelity report")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20, help="cases per primitive kind")
-    p.add_argument("--problems", type=int, default=20, help="fidelity problems per family")
     p.set_defaults(func=cmd_grad_check)
 
     return parser

@@ -34,11 +34,14 @@ def _rand_shape(rng, max_ndim=3, max_extent=4) -> tuple[int, ...]:
     return tuple(int(rng.integers(1, max_extent + 1)) for _ in range(ndim))
 
 
-def _coeffs(rng, shape) -> np.ndarray:
-    return rng.normal(size=shape)
+# Kinds whose output already is the scalar loss. Every other kind's output is
+# weighted by random coefficients, drawn right after its inputs, and summed;
+# a 0-d output (a mean over all axes) still draws its one coefficient but is
+# the loss itself.
+_LOSS_KINDS = ("sum", "select-index", "mean-squared-error", "softmax-cross-entropy")
 
 
-def _scalarize(out: Value, coeffs: np.ndarray) -> Value:
+def _scalarize(out: Value, coeffs: np.ndarray | None) -> Value:
     if out.ndim == 0:
         return out
     return tensor.sum_all(tensor.multiply(out, Value(coeffs)))
@@ -50,13 +53,7 @@ def _pair_case(rng, fn):
     b = rng.normal(size=shape) if rng.random() > 0.3 else np.asarray(rng.normal())
     if rng.random() > 0.5:
         a, b = b, a
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    coeffs = _coeffs(rng, out_shape)
-
-    def build(vals):
-        return _scalarize(fn(vals[0], vals[1]), coeffs)
-
-    return [a, b], build
+    return [a, b], lambda vals: fn(vals[0], vals[1])
 
 
 def _unary_case(rng, fn, positive_margin=False):
@@ -66,15 +63,12 @@ def _unary_case(rng, fn, positive_margin=False):
         x = rng.uniform(0.1, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
     else:
         x = rng.normal(size=shape)
-    coeffs = _coeffs(rng, shape)
-
-    def build(vals):
-        return _scalarize(fn(vals[0]), coeffs)
-
-    return [x], build
+    return [x], lambda vals: fn(vals[0])
 
 
 def _case_for(kind: str, rng):
+    """Random inputs for one case of ``kind`` and the function of their
+    Values whose gradient is checked."""
     if kind == "add":
         return _pair_case(rng, tensor.add)
     if kind == "subtract":
@@ -83,22 +77,12 @@ def _case_for(kind: str, rng):
         return _pair_case(rng, tensor.multiply)
     if kind == "scale-by-constant":
         c = float(rng.normal())
-        arrays, shape = [rng.normal(size=_rand_shape(rng))], None
-        coeffs = _coeffs(rng, arrays[0].shape)
-
-        def build_scale(vals):
-            return _scalarize(tensor.scale(vals[0], c), coeffs)
-
-        return arrays, build_scale
+        x = rng.normal(size=_rand_shape(rng))
+        return [x], lambda vals: tensor.scale(vals[0], c)
     if kind == "matrix-multiply":
         m, k, n = (int(rng.integers(1, 5)) for _ in range(3))
         a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-        coeffs = _coeffs(rng, (m, n))
-
-        def build_mm(vals):
-            return _scalarize(tensor.matmul(vals[0], vals[1]), coeffs)
-
-        return [a, b], build_mm
+        return [a, b], lambda vals: tensor.matmul(vals[0], vals[1])
     if kind == "tanh":
         return _unary_case(rng, tensor.tanh)
     if kind == "relu":
@@ -109,12 +93,7 @@ def _case_for(kind: str, rng):
         shape = _rand_shape(rng)
         axis = int(rng.integers(0, len(shape)))
         x = rng.normal(size=shape)
-        coeffs = _coeffs(rng, shape)
-
-        def build_sm(vals):
-            return _scalarize(tensor.softmax(vals[0], axis=axis), coeffs)
-
-        return [x], build_sm
+        return [x], lambda vals: tensor.softmax(vals[0], axis=axis)
     if kind == "concatenate":
         base = _rand_shape(rng)
         axis = int(rng.integers(0, len(base)))
@@ -123,27 +102,12 @@ def _case_for(kind: str, rng):
             shape = list(base)
             shape[axis] = int(rng.integers(1, 4))
             parts.append(rng.normal(size=tuple(shape)))
-        total = list(base)
-        total[axis] = sum(p.shape[axis] for p in parts)
-        coeffs = _coeffs(rng, tuple(total))
-
-        def build_cat(vals):
-            return _scalarize(tensor.concatenate(list(vals), axis=axis), coeffs)
-
-        return parts, build_cat
+        return parts, lambda vals: tensor.concatenate(list(vals), axis=axis)
     if kind == "mean-over-axis":
         shape = _rand_shape(rng)
         axis = None if rng.random() < 0.3 else int(rng.integers(0, len(shape)))
         x = rng.normal(size=shape)
-        out_shape = () if axis is None else tuple(
-            d for i, d in enumerate(shape) if i != axis
-        )
-        coeffs = _coeffs(rng, out_shape)
-
-        def build_mean(vals):
-            return _scalarize(tensor.mean(vals[0], axis=axis), coeffs)
-
-        return [x], build_mean
+        return [x], lambda vals: tensor.mean(vals[0], axis=axis)
     if kind == "sum":
         x = rng.normal(size=_rand_shape(rng))
         return [x], lambda vals: tensor.sum_all(vals[0])
@@ -161,11 +125,7 @@ def _case_for(kind: str, rng):
         classes = int(rng.integers(2, 5))
         logits = rng.normal(size=(batch, classes))
         labels = rng.integers(0, classes, size=batch).astype(np.float64)
-
-        def build_ce(vals):
-            return tensor.cross_entropy(vals[0], Value(labels))
-
-        return [logits], build_ce
+        return [logits], lambda vals: tensor.cross_entropy(vals[0], Value(labels))
     if kind == "mixed-edge":
         terms = tuple(rng.permutation(["zero", "identity", *tensor.ACTIVATION_RULES]))
         j, rows, d = int(rng.integers(1, 3)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
@@ -177,13 +137,8 @@ def _case_for(kind: str, rng):
             x = rng.normal(size=(j, rows, d))
             block = rng.normal(size=(j, d, len(tensor.ACTIVATION_RULES) * d))
             relu_margin = np.min(np.abs(x @ block[..., relu * d:(relu + 1) * d]))
-        coeffs = _coeffs(rng, (rows, d))
-
-        def build_me(vals):
-            return _scalarize(tensor.mixed_edge(vals[:j], vals[j:2 * j], vals[2 * j], terms),
-                              coeffs)
-
-        return [*logits, *x, block], build_me
+        return ([*logits, *x, block],
+                lambda vals: tensor.mixed_edge(vals[:j], vals[j:2 * j], vals[2 * j], terms))
     raise ValueError(f"no gradient-check case for kind {kind!r}")
 
 
@@ -193,16 +148,19 @@ def check_kind(kind: str, seed: int = 0, cases: int = 20,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        arrays, build = _case_for(kind, rng)
+        arrays, fn = _case_for(kind, rng)
 
         with Tape():
             params = [Value.param(a) for a in arrays]
-            loss = build(params)
+            out = fn(params)
+            coeffs = None if kind in _LOSS_KINDS else rng.normal(size=out.shape)
+            loss = _scalarize(out, coeffs)
         backward(loss, wrt=params)
         ad_grads = [p.grad for p in params]
 
         def f(probes):
-            return [build([Value(a) for a in point]).item() for point in zip(*probes)]
+            return [_scalarize(fn([Value(a) for a in point]), coeffs).item()
+                    for point in zip(*probes)]
 
         fd_grads = finite_difference(f, arrays, step=DEFAULT_STEP)
         for g_ad, g_fd in zip(ad_grads, fd_grads):

@@ -42,16 +42,24 @@ class SgdMomentum:
         self.weight_decay = float(weight_decay)
         self.velocity: Params = {}
 
+    def _velocity(self, name: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+        g = g + self.weight_decay * p
+        v = self.velocity.get(name)
+        return g if v is None else self.momentum * v + g
+
     def step(self, params: Params, grads: Params) -> Params:
         _check_aligned("sgd", params, grads)
         out: Params = {}
         for name, p in params.items():
-            g = grads[name] + self.weight_decay * p
-            v = self.velocity.get(name)
-            v = g if v is None else self.momentum * v + g
-            self.velocity[name] = v
+            v = self.velocity[name] = self._velocity(name, p, grads[name])
             out[name] = p - self.lr * v
         return out
+
+    def lookahead(self, params: Params, grads: Params, lr: float) -> Params:
+        """What ``step`` would return at rate ``lr``; the velocity is left as it is."""
+        _check_aligned("sgd", params, grads)
+        return {name: p - lr * self._velocity(name, p, grads[name])
+                for name, p in params.items()}
 
 
 class Adam:

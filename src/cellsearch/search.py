@@ -283,14 +283,13 @@ def loss_value(problem, split: str, weights: Params, alpha: Params,
 
 def unrolled_weights(problem, weights: Params, alpha: Params, unroll_lr: float,
                      train_batch, counters: EvalCounters | None = None,
-                     velocity: Params | None = None, momentum: float = 0.0,
-                     weight_decay: float = 0.0) -> Params:
+                     optimizer: SgdMomentum | None = None) -> Params:
     """One virtual training step: w - unroll_lr * d(train loss)/dw.
 
     The incoming weights are never mutated. By default the step is the plain
-    gradient; passing the weight optimizer's ``velocity`` (with its momentum
-    and decay) makes the lookahead reproduce the composite momentum update
-    instead. Stacked weights and logits take one step per slice.
+    gradient; passing the weight ``optimizer`` makes the lookahead its own
+    step at rate ``unroll_lr`` (momentum and decay included), leaving its
+    state untouched. Stacked weights and logits take one step per slice.
     """
     if unroll_lr < 0:
         raise ValueError("unroll step must be non-negative")
@@ -298,13 +297,9 @@ def unrolled_weights(problem, weights: Params, alpha: Params, unroll_lr: float,
         return {k: v.copy() for k, v in weights.items()}
     _, wgrads, _ = loss_and_grads(problem, "train", weights, alpha, train_batch,
                                   wrt=("weights",), counters=counters)
-    stepped = {}
-    for name, w in weights.items():
-        g = wgrads[name]
-        if velocity is not None:
-            g = momentum * velocity.get(name, 0.0) + (g + weight_decay * w)
-        stepped[name] = w - unroll_lr * g
-    return stepped
+    if optimizer is not None:
+        return optimizer.lookahead(weights, wgrads, unroll_lr)
+    return {name: w - unroll_lr * wgrads[name] for name, w in weights.items()}
 
 
 def arch_gradient_first_order(problem, weights: Params, alpha: Params, val_batch,
@@ -340,9 +335,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
                                counters: EvalCounters | None = None,
                                epsilon_scale: float = SearchConfig.hvp_epsilon_scale,
                                hvp_fn: Callable[..., Params] | None = None,
-                               velocity: Params | None = None,
-                               momentum: float = 0.0,
-                               weight_decay: float = 0.0):
+                               optimizer: SgdMomentum | None = None):
     """Lookahead validation gradient with the finite-difference correction.
 
     ``hvp_fn(vector) -> alpha-shaped dict`` may replace the built-in finite
@@ -356,8 +349,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
                                                     val_batch, counters=counters)
         return grads, SecondOrderInfo(None, val_loss)
     lookahead = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch,
-                                 counters=counters, velocity=velocity,
-                                 momentum=momentum, weight_decay=weight_decay)
+                                 counters=counters, optimizer=optimizer)
     val_loss, val_wgrads, outer = loss_and_grads(
         problem, "val", lookahead, alpha, val_batch, wrt=WRT_BOTH, counters=counters
     )
@@ -419,8 +411,7 @@ def _bilevel_step(problem, config, t, traj, w_opt, a_opt, rng):
         agrads, info = arch_gradient_second_order(
             problem, weights, alpha, unroll_lr, unroll_batch, val_batch,
             counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
-            velocity=w_opt.velocity if config.momentum_unroll else None,
-            momentum=config.momentum, weight_decay=config.weight_decay_weights,
+            optimizer=w_opt if config.momentum_unroll else None,
         )
         val_loss, epsilon = info.val_loss, info.epsilon
         if info.correction_skipped:

@@ -5,8 +5,9 @@ scalar problem used to check fixed points by hand: the training loss is a
 perfect square in (w - a) so its inner optimum is w = a, the validation loss
 is bilinear, and the exact bilevel optimum sits at (1, 1) starting from
 (2, -2). ``SyntheticCellTask`` wraps a seeded Gaussian-cluster dataset and a
-cell classifier; its inner weights are the stems, edge matrices, and head,
-and its outer variables are the per-edge operation logits.
+cell classifier; its inner weights are the stems, one weight block per
+intermediate node, and the head, and its outer variables are the per-edge
+operation logits.
 
 Datasets carry per-split access counters so test-set hygiene is checkable:
 anything that touches test-tagged rows increments the ``test`` counter.

@@ -176,10 +176,6 @@ def test_search_rerun_is_byte_identical(small_cfg, tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_search_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "explode.cfg"
-    cfg.write_text(SMALL_CFG + "\n".join([
-        "", "weight_lr = 1e9", "clip_norm = none", "anneal = false",
-    ]).replace("weight_lr = 0.05", ""))
-    # rewrite cleanly: the original weight_lr line still present would duplicate
     cfg.write_text(SMALL_CFG.replace("weight_lr = 0.05", "weight_lr = 1e9")
                    + "clip_norm = none\nanneal = false\n")
     out = tmp_path / "run"
@@ -221,46 +217,40 @@ def test_search_command_routes_joint_mode(small_cfg, tmp_path, capsys):
     assert len(rows) == 5
 
 
-# --- toy-bilevel command ---------------------------------------------------------
+# --- the toy problem through search ----------------------------------------------
 
 
-def test_toy_bilevel_second_order_reaches_optimum(capsys):
-    assert main(["toy-bilevel", "--mode", "second-order", "--steps", "500",
-                 "--unroll-lr", "0.5"]) == 0
-    line = capsys.readouterr().out.strip()
-    assert line.startswith("alpha=")
-    alpha = float(line.split()[0].split("=")[1])
-    w = float(line.split()[1].split("=")[1])
+def run_toy(tmp_path, mode: str, steps: int) -> Path:
+    """The output directory of a search on TOY_CFG in ``mode`` for ``steps`` steps."""
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG.replace("mode = second-order", f"mode = {mode}")
+                   .replace("steps = 40", f"steps = {steps}"))
+    out = tmp_path / "toy"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def read_summary(out: Path) -> dict[str, str]:
+    return dict(line.split(": ", 1) for line in (out / "summary.txt").read_text().splitlines())
+
+
+def test_toy_bilevel_second_order_reaches_optimum(tmp_path, capsys):
+    summary = read_summary(run_toy(tmp_path, "second-order", 500))
+    alpha, w = float(summary["final_alpha"]), float(summary["final_w"])
     assert abs(alpha - 1.0) < 1e-3 and abs(w - 1.0) < 1e-3
 
 
-def test_toy_bilevel_first_order_settles_elsewhere(capsys):
-    assert main(["toy-bilevel", "--mode", "first-order", "--steps", "500"]) == 0
-    line = capsys.readouterr().out.strip()
-    alpha = float(line.split()[0].split("=")[1])
-    w = float(line.split()[1].split("=")[1])
+def test_toy_bilevel_first_order_settles_elsewhere(tmp_path, capsys):
+    summary = read_summary(run_toy(tmp_path, "first-order", 500))
+    alpha, w = float(summary["final_alpha"]), float(summary["final_w"])
     assert abs(alpha - 2.0) < 1e-3 and abs(w - 2.0) < 1e-3
 
 
 def test_toy_bilevel_zero_steps_prints_start_point(tmp_path, capsys):
-    out = tmp_path / "toy"
-    assert main(["toy-bilevel", "--steps", "0", "--out", str(out)]) == 0
-    line = capsys.readouterr().out.strip()
-    assert line == "alpha=2.000000 w=-2.000000"
+    out = run_toy(tmp_path, "second-order", 0)
+    summary = read_summary(out)
+    assert (summary["final_alpha"], summary["final_w"]) == ("2.0", "-2.0")
     assert (out / "trajectory.csv").read_text().splitlines()[0].startswith("iteration")
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--unroll-lr", "nan", "unroll_lr must be finite"),
-    ("--weight-lr", "inf", "weight_lr must be finite"),
-    ("--unroll-lr", "-1", "unroll step must be non-negative"),
-    ("--seed", "-1", "seeds must be non-negative"),
-], ids=["nan-unroll-lr", "inf-weight-lr", "negative-unroll-lr", "negative-seed"])
-def test_toy_bilevel_bad_flag_exits_2_with_one_line(capsys, flag, value, message):
-    assert main(["toy-bilevel", "--steps", "5", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert err.count("\n") == 1, err
 
 
 # --- derive command -------------------------------------------------------------
@@ -337,8 +327,8 @@ def test_evaluate_rejects_toy_task(tmp_path, capsys):
 
 def test_random_search_writes_scores_and_best(small_cfg, tmp_path, capsys):
     out = tmp_path / "rs"
-    code = main(["random-search", "--config", str(small_cfg), "--samples", "3",
-                 "--out", str(out)])
+    small_cfg.write_text(SMALL_CFG + "n_samples = 3\n")
+    code = main(["random-search", "--config", str(small_cfg), "--out", str(out)])
     assert code == 0
     Genotype.from_json((out / "genotype.json").read_text()).validate()
     rows = (out / "samples.csv").read_text().splitlines()
@@ -350,8 +340,9 @@ def test_random_search_writes_scores_and_best(small_cfg, tmp_path, capsys):
 
 def test_random_search_rerun_byte_identical(small_cfg, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    main(["random-search", "--config", str(small_cfg), "--samples", "2", "--out", str(out1)])
-    main(["random-search", "--config", str(small_cfg), "--samples", "2", "--out", str(out2)])
+    small_cfg.write_text(SMALL_CFG + "n_samples = 2\n")
+    main(["random-search", "--config", str(small_cfg), "--out", str(out1)])
+    main(["random-search", "--config", str(small_cfg), "--out", str(out2)])
     assert read_tree(out1) == read_tree(out2)
 
 
@@ -472,7 +463,6 @@ def small_cfg_with(line: str) -> str:
     ("evaluate", "genotype", small_genotype().encode() + NOT_UTF8, "cannot read genotype file"),
     ("search", "data", "x0,x1,label,split\n1.0,2.0,0,train\n0.5,1.0,1,train\n"
      "2.0,0.0,0,val\n0.0,1.0,1,val\n", "input: no test rows"),
-    ("toy-bilevel", "out", "afile", "afile: File exists"),
     ("search", "out", "afile", "afile: File exists"),
     ("random-search", "out", "afile", "afile: File exists"),
     ("search", "out", "afile/sub", "afile/sub: Not a directory"),
@@ -487,6 +477,8 @@ def small_cfg_with(line: str) -> str:
     ("search", "config", "mode = random", "expected one of"),
     ("search", "config", "clip_norm = auto", "bad value for 'clip_norm'"),
     ("search", "config", "unroll_lr = none", "bad value for 'unroll_lr'"),
+    ("search", "config", "weight_lr = inf", "weight_lr must be finite"),
+    ("search", "config", "unroll_lr = -1", "unroll step must be non-negative"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
@@ -496,11 +488,12 @@ def small_cfg_with(line: str) -> str:
         "negative-eval-seed", "negative-data-seed", "duplicate-snapshot-edge",
         "config-directory", "config-not-utf8", "data-directory", "data-not-utf8",
         "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
-        "genotype-not-utf8", "data-no-test-rows", "toy-out-file", "search-out-file",
+        "genotype-not-utf8", "data-no-test-rows", "search-out-file",
         "random-search-out-file", "search-out-under-file", "derive-out-directory",
         "derive-out-missing-parent", "evaluate-out-directory", "negative-snapshot-every",
         "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
-        "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none"])
+        "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none",
+        "inf-weight-lr", "negative-unroll-lr"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"
@@ -526,8 +519,6 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, bounda
     elif command == "evaluate":
         argv = ["evaluate", "--genotype", str(path), "--config", str(cfg)]
         argv += ["--out", str(out)] if boundary == "out" else []
-    elif command == "toy-bilevel":
-        argv = ["toy-bilevel", "--steps", "3", "--out", str(out)]
     else:
         argv = [command, "--config", str(cfg), "--out", str(out)]
     assert main(argv) == 2
@@ -562,12 +553,10 @@ def test_bad_out_is_found_before_any_training(tmp_path, capsys, monkeypatch, com
                          ids=["search-steps", "random-search-eval-steps"])
 def test_zero_budget_with_anneal_runs_zero_steps(tmp_path, command, line):
     cfg = tmp_path / "zero.cfg"
-    cfg.write_text(small_cfg_with(line) + "anneal = true\n")
+    samples = "n_samples = 2\n" if command == "random-search" else ""
+    cfg.write_text(small_cfg_with(line) + "anneal = true\n" + samples)
     out = tmp_path / "run"
-    argv = [command, "--config", str(cfg), "--out", str(out)]
-    if command == "random-search":
-        argv += ["--samples", "2"]
-    assert main(argv) == 0
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "genotype.json").exists()
     if command == "search":
         assert read_trajectory(out / "trajectory.csv") == []
@@ -589,20 +578,19 @@ def test_random_zero_samples_exits_2_with_one_line(tmp_path, capsys, command):
 
 
 def test_grad_check_small_run_passes(capsys):
-    code = main(["grad-check", "--seed", "3", "--cases", "3", "--problems", "1"])
+    code = main(["grad-check", "--seed", "3"])
     out = capsys.readouterr().out
     assert code == 0
     assert "grad-check: PASS" in out
     assert "primitive" in out and "fidelity" in out
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--cases", "0"), ("--problems", "0")],
-                         ids=["negative-seed", "zero-cases", "zero-problems"])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1")], ids=["negative-seed"])
 def test_grad_check_bad_flag_exits_2_with_one_line(capsys, flag, value):
     assert main(["grad-check", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "grad-check needs --seed >= 0, --cases >= 1 and --problems >= 1" in captured.err
+    assert "grad-check needs --seed >= 0" in captured.err
     assert captured.err.count("\n") == 1, captured.err
 
 

@@ -47,6 +47,20 @@ def test_sgd_weight_decay_enters_gradient():
     np.testing.assert_allclose(new["p"], [1.0])  # g_eff = 0.5 * 2
 
 
+def test_sgd_lookahead_is_the_step_at_its_rate_and_keeps_the_velocity():
+    opt = SgdMomentum(lr=0.01, momentum=0.9, weight_decay=0.5)
+    p, g = params_of(p=[1.0, -2.0]), params_of(p=[0.5, 3.0])
+    for _ in range(2):  # with an empty velocity, then after one step
+        before = {k: v.copy() for k, v in opt.velocity.items()}
+        ahead = opt.lookahead(p, g, 0.3)
+        assert opt.velocity.keys() == before.keys()
+        for k, v in before.items():
+            np.testing.assert_array_equal(opt.velocity[k], v)
+        opt.lr = 0.3
+        p = opt.step(p, g)
+        np.testing.assert_array_equal(ahead["p"], p["p"])
+
+
 def test_adam_zero_gradient_first_step_is_identity():
     opt = Adam(lr=0.01, weight_decay=0.0)
     p = params_of(p=[1.0, -3.0])

@@ -15,6 +15,7 @@ from cellsearch.fidelity import (
     make_tiny_cell_task,
     unrolled_objective,
 )
+from cellsearch.optim import SgdMomentum
 from cellsearch.search import (
     WRT_BOTH,
     CandidateResult,
@@ -89,9 +90,9 @@ def test_unrolled_weights_fixed_point_at_inner_optimum(toy):
 
 def test_unrolled_weights_momentum_composite(toy):
     weights, alpha = toy_state()
-    velocity = {"w": np.asarray(3.0)}
-    stepped = unrolled_weights(toy, weights, alpha, 0.1, None,
-                               velocity=velocity, momentum=0.9, weight_decay=0.0)
+    optimizer = SgdMomentum(0.025, momentum=0.9, weight_decay=0.0)
+    optimizer.velocity = {"w": np.asarray(3.0)}
+    stepped = unrolled_weights(toy, weights, alpha, 0.1, None, optimizer=optimizer)
     # gradient is 2w - 2a = -8; composite step uses 0.9*3 + (-8) = -5.3
     assert stepped["w"] == pytest.approx(-2.0 - 0.1 * (-5.3))
 
@@ -606,15 +607,16 @@ def test_momentum_lookahead_gradient_close_to_differenced_objective():
         alpha = {k: rng.normal(scale=0.5, size=v.shape) for k, v in task.init_alpha().items()}
         train_batch = task.batch("train", 16, rng)
         val_batch = task.batch("val", 16, rng)
-        velocity = {k: rng.normal(size=w.shape) for k, w in weights.items()}
-        unroll = dict(velocity=velocity, momentum=0.9, weight_decay=3e-4)
+        optimizer = SgdMomentum(0.025, momentum=0.9, weight_decay=3e-4)
+        optimizer.velocity = {k: rng.normal(size=w.shape) for k, w in weights.items()}
         grads, _ = arch_gradient_second_order(task, weights, alpha, 0.1,
-                                              train_batch, val_batch, **unroll)
+                                              train_batch, val_batch, optimizer=optimizer)
         keys = list(alpha)
 
         def objective(arrays):
             probe = dict(zip(keys, arrays))
-            lookahead = unrolled_weights(task, weights, probe, 0.1, train_batch, **unroll)
+            lookahead = unrolled_weights(task, weights, probe, 0.1, train_batch,
+                                         optimizer=optimizer)
             return loss_value(task, "val", lookahead, probe, val_batch)
 
         oracle = finite_difference(lambda probes: [objective(point) for point in zip(*probes)],

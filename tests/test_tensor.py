@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cellsearch import tensor
-from cellsearch.gradcheck import _case_for, check_all_primitives, check_kind
+from cellsearch.gradcheck import _case_for, _scalarize, check_all_primitives, check_kind
 from cellsearch.tensor import (
     ShapeError,
     Tape,
@@ -352,15 +352,17 @@ def test_requires_grad_set_at_record_time():
 def test_single_parameter_gradient_bit_identical_to_all_parameter_gradient(kind):
     rng = np.random.default_rng(17)
     for _ in range(5):
-        arrays, build = _case_for(kind, rng)
+        arrays, fn = _case_for(kind, rng)
         with Tape():
             params = [Value.param(a) for a in arrays]
-            loss = build(params)
+            out = fn(params)
+            coeffs = rng.normal(size=out.shape)
+            loss = _scalarize(out, coeffs)
         backward(loss)
         for k, expected in enumerate(p.grad for p in params):
             with Tape():
                 inputs = [Value.param(a) if i == k else Value(a) for i, a in enumerate(arrays)]
-                loss = build(inputs)
+                loss = _scalarize(fn(inputs), coeffs)
             backward(loss, wrt=[inputs[k]])
             assert np.array_equal(inputs[k].grad, expected), (kind, k)
 

@@ -5,7 +5,8 @@
 Runs each command below with ``CHECKOUT/src`` first on the import path and
 keeps, per command, ``OUTDIR/<name>/``: ``stdout``, ``stderr``, ``exit_code``
 and the ``out/`` tree the command's ``--out`` wrote. The configs the commands
-read are derived from ``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``.
+read (one per search, and one for the random search) are derived from
+``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``.
 Commands run in ``OUTDIR`` with relative paths, and the checkout's path is
 written as ``CHECKOUT`` in stderr, so two checkouts that behave the same give
 two OUTDIRs that ``diff -r`` finds identical. That is the check a refactor
@@ -26,8 +27,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Config name -> (file under CHECKOUT/configs, keys to set in it).
-CONFIGS = {
+# Search name -> (file under CHECKOUT/configs, keys to set in it).
+SEARCHES = {
     "desk-second-order": ("desk.cfg", {}),
     "desk-first-order": ("desk.cfg", {"mode": "first-order"}),
     "desk-joint-coordinate": ("desk.cfg", {"mode": "joint", "joint_submode": "coordinate"}),
@@ -38,6 +39,8 @@ CONFIGS = {
     # a search whose weights overflow (exit 3), so the failing path is covered too
     "desk-diverging": ("desk.cfg", {"weight_lr": "1e9", "clip_norm": "none", "anneal": "false"}),
 }
+# Config name -> the same, for every config a command reads.
+CONFIGS = {**SEARCHES, "random-search": ("desk.cfg", {"n_samples": "4"})}
 
 
 def with_keys(text: str, keys: dict[str, str]) -> str:
@@ -59,12 +62,11 @@ def final_alpha(outdir: Path, search: str) -> str:
 def commands(outdir: Path):
     """(name, argv) per command, in run order. A generator, so a derive
     step reads the snapshots of the searches that ran before it."""
-    for name in CONFIGS:
+    for name in SEARCHES:
         yield f"search-{name}", ["search", "--config", f"inputs/{name}.cfg",
                                  "--out", f"search-{name}/out"]
-    yield "toy-bilevel", ["toy-bilevel", "--unroll-lr", "0.5", "--out", "toy-bilevel/out"]
-    yield "random-search", ["random-search", "--config", "inputs/desk-second-order.cfg",
-                            "--samples", "4", "--out", "random-search/out"]
+    yield "random-search", ["random-search", "--config", "inputs/random-search.cfg",
+                            "--out", "random-search/out"]
     for cell, cfg in (("mean", "desk-second-order"), ("concat", "desk-concat")):
         genotype = f"derive-{cell}/out/genotype.json"
         yield f"derive-{cell}", ["derive", "--alpha", final_alpha(outdir, f"search-{cfg}"),
