@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor
-from .ops import EDGE_TERMS, NON_ZERO_OPS, OP_ORDER, apply_op
+from .ops import NON_ZERO_OPS, OP_ORDER, apply_op
 from .tensor import ShapeError, Value
 
 
@@ -137,7 +137,7 @@ def mixed_edge_forward(alpha_vecs: Sequence[Value], states: Sequence[Value],
     operation. Edge k reads ``alpha_vecs[k]``, ``states[k]`` and row k of the
     node's block. The softmax runs over the whole registry, so the zero logit,
     whose term vanishes, still shapes the other weights."""
-    return tensor.mixed_edge(alpha_vecs, states, block, EDGE_TERMS)
+    return tensor.mixed_edge(alpha_vecs, states, block)
 
 
 def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
@@ -146,7 +146,7 @@ def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
         for node in intermediates[1:]:
             acc = tensor.add(acc, node)
         return tensor.scale(acc, 1.0 / len(intermediates))
-    return tensor.concatenate(intermediates, axis=-1)
+    return tensor.concatenate(intermediates)
 
 
 def _check_inputs(spec: CellSpec, inputs: Sequence[Value]) -> None:

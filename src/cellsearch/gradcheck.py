@@ -95,14 +95,10 @@ def _case_for(kind: str, rng):
         x = rng.normal(size=shape)
         return [x], lambda vals: tensor.softmax(vals[0], axis=axis)
     if kind == "concatenate":
-        base = _rand_shape(rng)
-        axis = int(rng.integers(0, len(base)))
-        parts = []
-        for _ in range(int(rng.integers(2, 4))):
-            shape = list(base)
-            shape[axis] = int(rng.integers(1, 4))
-            parts.append(rng.normal(size=tuple(shape)))
-        return parts, lambda vals: tensor.concatenate(list(vals), axis=axis)
+        lead = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(0, 3))))
+        parts = [rng.normal(size=(*lead, int(rng.integers(1, 4))))
+                 for _ in range(int(rng.integers(2, 4)))]
+        return parts, lambda vals: tensor.concatenate(list(vals))
     if kind == "mean-over-axis":
         shape = _rand_shape(rng)
         axis = None if rng.random() < 0.3 else int(rng.integers(0, len(shape)))
@@ -127,10 +123,9 @@ def _case_for(kind: str, rng):
         labels = rng.integers(0, classes, size=batch).astype(np.float64)
         return [logits], lambda vals: tensor.cross_entropy(vals[0], Value(labels))
     if kind == "mixed-edge":
-        terms = tuple(rng.permutation(["zero", "identity", *tensor.ACTIVATION_RULES]))
         j, rows, d = int(rng.integers(1, 3)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        logits = list(rng.normal(size=(j, len(terms))))
-        relu = [t for t in terms if t in tensor.ACTIVATION_RULES].index("relu")
+        logits = list(rng.normal(size=(j, len(tensor.EDGE_TERMS))))
+        relu = list(tensor.ACTIVATION_RULES).index("relu")
         # keep relu pre-activations away from the kink so the FD step cannot cross it
         relu_margin = 0.0
         while relu_margin < 0.1:
@@ -138,7 +133,7 @@ def _case_for(kind: str, rng):
             block = rng.normal(size=(j, d, len(tensor.ACTIVATION_RULES) * d))
             relu_margin = np.min(np.abs(x @ block[..., relu * d:(relu + 1) * d]))
         return ([*logits, *x, block],
-                lambda vals: tensor.mixed_edge(vals[:j], vals[j:2 * j], vals[2 * j], terms))
+                lambda vals: tensor.mixed_edge(vals[:j], vals[j:2 * j], vals[2 * j]))
     raise ValueError(f"no gradient-check case for kind {kind!r}")
 
 

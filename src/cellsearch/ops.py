@@ -18,16 +18,11 @@ from .tensor import Value
 
 # Each kind with the term it adds to a fused mixed edge (``tensor.mixed_edge``):
 # nothing, its input, or that activation primitive of its input times its matrix.
-OPS: dict[str, str] = {
-    "zero": "zero",
-    "identity": "identity",
-    "linear_tanh": "tanh",
-    "linear_relu": "relu",
-    "linear_sigmoid": "sigmoid",
-}
+# The registry order is the edge's term order, ``tensor.EDGE_TERMS``.
+OPS: dict[str, str] = {"zero": "zero", "identity": "identity",
+                       **{f"linear_{t}": t for t in tensor.ACTIVATION_RULES}}
 OP_ORDER: tuple[str, ...] = tuple(OPS)
 NON_ZERO_OPS: tuple[str, ...] = OP_ORDER[1:]
-EDGE_TERMS: tuple[str, ...] = tuple(OPS.values())
 PARAMETERIZED_OPS: tuple[str, ...] = tuple(k for k in OPS if OPS[k] in tensor.ACTIVATION_RULES)
 
 

@@ -22,6 +22,7 @@ validation metric.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -68,6 +69,10 @@ BILEVEL_MODES = ("second-order", "first-order")
 MODES = BILEVEL_MODES + ("joint",)
 JOINT_SUBMODES = ("coordinate", "simultaneous")
 ARCH_OPTIMIZERS = ("adam", "sgd")
+# The range of hvp_epsilon_scale. Far below it the difference is rounding error,
+# and exactly 0 once the perturbed weights round back to the weights; above it
+# the difference is no longer local.
+MIN_EPSILON_SCALE, MAX_EPSILON_SCALE = 1e-10, 1.0
 
 
 @dataclass
@@ -119,8 +124,9 @@ class SearchConfig:
             raise ConfigError("budgets must be non-negative, batch sizes positive")
         if self.seed < 0 or self.eval_seed < 0:
             raise ConfigError("seeds must be non-negative")
-        if self.hvp_epsilon_scale <= 0:
-            raise ConfigError("finite-difference scale must be positive")
+        if not MIN_EPSILON_SCALE <= self.hvp_epsilon_scale <= MAX_EPSILON_SCALE:
+            raise ConfigError(f"hvp_epsilon_scale must be in [{MIN_EPSILON_SCALE}, "
+                              f"{MAX_EPSILON_SCALE}], got {self.hvp_epsilon_scale}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ConfigError("Adam betas must be in [0, 1)")
         if not 0 <= self.momentum < 1:
@@ -382,13 +388,26 @@ def _make_arch_optimizer(config: SearchConfig):
                        weight_decay=config.weight_decay_alpha)
 
 
+def _weight_training(config: SearchConfig, steps: int):
+    """The weight optimizer and its rate at each of ``steps`` steps: cosine
+    annealed to 0 when ``config.anneal`` is set, constant otherwise."""
+    opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
+                      weight_decay=config.weight_decay_weights)
+    if config.anneal and steps:
+        return opt, map(CosineSchedule(config.weight_lr, steps).rate, range(steps))
+    return opt, itertools.repeat(config.weight_lr, steps)
+
+
+def _clipped(config: SearchConfig, wgrads: Params) -> Params:
+    """The weight gradients clipped to ``config.clip_norm``, unchanged if it is None."""
+    return wgrads if config.clip_norm is None else clip_global_norm(wgrads, config.clip_norm)[0]
+
+
 def _weight_step(problem, config, weights, alpha, rng, counters, split="train"):
     batch = problem.batch(split, config.batch_size, rng)
     loss, wgrads, _ = loss_and_grads(problem, split, weights, alpha, batch,
                                      wrt=("weights",), counters=counters)
-    if config.clip_norm is not None:
-        wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
-    return loss, wgrads
+    return loss, _clipped(config, wgrads)
 
 
 # Each step function takes one iteration and returns (train loss, val loss,
@@ -445,8 +464,7 @@ def _joint_step(problem, config, t, traj, w_opt, a_opt, rng):
     else:
         train_loss, wgrads, agrads = loss_and_grads(problem, "joint", weights, alpha, batch,
                                                     wrt=WRT_BOTH, counters=traj.counters)
-        if config.clip_norm is not None:
-            wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
+        wgrads = _clipped(config, wgrads)
         arch_loss = train_loss
         traj.final_alpha = a_opt.step(alpha, agrads)
     traj.final_weights = w_opt.step(weights, wgrads)
@@ -467,15 +485,12 @@ def search(config: SearchConfig, problem,
     rng = np.random.default_rng(config.seed)
     traj = Trajectory(final_weights=problem.init_weights(config.seed),
                       final_alpha=problem.init_alpha())
-    w_opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
-                        weight_decay=config.weight_decay_weights)
+    w_opt, rates = _weight_training(config, config.steps)
     a_opt = _make_arch_optimizer(config)
-    schedule = (CosineSchedule(config.weight_lr, config.steps)
-                if config.anneal and config.steps else None)
     start = time.perf_counter()
 
-    for t in range(config.steps):
-        w_opt.lr = schedule.rate(t) if schedule is not None else config.weight_lr
+    for t, rate in enumerate(rates):
+        w_opt.lr = rate
         try:
             train_loss, val_loss, epsilon = step(problem, config, t, traj, w_opt, a_opt, rng)
         except NumericalError as exc:
@@ -510,23 +525,17 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[f
     """
     rng = np.random.default_rng(config.eval_seed)
     weights = problem.model.init_genotype_weights(genotype, config.eval_seed)
-    opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
-                      weight_decay=config.weight_decay_weights)
-    schedule = (CosineSchedule(config.weight_lr, config.eval_steps)
-                if config.anneal and config.eval_steps else None)
+    opt, rates = _weight_training(config, config.eval_steps)
 
-    for t in range(config.eval_steps):
-        opt.lr = schedule.rate(t) if schedule is not None else config.weight_lr
+    for rate in rates:
+        opt.lr = rate
         features, labels = problem.batch("train", config.eval_batch_size, rng)
         with Tape():
             wv = _wrap(weights)
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss)
         backward(loss, wrt=wv.values())
-        wgrads = _grads_from(wv, "retraining loss")
-        if config.clip_norm is not None:
-            wgrads, _ = clip_global_norm(wgrads, config.clip_norm)
-        weights = opt.step(weights, wgrads)
+        weights = opt.step(weights, _clipped(config, _grads_from(wv, "retraining loss")))
 
     return problem.split_accuracy(weights, genotype, "val"), weights
 

@@ -322,6 +322,8 @@ class DataConfig:
                 raise DataError(f"data {f.name} must be finite, got {value}")
         if self.seed < 0:
             raise DataError(f"data seed must be non-negative, got {self.seed}")
+        if self.noise < 0:
+            raise DataError(f"data noise must be non-negative, got {self.noise}")
 
     def build(self) -> Dataset:
         """The tagged dataset. A file without val rows gets test rows carved

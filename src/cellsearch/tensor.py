@@ -19,6 +19,8 @@ primitive, so every record a program makes shows at its call site.
 
 Shape rules are deliberately narrow: elementwise primitives require identical
 shapes, and the only broadcasting allowed is a 0-d scalar against a tensor.
+``concatenate`` joins along the last axis only, and the mixed-edge node
+weighs one fixed term order, ``EDGE_TERMS``.
 Everything is float64; the finite-difference machinery built on top of this
 engine is too sensitive to rounding for single precision.
 
@@ -34,7 +36,6 @@ one shared across slices gets the sum of theirs.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -324,6 +325,9 @@ ACTIVATION_RULES = {
     "sigmoid": (_sigmoid_forward, _sigmoid_backward),
 }
 
+# The logit order of every mixed edge: what ``softmax(logits)[i]`` weights.
+EDGE_TERMS: tuple[str, ...] = ("zero", "identity", *ACTIVATION_RULES)
+
 
 def _activation(kind: str, x: Value) -> Value:
     forward, backward_rule = ACTIVATION_RULES[kind]
@@ -370,32 +374,13 @@ def softmax(x: Value, axis: int = -1) -> Value:
     return _emit("softmax-over-axis", (x,), y, back)
 
 
-@functools.lru_cache(maxsize=256)
-def _edge_plan(terms: tuple[str, ...], d: int):
-    """The activation-term count of a mixed edge and, per non-zero term, its
-    logit index, activation rules (None for identity) and columns of z.
-
-    A search calls ``mixed_edge`` with a few term tuples, so the plan is built
-    once per tuple and width; the cache is bounded and its entries immutable.
-    """
-    plan, n_act = [], 0
-    for i, term in enumerate(terms):
-        if term == "identity":
-            plan.append((i, None, None))
-        elif term != "zero":
-            plan.append((i, ACTIVATION_RULES[term], slice(n_act * d, (n_act + 1) * d)))
-            n_act += 1
-    return n_act, tuple(plan)
-
-
-def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value,
-               terms: Sequence[str]) -> Value:
+def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value) -> Value:
     """One intermediate node as one record: the sum over its incoming edges,
     in order, of each edge's softmax-weighted candidate terms.
 
-    Edge k reads ``logits[k]``, ``states[k]`` and ``block[k]``, a ``(d, n * d)``
-    slab. ``terms[i]`` names what ``softmax(logits[k])[i]`` weights: ``"zero"``
-    (nothing), ``"identity"`` (``states[k]``) or an activation kind of
+    Edge k reads ``logits[k]``, ``states[k]`` and ``block[k]``, a ``(d, 3 * d)``
+    slab. ``softmax(logits[k])`` weights the terms of ``EDGE_TERMS`` in order:
+    zero (nothing), identity (``states[k]``), then each activation of
     ``ACTIVATION_RULES`` applied to ``states[k] @ W``, W being the slab's next
     ``d`` columns. The zero term is skipped, which is exact for finite states;
     its logit still counts in the softmax. Stacked, the logits, states and
@@ -405,23 +390,24 @@ def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value,
     shape = states[0].data.shape if j else ()
     lead = shape[:-2]
     d = shape[-1] if 2 <= len(shape) <= 3 else -1
-    n_act, plan = _edge_plan(tuple(terms), d)
     _shape_guard(
         "mixed-edge",
         d >= 0 and len(logits) == j and all(x.data.shape == shape for x in states)
-        and all(a.data.shape == (*lead, len(terms)) for a in logits)
-        and block.data.shape == (*lead, j, d, n_act * d),
+        and all(a.data.shape == (*lead, len(EDGE_TERMS)) for a in logits)
+        and block.data.shape == (*lead, j, d, len(ACTIVATION_RULES) * d),
         *logits, *states, block,
     )
     xd = np.concatenate([x.data[..., None, :, :] for x in states], axis=-3)
     wd = block.data
     w = _softmax_forward(np.concatenate([a.data[..., None, :] for a in logits], axis=-2), -1)
     # Indexed by term: per edge, its weight as a (1, 1) block against its rows.
-    tw = [w[..., i, None, None] for i in range(len(terms))]
+    tw = [w[..., i, None, None] for i in range(len(EDGE_TERMS))]
+    rules = list(ACTIVATION_RULES.values())
+    cols = [slice(n * d, (n + 1) * d) for n in range(len(rules))]
     z = xd @ wd
-    ys = [xd if rules is None else rules[0](z[..., cols]) for _, rules, cols in plan]
-    e = np.zeros_like(xd)
-    for (i, _, _), y in zip(plan, ys):
+    ys = [forward(z[..., c]) for (forward, _), c in zip(rules, cols)]
+    e = np.zeros_like(xd) + tw[1] * xd
+    for i, y in enumerate(ys, start=2):
         e = e + tw[i] * y
     out = e.sum(axis=-3)
 
@@ -430,21 +416,18 @@ def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value,
         dlogits, dstates, dblock = [None] * j, [None] * j, None
         if True in need[:j]:
             dw = np.zeros_like(w)
-            for (i, _, _), y in zip(plan, ys):
+            dw[..., 1] = (ge * xd).sum(axis=(-2, -1))
+            for i, y in enumerate(ys, start=2):
                 dw[..., i] = (ge * y).sum(axis=(-2, -1))
             dl = _softmax_backward(dw, w, -1)
             dlogits = [dl[..., k, :] for k in range(j)]
         need_states = True in need[j:2 * j]
         if need_states or need[2 * j]:
             dz = np.empty_like(z)
-            for (i, rules, cols), y in zip(plan, ys):
-                if rules is not None:
-                    dz[..., cols] = rules[1](ge * tw[i], z[..., cols], y)
+            for i, ((_, backward_rule), c, y) in enumerate(zip(rules, cols, ys), start=2):
+                dz[..., c] = backward_rule(ge * tw[i], z[..., c], y)
             if need_states:
-                dx = dz @ wd.mT
-                for i, rules, _ in plan:
-                    if rules is None:
-                        dx = dx + ge * tw[i]
+                dx = dz @ wd.mT + ge * tw[1]
                 dstates = [dx[..., k, :, :] for k in range(j)]
             if need[2 * j]:
                 dblock = xd.mT @ dz
@@ -453,24 +436,19 @@ def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value,
     return _emit("mixed-edge", (*logits, *states, block), out, back)
 
 
-def concatenate(values: Sequence[Value], axis: int = 0) -> Value:
-    _shape_guard("concatenate", len(values) >= 1)
-    base = list(values[0].shape)
-    for v in values[1:]:
-        other = list(v.shape)
-        same_rank = len(other) == len(base)
-        _shape_guard("concatenate", same_rank, values[0], v)
-        probe = [d for i, d in enumerate(other) if i != axis % len(base)]
-        ref = [d for i, d in enumerate(base) if i != axis % len(base)]
-        _shape_guard("concatenate", probe == ref, values[0], v)
-    sizes = [v.shape[axis % v.ndim] for v in values]
-    offsets = np.cumsum(sizes)[:-1]
+def concatenate(values: Sequence[Value]) -> Value:
+    """Join along the last axis. Every value has at least one axis, and all
+    share the leading shape."""
+    lead = values[0].shape[:-1] if values else ()
+    _shape_guard("concatenate", len(values) >= 1 and all(
+        v.ndim >= 1 and v.shape[:-1] == lead for v in values), *values)
+    offsets = np.cumsum([v.shape[-1] for v in values])[:-1]
 
     def back(g, need):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, offsets, axis=-1))
 
     return _emit(
-        "concatenate", tuple(values), np.concatenate([v.data for v in values], axis=axis), back
+        "concatenate", tuple(values), np.concatenate([v.data for v in values], axis=-1), back
     )
 
 

@@ -28,7 +28,6 @@ from cellsearch.network import CellClassifier
 from cellsearch.ops import (
     NON_ZERO_OPS,
     OP_ORDER,
-    OPS,
     PARAMETERIZED_OPS,
     apply_op,
     init_linear,
@@ -73,8 +72,11 @@ def make_params(spec, seed=0):
     return {name: Value(block) for name, block in blocks.items()}
 
 
-def no_matrices(edges, d):
-    return Value(np.zeros((edges, d, 0)))
+def zero_block(edges, d):
+    return Value(np.zeros((edges, d, len(PARAMETERIZED_OPS) * d)))
+
+
+OFF = -1e3  # a logit whose softmax weight is exactly 0.0 beside logits near 0
 
 
 # --- mixed edge -------------------------------------------------------------
@@ -82,14 +84,13 @@ def no_matrices(edges, d):
 
 def test_mixed_edge_uniform_zero_identity_halves_input():
     x = rows(2.0, -4.0)
-    out = tensor.mixed_edge([Value([0.0, 0.0])], [x], no_matrices(1, 2), ("zero", "identity"))
+    out = tensor.mixed_edge([Value([0.0, 0.0, OFF, OFF, OFF])], [x], zero_block(1, 2))
     np.testing.assert_allclose(out.data, x.data / 2.0, rtol=0, atol=1e-15)
 
 
 def test_mixed_edge_exact_softmax_arithmetic():
     x = rows(3.0, 9.0)
-    out = tensor.mixed_edge([Value([np.log(2.0), 0.0])], [x], no_matrices(1, 2),
-                            ("identity", "zero"))
+    out = tensor.mixed_edge([Value([0.0, np.log(2.0), OFF, OFF, OFF])], [x], zero_block(1, 2))
     np.testing.assert_allclose(out.data, (2.0 / 3.0) * x.data, rtol=1e-15)
 
 
@@ -130,14 +131,6 @@ def test_mixed_edge_rejects_a_block_or_logit_count_unlike_its_edges(
         mixed_edge_forward(logits, states, Value(np.zeros(block_shape)))
 
 
-def fused_node(alpha_vecs, states, block, op_set):
-    """The node record: the cell's own on the registry, the primitive with the
-    same terms on any other operation set."""
-    if op_set == OP_ORDER:
-        return mixed_edge_forward(alpha_vecs, states, block)
-    return tensor.mixed_edge(alpha_vecs, states, block, tuple(OPS[kind] for kind in op_set))
-
-
 def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
     """Reference only: the mixed edge as one record per softmax, select,
     multiply, operation and add, with the zero term included."""
@@ -161,12 +154,6 @@ def unfused_node(alpha_vecs, states, edge_params, op_set):
 
 
 FUSION_RTOL = 1e-12  # float64: the two differ only in summation order
-FUSION_OP_SETS = [
-    OP_ORDER,
-    ("zero", "identity"),
-    ("identity", "zero"),
-    ("linear_sigmoid", "identity", "linear_relu", "zero", "linear_tanh"),
-]
 
 
 def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
@@ -185,7 +172,7 @@ def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
         states = [Value.param(xs[..., e, :, :]) for e in range(edges)]
         if fused:
             mats = [Value.param(block)]
-            out = fused_node(alpha, states, mats[0], op_set)
+            out = mixed_edge_forward(alpha, states, mats[0])
         else:
             per_edge = [{kind: Value.param(edge_matrix(block, e, k))
                          for k, kind in enumerate(kinds)} for e in range(edges)]
@@ -211,7 +198,7 @@ def random_node(rng, op_set, slices=()):
     return logits, xs, block, coeffs
 
 
-@pytest.mark.parametrize("op_set", FUSION_OP_SETS)
+@pytest.mark.parametrize("op_set", [OP_ORDER])
 @pytest.mark.parametrize("saturate", [False, True])
 def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
     """The node record against the per-edge reference summed over its edges,
@@ -229,7 +216,7 @@ def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
             assert relative_error(got, want) <= FUSION_RTOL
 
 
-@pytest.mark.parametrize("op_set", FUSION_OP_SETS)
+@pytest.mark.parametrize("op_set", [OP_ORDER])
 def test_stacked_mixed_edge_slices_bit_identical(op_set):
     rng = np.random.default_rng(7)
     for _ in range(10):

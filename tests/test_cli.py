@@ -479,6 +479,9 @@ def small_cfg_with(line: str) -> str:
     ("search", "config", "unroll_lr = none", "bad value for 'unroll_lr'"),
     ("search", "config", "weight_lr = inf", "weight_lr must be finite"),
     ("search", "config", "unroll_lr = -1", "unroll step must be non-negative"),
+    ("search", "config", "data_noise = -1", "data noise must be non-negative"),
+    ("search", "config", "hvp_epsilon_scale = 1e-300",
+     "hvp_epsilon_scale must be in [1e-10, 1.0]"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
@@ -493,7 +496,8 @@ def small_cfg_with(line: str) -> str:
         "derive-out-missing-parent", "evaluate-out-directory", "negative-snapshot-every",
         "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
         "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none",
-        "inf-weight-lr", "negative-unroll-lr"])
+        "inf-weight-lr", "negative-unroll-lr", "negative-data-noise",
+        "tiny-hvp-epsilon-scale"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"

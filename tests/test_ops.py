@@ -5,6 +5,7 @@ from cellsearch import tensor
 from cellsearch.ops import (
     NON_ZERO_OPS,
     OP_ORDER,
+    OPS,
     PARAMETERIZED_OPS,
     OpError,
     apply_op,
@@ -17,6 +18,7 @@ from cellsearch.tensor import Tape, Value, backward, finite_difference, relative
 def test_registry_order_is_fixed():
     assert OP_ORDER == ("zero", "identity", "linear_tanh", "linear_relu", "linear_sigmoid")
     assert NON_ZERO_OPS == OP_ORDER[1:]
+    assert tuple(OPS.values()) == tensor.EDGE_TERMS
 
 
 def test_zero_op_outputs_zeros():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from pathlib import Path
 
@@ -5,7 +6,13 @@ import numpy as np
 import pytest
 
 from cellsearch.cell import CellSpec
-from cellsearch.cli import build_problem, load_config, search_config_from
+from cellsearch.cli import (
+    build_problem,
+    cell_spec_from,
+    data_config_from,
+    load_config,
+    search_config_from,
+)
 from cellsearch.fidelity import (
     QuadraticBilevelProblem,
     check_networks_eps_rule,
@@ -26,6 +33,7 @@ from cellsearch.search import (
     _grads_from,
     arch_gradient_first_order,
     arch_gradient_second_order,
+    desk_search_config,
     hvp_finite_difference,
     loss_and_grads,
     loss_value,
@@ -41,7 +49,8 @@ from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask
 from cellsearch.tensor import Value, finite_difference, relative_error, scale
 from test_tasks import toy_losses
 
-DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DESK_CFG = CONFIGS / "desk.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +417,17 @@ def test_divergence_in_weight_step_keeps_that_iterations_arch_step(mode, split, 
     assert traj.final_weights["w"] == before.final_weights["w"]
     assert traj.final_alpha["alpha"] == after.final_alpha["alpha"]
     assert after.final_alpha["alpha"] != before.final_alpha["alpha"]
+
+
+def test_preset_config_files_hold_the_library_presets():
+    """Each preset lives twice, as a config file and as a library function; the
+    copies differ only where noted."""
+    toy = search_config_from(load_config(CONFIGS / "toy.cfg"))
+    assert dataclasses.replace(toy, batch_size=1) == toy_search_config()  # the toy ignores it
+    desk = load_config(DESK_CFG)
+    assert dataclasses.replace(search_config_from(desk), snapshot_every=0) == desk_search_config()
+    assert data_config_from(desk) == DataConfig()
+    assert cell_spec_from(desk) == CellSpec()
 
 
 # --- joint optimization -------------------------------------------------------

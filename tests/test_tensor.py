@@ -197,6 +197,15 @@ def test_shape_mismatch_diagnostic_names_primitive_and_shapes():
         tensor.add(Value([1.0, 2.0]), Value([1.0, 2.0, 3.0]))
 
 
+def test_concatenate_joins_the_last_axis_of_one_leading_shape():
+    out = tensor.concatenate([Value(np.ones((2, 1))), Value(np.zeros((2, 3)))])
+    np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0, 0.0]] * 2)
+    with pytest.raises(ShapeError, match=r"concatenate.*\(2, 3\).*\(3, 3\)"):
+        tensor.concatenate([Value(np.ones((2, 3))), Value(np.ones((3, 3)))])
+    with pytest.raises(ShapeError, match="concatenate"):
+        tensor.concatenate([Value(np.ones(2)), Value(1.0)])
+
+
 def test_scalar_broadcast_allowed_only_for_zero_dim():
     out = tensor.add(Value(np.ones((2, 3))), Value(2.0))
     np.testing.assert_array_equal(out.data, np.full((2, 3), 3.0))
