@@ -39,7 +39,6 @@ from .ops import OP_ORDER
 from .optim import OptimizerError
 from .search import (
     ARCH_OPTIMIZERS,
-    JOINT_SUBMODES,
     MODES,
     ConfigError,
     NumericalError,
@@ -93,8 +92,7 @@ DATA_KEYS = {"data_n": "n", "data_dims": "dims", "data_classes": "classes",
 # Every search field is a key of its own name.
 SEARCH_KEYS = {f.name: f.name for f in dataclasses.fields(SearchConfig)}
 
-_CHOICES = {"mode": MODES, "joint_submode": JOINT_SUBMODES,
-            "arch_optimizer": ARCH_OPTIMIZERS, "reduction": REDUCTIONS}
+_CHOICES = {"mode": MODES, "arch_optimizer": ARCH_OPTIMIZERS, "reduction": REDUCTIONS}
 _NONE_WORDS = {"unroll_lr": "auto", "clip_norm": "none"}  # optional float -> its word
 _CASTS = {"int": int, "float": float, "bool": _cast_bool, "str | None": str}
 
@@ -216,19 +214,15 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_manifest(out_dir: Path, cfg: dict, seeds: list[int]) -> None:
+def write_manifest(out_dir: Path, cfg: dict, seeds: list[int], layout: dict[str, str]) -> None:
+    """The manifest; ``layout`` names each file or directory the command wrote."""
     doc = {
         "tool": "cellsearch",
         "version": __version__,
         "config_hash": config_hash(cfg),
         "config": {k: str(cfg[k]) for k in sorted(cfg)},
         "seeds": seeds,
-        "layout": {
-            "trajectory": "trajectory.csv",
-            "alpha_dir": "alpha",
-            "genotype": "genotype.json",
-            "summary": "summary.txt",
-        },
+        "layout": layout,
     }
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -307,13 +301,16 @@ def cmd_search(args) -> int:
             return ""
 
     traj = search(config, problem, snapshot_hook=snapshot_hook)
+    layout = {"trajectory": "trajectory.csv", "summary": "summary.txt"}
     if problem.has_cell:
+        layout["alpha_dir"] = "alpha"
         final_name = f"alpha/step_{len(traj.records):06d}.tsv"
         (out / final_name).write_text(format_alpha(traj.final_alpha))
         if traj.genotype is not None:
+            layout["genotype"] = "genotype.json"
             (out / "genotype.json").write_text(traj.genotype.to_json())
     write_trajectory(out, traj)
-    write_manifest(out, cfg, [config.seed])
+    write_manifest(out, cfg, [config.seed], layout)
     write_summary(out, _search_summary(config, traj, problem))
     if traj.diverged:
         print("search diverged:", "; ".join(traj.events), file=sys.stderr)
@@ -389,7 +386,8 @@ def cmd_random_search(args) -> int:
     lines = ["sample,val_accuracy"]
     lines += [f"{i},{_fmt(score)}" for i, score in enumerate(result.scores)]
     (out / "samples.csv").write_text("\n".join(lines) + "\n")
-    write_manifest(out, cfg, [config.seed])
+    write_manifest(out, cfg, [config.seed], {
+        "genotype": "genotype.json", "samples": "samples.csv", "summary": "summary.txt"})
     write_summary(out, {
         "mode": "random",
         "samples": n_samples,

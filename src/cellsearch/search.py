@@ -13,11 +13,11 @@ of the training loss at w +/- eps*v with eps = scale / ||v||. With xi = 0 the
 correction vanishes and the step reduces to the plain validation gradient at
 the current weights (first-order mode).
 
-Baselines live here too: joint optimization of both groups on pooled
-train+val data (coordinate or simultaneous; the same loop with another step),
-uniform random architecture sampling scored by from-scratch retraining, and
-multi-seed selection that ranks searched genotypes by their from-scratch
-validation metric.
+Baselines live here too: joint optimization of both groups by coordinate
+descent on pooled train+val data (the first-order iteration with both steps
+on the pooled split), uniform random architecture sampling scored by
+from-scratch retraining, and multi-seed selection that ranks searched
+genotypes by their from-scratch validation metric.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ class EvalCounters:
     weight_grad_evals: int = 0
 
 
-BILEVEL_MODES = ("second-order", "first-order")
-MODES = BILEVEL_MODES + ("joint",)
-JOINT_SUBMODES = ("coordinate", "simultaneous")
+MODES = ("second-order", "first-order", "joint")
 ARCH_OPTIMIZERS = ("adam", "sgd")
 # The range of hvp_epsilon_scale. Far below it the difference is rounding error,
 # and exactly 0 once the perturbed weights round back to the weights; above it
@@ -96,7 +94,6 @@ class SearchConfig:
     anneal: bool = True
     clip_norm: float | None = 5.0
     momentum_unroll: bool = False
-    joint_submode: str = "coordinate"
     eval_steps: int = 150
     eval_batch_size: int = 64
     eval_seed: int = 1234
@@ -109,8 +106,6 @@ class SearchConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.joint_submode not in JOINT_SUBMODES:
-            raise ConfigError(f"unknown joint sub-mode {self.joint_submode!r}")
         if self.arch_optimizer not in ARCH_OPTIMIZERS:
             raise ConfigError(f"unknown arch optimizer {self.arch_optimizer!r}")
         if not (self.weight_lr >= 0 and self.arch_lr >= 0):
@@ -399,113 +394,83 @@ def _weight_training(config: SearchConfig, steps: int):
 
 
 def _clipped(config: SearchConfig, wgrads: Params) -> Params:
-    """The weight gradients clipped to ``config.clip_norm``, unchanged if it is None."""
-    return wgrads if config.clip_norm is None else clip_global_norm(wgrads, config.clip_norm)[0]
+    """The weight gradients clipped to ``config.clip_norm``, unchanged if it is None.
+
+    Finite gradients whose norm overflows would be scaled to zero; that
+    stops the run instead.
+    """
+    if config.clip_norm is None:
+        return wgrads
+    clipped, norm = clip_global_norm(wgrads, config.clip_norm)
+    if not math.isfinite(norm):
+        raise NumericalError("weight gradient norm overflowed")
+    return clipped
 
 
-def _weight_step(problem, config, weights, alpha, rng, counters, split="train"):
+def _weight_step(problem, config, weights, alpha, rng, counters, split):
     batch = problem.batch(split, config.batch_size, rng)
     loss, wgrads, _ = loss_and_grads(problem, split, weights, alpha, batch,
                                      wrt=("weights",), counters=counters)
     return loss, _clipped(config, wgrads)
 
 
-# Each step function takes one iteration and returns (train loss, val loss,
-# epsilon). It replaces traj.final_alpha and traj.final_weights as each update
-# lands, so a divergence midway leaves the updates made before it in place.
-
-
-def _bilevel_step(problem, config, t, traj, w_opt, a_opt, rng):
-    """Architecture step on a validation batch, then a weight step.
-
-    Second-order mode draws a training batch for the lookahead between the
-    two batches.
-    """
-    weights, alpha = traj.final_weights, traj.final_alpha
-    val_batch = problem.batch("val", config.batch_size, rng)
-    epsilon = None
-    if config.mode == "second-order":
-        unroll_batch = problem.batch("train", config.batch_size, rng)
-        unroll_lr = w_opt.lr if config.unroll_lr is None else config.unroll_lr
-        agrads, info = arch_gradient_second_order(
-            problem, weights, alpha, unroll_lr, unroll_batch, val_batch,
-            counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
-            optimizer=w_opt if config.momentum_unroll else None,
-        )
-        val_loss, epsilon = info.val_loss, info.epsilon
-        if info.correction_skipped:
-            traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
-    else:
-        agrads, val_loss = arch_gradient_first_order(
-            problem, weights, alpha, val_batch, counters=traj.counters
-        )
-    traj.final_alpha = alpha = a_opt.step(alpha, agrads)
-    train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng, traj.counters)
-    traj.final_weights = w_opt.step(weights, wgrads)
-    return train_loss, val_loss, epsilon
-
-
-def _joint_step(problem, config, t, traj, w_opt, a_opt, rng):
-    """Both groups on pooled train+val data (no bilevel split).
-
-    ``coordinate`` takes an architecture step and then a weight step, each on
-    its own pooled batch; ``simultaneous`` takes one combined gradient step
-    from a single pooled batch. The architecture loss stands in for the
-    validation loss.
-    """
-    weights, alpha = traj.final_weights, traj.final_alpha
-    batch = problem.batch("joint", config.batch_size, rng)
-    if config.joint_submode == "coordinate":
-        arch_loss, _, agrads = loss_and_grads(problem, "joint", weights, alpha, batch,
-                                              wrt=("alpha",), counters=traj.counters)
-        traj.final_alpha = alpha = a_opt.step(alpha, agrads)
-        train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng,
-                                          traj.counters, split="joint")
-    else:
-        train_loss, wgrads, agrads = loss_and_grads(problem, "joint", weights, alpha, batch,
-                                                    wrt=WRT_BOTH, counters=traj.counters)
-        wgrads = _clipped(config, wgrads)
-        arch_loss = train_loss
-        traj.final_alpha = a_opt.step(alpha, agrads)
-    traj.final_weights = w_opt.step(weights, wgrads)
-    return train_loss, arch_loss, None
-
-
 def search(config: SearchConfig, problem,
            snapshot_hook: Callable[[int, Params], str] | None = None) -> Trajectory:
     """Alternating search: one architecture step, then one weight step.
 
-    Bilevel modes draw, per iteration, a fresh validation batch for the
-    architecture step (plus a fresh training batch for the lookahead in
-    second-order mode) and another fresh training batch for the weight step.
-    Joint mode runs the same loop with ``_joint_step``. Divergence stops the
-    loop and returns the trajectory collected so far, flagged.
+    Every mode runs the same iteration body. The architecture step takes a
+    fresh batch of its split (``val``, or ``joint`` in joint mode) and, in
+    second-order mode, a fresh training batch for the lookahead; the weight
+    step then takes a fresh batch of its split (``train``, or ``joint``). In
+    joint mode the architecture loss stands in for the validation loss.
+    Divergence stops the loop and returns the trajectory collected so far,
+    flagged; an architecture step taken before it is kept.
     """
-    step = _joint_step if config.mode == "joint" else _bilevel_step
+    arch_split, weight_split = ("joint", "joint") if config.mode == "joint" else ("val", "train")
     rng = np.random.default_rng(config.seed)
-    traj = Trajectory(final_weights=problem.init_weights(config.seed),
-                      final_alpha=problem.init_alpha())
+    traj = Trajectory()
+    weights, alpha = problem.init_weights(config.seed), problem.init_alpha()
     w_opt, rates = _weight_training(config, config.steps)
     a_opt = _make_arch_optimizer(config)
     start = time.perf_counter()
 
     for t, rate in enumerate(rates):
         w_opt.lr = rate
+        epsilon = None
         try:
-            train_loss, val_loss, epsilon = step(problem, config, t, traj, w_opt, a_opt, rng)
+            arch_batch = problem.batch(arch_split, config.batch_size, rng)
+            if config.mode == "second-order":
+                unroll_batch = problem.batch("train", config.batch_size, rng)
+                unroll_lr = w_opt.lr if config.unroll_lr is None else config.unroll_lr
+                agrads, info = arch_gradient_second_order(
+                    problem, weights, alpha, unroll_lr, unroll_batch, arch_batch,
+                    counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
+                    optimizer=w_opt if config.momentum_unroll else None,
+                )
+                arch_loss, epsilon = info.val_loss, info.epsilon
+                if info.correction_skipped:
+                    traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
+            else:
+                arch_loss, _, agrads = loss_and_grads(problem, arch_split, weights, alpha,
+                                                      arch_batch, wrt=("alpha",),
+                                                      counters=traj.counters)
+            alpha = a_opt.step(alpha, agrads)
+            train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng,
+                                              traj.counters, weight_split)
+            weights = w_opt.step(weights, wgrads)
         except NumericalError as exc:
             traj.events.append(f"iter {t}: diverged: {exc}")
             traj.diverged = True
             break
-        snapshot = snapshot_hook(t, traj.final_alpha) if snapshot_hook is not None else ""
+        snapshot = snapshot_hook(t, alpha) if snapshot_hook is not None else ""
         traj.records.append(IterationRecord(
-            iteration=t, train_loss=train_loss, val_loss=val_loss,
+            iteration=t, train_loss=train_loss, val_loss=arch_loss,
             weight_lr=w_opt.lr, hvp_epsilon=epsilon, snapshot=snapshot,
             wall_clock=time.perf_counter() - start,
         ))
 
-    traj.final_alpha = {k: v.copy() for k, v in traj.final_alpha.items()}
-    traj.final_weights = {k: v.copy() for k, v in traj.final_weights.items()}
+    traj.final_alpha = {k: v.copy() for k, v in alpha.items()}
+    traj.final_weights = {k: v.copy() for k, v in weights.items()}
     if not traj.diverged:
         traj.genotype = problem.derive(traj.final_alpha)
     return traj

@@ -122,6 +122,15 @@ def test_parse_config_optional_floats():
 # --- search command -------------------------------------------------------------
 
 
+def layout_lists_what_was_written(out: Path) -> set[str]:
+    """The keys of the manifest's layout, once its names are checked to be
+    exactly what the command wrote beside the manifest."""
+    layout = json.loads((out / "manifest.json").read_text())["layout"]
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(layout.values()) == sorted(written)
+    return set(layout)
+
+
 def test_search_missing_config_exits_2(tmp_path, capsys):
     code = main(["search", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -145,6 +154,7 @@ def test_search_toy_config_writes_trajectory_but_no_genotype(tmp_path, capsys):
     assert (out / "manifest.json").exists()
     assert not (out / "genotype.json").exists()
     assert not (out / "alpha").exists()
+    assert layout_lists_what_was_written(out) == {"trajectory", "summary"}
     body = (out / "trajectory.csv").read_text().splitlines()
     assert body[0] == "iteration,train_loss,val_loss,weight_lr,hvp_epsilon,alpha_snapshot"
     assert len(body) == 41
@@ -161,6 +171,8 @@ def test_search_synthetic_writes_valid_genotype_and_snapshots(small_cfg, tmp_pat
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [1]
     assert manifest["layout"]["trajectory"] == "trajectory.csv"
+    assert layout_lists_what_was_written(out) == {"trajectory", "summary", "alpha_dir",
+                                                  "genotype"}
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert len(rows) == 5
     assert rows[2].endswith("alpha/step_000002.tsv")
@@ -182,6 +194,7 @@ def test_search_divergence_exits_3(tmp_path, capsys):
     assert main(["search", "--config", str(cfg), "--out", str(out)]) == 3
     assert "diverged" in capsys.readouterr().err
     assert (out / "trajectory.csv").exists()  # partial trajectory still written
+    assert layout_lists_what_was_written(out) == {"trajectory", "summary", "alpha_dir"}
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -336,6 +349,7 @@ def test_random_search_writes_scores_and_best(small_cfg, tmp_path, capsys):
     assert len(rows) == 4
     best = max(float(r.split(",")[1]) for r in rows[1:])
     assert f"best_score: {best!r}" in (out / "summary.txt").read_text()
+    assert layout_lists_what_was_written(out) == {"genotype", "samples", "summary"}
 
 
 def test_random_search_rerun_byte_identical(small_cfg, tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellsearch.cell import CellSpec
+from cellsearch.cell import CellSpec, sample_genotype
 from cellsearch.cli import (
     build_problem,
     cell_spec_from,
@@ -386,6 +386,48 @@ def test_search_divergence_aborts_with_partial_trajectory(small_task):
     assert any("diverged" in e for e in traj.events)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode", ["first-order", "joint"])
+def test_overflowing_weight_gradient_norm_stops_the_search(small_task, mode):
+    # finite gradients whose norm overflows would be clipped to a zero step
+    config = SearchConfig(mode=mode, steps=50, batch_size=8, seed=0,
+                          weight_lr=1e9, anneal=False)
+    traj = search(config, small_task)
+    assert traj.diverged and len(traj.records) == 10
+    assert traj.events[-1] == "iter 10: diverged: weight gradient norm overflowed"
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_overflowing_weight_gradient_norm_stops_retraining(small_task):
+    geno = sample_genotype(small_task.spec, np.random.default_rng(0))
+    config = eval_config(weight_lr=1e9, anneal=False, eval_steps=50)
+    with pytest.raises(NumericalError, match="^weight gradient norm overflowed$"):
+        train_genotype(small_task, geno, config)
+
+
+class BatchLogToy(ToyBilevelTask):
+    """The toy problem that records the split of every batch drawn."""
+
+    def __init__(self):
+        super().__init__()
+        self.splits = []
+
+    def batch(self, split, size, rng):
+        self.splits.append(split)
+        return super().batch(split, size, rng)
+
+
+@pytest.mark.parametrize("mode, per_iteration", [
+    ("second-order", ["val", "train", "train"]),  # architecture, lookahead, weights
+    ("first-order", ["val", "train"]),
+    ("joint", ["joint", "joint"]),
+])
+def test_each_mode_draws_its_batches_in_a_fixed_order(mode, per_iteration):
+    problem = BatchLogToy()
+    search(toy_search_config(mode, steps=2), problem)
+    assert problem.splits == per_iteration * 2
+
+
 class WeightStepNanToy(ToyBilevelTask):
     """The toy problem whose fourth loss on ``split`` is NaN."""
 
@@ -433,11 +475,9 @@ def test_preset_config_files_hold_the_library_presets():
 # --- joint optimization -------------------------------------------------------
 
 
-def test_joint_simultaneous_reaches_stationary_point_of_summed_objective(toy):
+def test_joint_reaches_stationary_point_of_summed_objective(toy):
     config = toy_search_config("second-order", steps=800, weight_lr=0.2, arch_lr=0.2)
-    config = SearchConfig(**{**config.__dict__, "mode": "joint",
-                             "joint_submode": "simultaneous"})
-    traj = search(config, toy)
+    traj = search(SearchConfig(**{**config.__dict__, "mode": "joint"}), toy)
     a = float(traj.final_alpha["alpha"])
     w = float(traj.final_weights["w"])
     # summed objective gradients: d/dw = 2w - a, d/da = 2a - w - 2
@@ -447,19 +487,8 @@ def test_joint_simultaneous_reaches_stationary_point_of_summed_objective(toy):
     assert w == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
-def test_joint_submodes_agree_on_first_weight_step_when_arch_frozen(toy):
-    base = toy_search_config("second-order", steps=1, weight_lr=0.3, arch_lr=0.0)
-    coord = SearchConfig(**{**base.__dict__, "mode": "joint", "joint_submode": "coordinate"})
-    simul = SearchConfig(**{**base.__dict__, "mode": "joint", "joint_submode": "simultaneous"})
-    t_coord = search(coord, toy)
-    t_simul = search(simul, toy)
-    assert t_coord.final_weights["w"] == pytest.approx(float(t_simul.final_weights["w"]))
-    assert t_coord.final_alpha["alpha"] == pytest.approx(2.0)
-
-
 def test_joint_mode_is_deterministic(small_task):
-    config = SearchConfig(mode="joint", joint_submode="coordinate", steps=5,
-                          batch_size=8, seed=9, weight_lr=0.05)
+    config = SearchConfig(mode="joint", steps=5, batch_size=8, seed=9, weight_lr=0.05)
     t1 = search(config, small_task)
     t2 = search(config, small_task)
     for k in t1.final_alpha:
@@ -478,8 +507,6 @@ def eval_config(**kwargs):
 
 
 def test_train_genotype_deterministic_and_learns(small_task):
-    from cellsearch.cell import sample_genotype
-
     geno = sample_genotype(small_task.spec, np.random.default_rng(1))
     config = eval_config()
     acc1, w1 = train_genotype(small_task, geno, config)

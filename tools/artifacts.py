@@ -31,8 +31,7 @@ from pathlib import Path
 SEARCHES = {
     "desk-second-order": ("desk.cfg", {}),
     "desk-first-order": ("desk.cfg", {"mode": "first-order"}),
-    "desk-joint-coordinate": ("desk.cfg", {"mode": "joint", "joint_submode": "coordinate"}),
-    "desk-joint-simultaneous": ("desk.cfg", {"mode": "joint", "joint_submode": "simultaneous"}),
+    "desk-joint": ("desk.cfg", {"mode": "joint"}),
     "desk-momentum-unroll": ("desk.cfg", {"momentum_unroll": "true"}),
     "desk-concat": ("desk.cfg", {"steps": "100", "cell_reduction": "concat"}),
     "toy": ("toy.cfg", {}),
