@@ -240,17 +240,20 @@ class Genotype:
 def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray]) -> Genotype:
     """Discretize logits: keep the k strongest edges per node, best op each.
 
-    Edge strength is the largest softmax weight among that edge's non-zero
-    operations (denominator includes the zero logit). Deterministic
+    ``alpha`` must hold one logit vector for each edge of the cell and no
+    other. Edge strength is the largest softmax weight among that edge's
+    non-zero operations (denominator includes the zero logit). Deterministic
     tie-breaks: lower predecessor index first, then lower registry index.
     """
+    expected, got = {edge_key(i, j) for i, j in spec.edges()}, set(alpha)
+    if got != expected:
+        raise CellError(f"logit edges do not match the cell: missing {sorted(expected - got)}, "
+                        f"unexpected {sorted(got - expected)}")
     nodes = []
     for j in spec.intermediate_ids:
         scored = []
         for i in range(j):
             key = edge_key(i, j)
-            if key not in alpha:
-                raise CellError(f"missing logits for edge {key}")
             vec = np.asarray(alpha[key], dtype=np.float64)
             if vec.shape != (len(OP_ORDER),):
                 raise CellError(f"edge {key}: logit vector {vec.shape} does not match op set")
@@ -305,15 +308,17 @@ def format_alpha(alpha: Mapping[str, np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_alpha(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Inverse of format_alpha; returns the logits and the op-name header."""
+def parse_alpha(text: str) -> dict[str, np.ndarray]:
+    """Inverse of format_alpha; the operation columns must be ``OP_ORDER``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CellError("empty logit snapshot")
     header = lines[0].split("\t")
     if header[0] != "edge" or len(header) < 2:
         raise CellError("logit snapshot must start with an 'edge' header row")
-    op_names = header[1:]
+    if header[1:] != list(OP_ORDER):
+        raise CellError(f"snapshot operation columns {header[1:]} do not match the "
+                        f"registry {list(OP_ORDER)}")
     alpha: dict[str, np.ndarray] = {}
     for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split("\t")
@@ -328,4 +333,4 @@ def parse_alpha(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
         if parts[0] in alpha:
             raise CellError(f"snapshot row {row} (edge {parts[0]}): repeated edge")
         alpha[parts[0]] = vec
-    return alpha, op_names
+    return alpha

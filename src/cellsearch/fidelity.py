@@ -16,12 +16,11 @@ produced by ``arch_gradient_second_order``. Two oracles check it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor
 from .cell import CellSpec
+from .gradcheck import CheckReport
 from .search import (
     Params,
     arch_gradient_second_order,
@@ -33,15 +32,6 @@ from .tensor import Value
 
 # The virtual training step of every oracle problem.
 UNROLL_LR = 0.1
-
-
-@dataclass
-class FidelityReport:
-    label: str
-    problems: int
-    max_error: float
-    tolerance: float
-    passed: bool
 
 
 def unrolled_objective(problem, weights: Params, alpha: Params, unroll_lr: float,
@@ -149,7 +139,7 @@ def make_tiny_cell_task(seed: int) -> SyntheticCellTask:
 
 
 def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
-                            tolerance: float = 1e-2) -> FidelityReport:
+                            tolerance: float = 1e-2) -> CheckReport:
     """Second-order gradient, at the search's default ε rule, vs differenced
     unrolled objective on real cells."""
     worst = 0.0
@@ -166,12 +156,11 @@ def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
         oracle = fd_unrolled_gradient(task, weights, alpha, UNROLL_LR,
                                       train_batch, val_batch)
         worst = max(worst, tensor.relative_error(flatten(grads), flatten(oracle)))
-    return FidelityReport("cell networks, differenced correction", n_problems,
-                          worst, tolerance, worst < tolerance)
+    return CheckReport("cell networks, differenced correction", n_problems, worst, tolerance)
 
 
 def check_quadratics_exact_hvp(seed: int = 0, n_problems: int = 20,
-                               tolerance: float = 1e-4) -> FidelityReport:
+                               tolerance: float = 1e-4) -> CheckReport:
     """Second-order gradient with the exact correction vs differenced objective."""
     worst = 0.0
     for p in range(n_problems):
@@ -184,12 +173,11 @@ def check_quadratics_exact_hvp(seed: int = 0, n_problems: int = 20,
         )
         oracle = fd_unrolled_gradient(problem, weights, alpha, UNROLL_LR, None, None)
         worst = max(worst, tensor.relative_error(flatten(grads), flatten(oracle)))
-    return FidelityReport("quadratic problems, exact correction", n_problems,
-                          worst, tolerance, worst < tolerance)
+    return CheckReport("quadratic problems, exact correction", n_problems, worst, tolerance)
 
 
 def run_fidelity_suite(seed: int = 0, n_networks: int = 20,
-                       n_quadratics: int = 20) -> list[FidelityReport]:
+                       n_quadratics: int = 20) -> list[CheckReport]:
     return [
         check_networks_eps_rule(seed, n_problems=n_networks),
         check_quadratics_exact_hvp(seed, n_problems=n_quadratics),

@@ -160,13 +160,16 @@ class IterationRecord:
     val_loss: float
     weight_lr: float
     hvp_epsilon: float | None
-    snapshot: str
     wall_clock: float
 
 
 @dataclass
 class Trajectory:
+    """One record per completed iteration, and by t the logits after each
+    completed iteration t with ``t % snapshot_every == 0`` (none if it is 0)."""
+
     records: list[IterationRecord] = field(default_factory=list)
+    snapshots: dict[int, Params] = field(default_factory=dict)
     final_alpha: Params = field(default_factory=dict)
     final_weights: Params = field(default_factory=dict)
     genotype: Genotype | None = None
@@ -318,10 +321,17 @@ def hvp_finite_difference(problem, weights: Params, alpha: Params, vector: Param
 
     Returns [g_alpha(w + eps*v) - g_alpha(w - eps*v)] / (2*eps) where g_alpha
     is the alpha-gradient of the training loss. The incoming weights are left
-    bit-identical: the perturbed points are fresh arrays.
+    bit-identical: the perturbed points are fresh arrays. A non-zero step
+    ``eps*||v||`` below the rounding spacing of ``||w||`` would round the
+    perturbed points back to the weights and return 0, so it raises
+    ``NumericalError``; a zero vector's product is exactly 0.
     """
     if epsilon <= 0:
         raise ValueError(f"finite-difference step must be positive, got {epsilon}")
+    step, spacing = epsilon * flat_norm(vector.values()), np.spacing(flat_norm(weights.values()))
+    if 0 < step < spacing:
+        raise NumericalError(f"difference step {step:.3g} is below the weights' "
+                             f"rounding spacing {spacing:.3g}")
     plus = {k: w + epsilon * vector[k] for k, w in weights.items()}
     minus = {k: w - epsilon * vector[k] for k, w in weights.items()}
     _, _, g_plus = loss_and_grads(problem, "train", plus, alpha, train_batch,
@@ -414,8 +424,7 @@ def _weight_step(problem, config, weights, alpha, rng, counters, split):
     return loss, _clipped(config, wgrads)
 
 
-def search(config: SearchConfig, problem,
-           snapshot_hook: Callable[[int, Params], str] | None = None) -> Trajectory:
+def search(config: SearchConfig, problem) -> Trajectory:
     """Alternating search: one architecture step, then one weight step.
 
     Every mode runs the same iteration body. The architecture step takes a
@@ -423,8 +432,10 @@ def search(config: SearchConfig, problem,
     second-order mode, a fresh training batch for the lookahead; the weight
     step then takes a fresh batch of its split (``train``, or ``joint``). In
     joint mode the architecture loss stands in for the validation loss.
+    After each completed iteration t with ``t % config.snapshot_every == 0``
+    the search keeps a copy of the logits in ``Trajectory.snapshots[t]``.
     Divergence stops the loop and returns the trajectory collected so far,
-    flagged; an architecture step taken before it is kept.
+    flagged, snapshots included; an architecture step taken before it is kept.
     """
     arch_split, weight_split = ("joint", "joint") if config.mode == "joint" else ("val", "train")
     rng = np.random.default_rng(config.seed)
@@ -462,10 +473,11 @@ def search(config: SearchConfig, problem,
             traj.events.append(f"iter {t}: diverged: {exc}")
             traj.diverged = True
             break
-        snapshot = snapshot_hook(t, alpha) if snapshot_hook is not None else ""
+        if config.snapshot_every and t % config.snapshot_every == 0:
+            traj.snapshots[t] = {k: v.copy() for k, v in alpha.items()}
         traj.records.append(IterationRecord(
             iteration=t, train_loss=train_loss, val_loss=arch_loss,
-            weight_lr=w_opt.lr, hvp_epsilon=epsilon, snapshot=snapshot,
+            weight_lr=w_opt.lr, hvp_epsilon=epsilon,
             wall_clock=time.perf_counter() - start,
         ))
 

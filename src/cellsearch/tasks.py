@@ -277,12 +277,11 @@ class SyntheticCellTask:
 
     def loss(self, split: str, weights, alpha, batch) -> Value:
         features, labels = batch
-        return cross_entropy(self.model.logits_mixed(weights, alpha, features), Value(labels))
+        return cross_entropy(self.model.logits_mixed(weights, alpha, features), labels)
 
     def discrete_loss(self, weights, genotype: Genotype, batch) -> Value:
         features, labels = batch
-        return cross_entropy(self.model.logits_discrete(weights, genotype, features),
-                             Value(labels))
+        return cross_entropy(self.model.logits_discrete(weights, genotype, features), labels)
 
     def derive(self, alpha_arrays) -> Genotype:
         return derive_genotype(self.spec, alpha_arrays)

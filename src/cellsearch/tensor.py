@@ -203,7 +203,7 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
 # checks its shape rule, computes with numpy, and registers a closure
 # ``back(g, need)`` producing input gradients aligned with the ``inputs``
 # tuple. ``need`` flags the inputs that need one; a closure may return None
-# for the others (and always does for class labels).
+# for the others.
 # ---------------------------------------------------------------------------
 
 
@@ -507,34 +507,33 @@ def mse_loss(pred: Value, target: Value) -> Value:
     return _emit("mean-squared-error", (pred, target), np.asarray((diff * diff).mean()), back)
 
 
-def cross_entropy(logits: Value, labels) -> Value:
+def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
     """Mean softmax cross-entropy over a batch of rows, one mean per slice.
 
     ``logits`` is (batch, classes), or (slices, batch, classes); ``labels``
-    holds integer class ids, shared by every slice, and is never
-    differentiated.
+    is a plain integer array of class ids, shared by every slice. It is not
+    a tape input, so the record has one input.
     """
-    idx = labels.data.astype(np.int64)
     z = logits.data
     _shape_guard(
         "softmax-cross-entropy",
-        2 <= z.ndim <= 3 and idx.ndim == 1 and idx.shape[0] == z.shape[-2],
+        2 <= z.ndim <= 3 and labels.ndim == 1 and labels.shape[0] == z.shape[-2],
         logits, labels,
     )
     shifted = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
     rows = np.arange(z.shape[-2])
-    nll = lse - shifted[..., rows, idx]
+    nll = lse - shifted[..., rows, labels]
     probs = np.exp(shifted - lse[..., None])
     batch = z.shape[-2]
 
     def back(g, need):
         d = probs.copy()
-        d[..., rows, idx] -= 1.0
+        d[..., rows, labels] -= 1.0
         scale = g / batch
-        return d * (scale[:, None, None] if scale.ndim else scale), None
+        return (d * (scale[:, None, None] if scale.ndim else scale),)
 
-    return _emit("softmax-cross-entropy", (logits, labels), np.asarray(nll.mean(axis=-1)), back)
+    return _emit("softmax-cross-entropy", (logits,), np.asarray(nll.mean(axis=-1)), back)
 
 
 # ---------------------------------------------------------------------------

@@ -461,8 +461,17 @@ def test_derived_genotypes_always_valid():
 
 def test_derive_missing_edge_rejected():
     spec = one_node_spec()
-    with pytest.raises(CellError, match="missing logits"):
+    with pytest.raises(CellError, match=re.escape("missing ['1->2'], unexpected []")):
         derive_genotype(spec, {edge_key(0, 2): np.zeros(len(OP_ORDER))})
+
+
+def test_derive_unexpected_edge_rejected():
+    spec = one_node_spec()
+    alpha = {edge_key(i, j): np.zeros(len(OP_ORDER)) for i, j in spec.edges()}
+    alpha[edge_key(2, 3)] = np.zeros(len(OP_ORDER))
+    with pytest.raises(CellError, match=re.escape("do not match the cell: missing [], "
+                                                  "unexpected ['2->3']")):
+        derive_genotype(spec, alpha)
 
 
 # --- discrete forward -------------------------------------------------------
@@ -607,8 +616,7 @@ def test_alpha_snapshot_round_trip_full_precision():
     rng = np.random.default_rng(12)
     alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
     text = format_alpha(alpha)
-    parsed, op_names = parse_alpha(text)
-    assert op_names == list(OP_ORDER)
+    parsed = parse_alpha(text)
     assert set(parsed) == set(alpha)
     for k in alpha:
         np.testing.assert_array_equal(parsed[k], alpha[k])
@@ -622,6 +630,9 @@ def test_alpha_snapshot_parse_errors():
         parse_alpha("nope\t1\t2\n")
     with pytest.raises(CellError, match="columns"):
         parse_alpha("edge\tzero\tidentity\n0->2\t1.0\n")
+    swapped = ["edge", OP_ORDER[1], OP_ORDER[0], *OP_ORDER[2:]]
+    with pytest.raises(CellError, match="operation columns .* do not match the registry"):
+        parse_alpha("\t".join(swapped) + "\n0->2" + "\t0.0" * len(OP_ORDER) + "\n")
 
 
 # --- spec validation ----------------------------------------------------------

@@ -20,11 +20,11 @@ def read_trajectory(path) -> list[IterationRecord]:
         raise ConfigError(f"{path}: not a trajectory file")
     records = []
     for line in lines[1:]:
-        it, train, val, lr, eps, snapshot = line.split(",")
+        it, train, val, lr, eps, _ = line.split(",")
         records.append(IterationRecord(
             iteration=int(it), train_loss=float(train), val_loss=float(val),
             weight_lr=float(lr), hvp_epsilon=float(eps) if eps else None,
-            snapshot=snapshot, wall_clock=0.0,
+            wall_clock=0.0,
         ))
     return records
 
@@ -146,7 +146,7 @@ def test_search_unknown_key_exits_2(tmp_path, capsys):
 
 def test_search_toy_config_writes_trajectory_but_no_genotype(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
-    cfg.write_text(TOY_CFG)
+    cfg.write_text(TOY_CFG + "snapshot_every = 2\n")  # the toy task writes no snapshot
     out = tmp_path / "run"
     assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "trajectory.csv").exists()
@@ -158,6 +158,7 @@ def test_search_toy_config_writes_trajectory_but_no_genotype(tmp_path, capsys):
     body = (out / "trajectory.csv").read_text().splitlines()
     assert body[0] == "iteration,train_loss,val_loss,weight_lr,hvp_epsilon,alpha_snapshot"
     assert len(body) == 41
+    assert all(row.endswith(",") for row in body[1:])  # alpha_snapshot left empty
 
 
 def test_search_synthetic_writes_valid_genotype_and_snapshots(small_cfg, tmp_path, capsys):
@@ -215,7 +216,8 @@ def test_trajectory_file_round_trips(small_cfg, tmp_path):
     records = read_trajectory(out / "trajectory.csv")
     assert [r.iteration for r in records] == list(range(5))
     assert all(np.isfinite(r.train_loss) and np.isfinite(r.val_loss) for r in records)
-    assert records[2].snapshot == "alpha/step_000002.tsv"
+    column = [row.split(",")[-1] for row in (out / "trajectory.csv").read_text().splitlines()]
+    assert column[1 + 2] == "alpha/step_000002.tsv"
     assert records[0].hvp_epsilon is not None  # second-order mode logs its step
 
 

@@ -160,6 +160,13 @@ def test_hvp_zero_vector_gives_zero(toy):
     assert out["alpha"] == pytest.approx(0.0, abs=0.0)
 
 
+def test_hvp_rejects_a_step_below_the_rounding_spacing_of_the_weights(toy):
+    # np.spacing(1e12) is 1.2e-4, so w +/- 1e-10 rounds back to w and the
+    # difference would read 0 against a true -2
+    with pytest.raises(NumericalError, match="below the weights' rounding spacing"):
+        hvp_finite_difference(toy, {"w": 1e12}, {"alpha": 2.0}, {"w": 1.0}, None, 1e-10)
+
+
 def test_hvp_rejects_nonpositive_epsilon(toy):
     weights, alpha = toy_state()
     with pytest.raises(ValueError, match="positive"):
@@ -361,18 +368,18 @@ def test_search_trajectory_invariants(small_task):
     traj.genotype.validate()
 
 
-def test_search_snapshot_hook_paths_recorded(small_task):
-    config = SearchConfig(mode="first-order", steps=3, batch_size=8, seed=0)
-    calls = []
-
-    def hook(t, alpha):
-        calls.append(t)
-        return f"alpha/step_{t:06d}.tsv" if t == 1 else ""
-
-    traj = search(config, small_task, snapshot_hook=hook)
-    assert calls == [0, 1, 2]
-    assert traj.records[1].snapshot == "alpha/step_000001.tsv"
-    assert traj.records[0].snapshot == ""
+def test_search_keeps_a_snapshot_every_n_iterations(small_task):
+    config = SearchConfig(mode="first-order", steps=3, batch_size=8, seed=0, snapshot_every=2)
+    traj = search(config, small_task)
+    assert sorted(traj.snapshots) == [0, 2]
+    # the logits after iteration 0 do not depend on the budget
+    after_first = search(dataclasses.replace(config, steps=1), small_task).final_alpha
+    for t, expected in ((0, after_first), (2, traj.final_alpha)):
+        assert traj.snapshots[t].keys() == expected.keys()
+        for k in expected:
+            assert np.array_equal(traj.snapshots[t][k], expected[k])
+            assert traj.snapshots[t][k] is not expected[k]
+    assert search(dataclasses.replace(config, snapshot_every=0), small_task).snapshots == {}
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
