@@ -361,10 +361,11 @@ def cmd_random_search(args) -> int:
     config = search_config_from(cfg)
     n_samples = cfg.get("n_samples", RANDOM_SAMPLES)
     result = random_search(config, problem, n_samples)
+    best = result.best.genotype
     out.mkdir(parents=True, exist_ok=True)
-    (out / "genotype.json").write_text(result.best.to_json())
+    (out / "genotype.json").write_text(best.to_json())
     lines = ["sample,val_accuracy"]
-    lines += [f"{i},{_fmt(score)}" for i, score in enumerate(result.scores)]
+    lines += [f"{i},{_fmt(c.retrain_accuracy)}" for i, c in enumerate(result.candidates)]
     (out / "samples.csv").write_text("\n".join(lines) + "\n")
     write_manifest(out, cfg, [config.seed], {
         "genotype": "genotype.json", "samples": "samples.csv", "summary": "summary.txt"})
@@ -372,10 +373,10 @@ def cmd_random_search(args) -> int:
         "mode": "random",
         "samples": n_samples,
         "best_score": _fmt(result.best_score),
-        "genotype": genotype_one_liner(result.best),
+        "genotype": genotype_one_liner(best),
     })
     print(f"best of {n_samples}: val_accuracy={result.best_score:.4f}")
-    print("genotype:", genotype_one_liner(result.best))
+    print("genotype:", genotype_one_liner(best))
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The cell shape is fixed: two input nodes, and two edges kept per
 intermediate node after discretization. All arithmetic is plain Python
-integers, so results are exact at any size. Counting ignores graph
+integers, so results are exact; a space whose counts would be too long to
+print (more than ``MAX_DIGITS`` digits) is refused. Counting ignores graph
 isomorphism: two architectures that differ only by a relabeling are counted
 separately.
 """
@@ -15,6 +16,11 @@ from dataclasses import dataclass
 
 class CountError(ValueError):
     """Query outside the supported counting formulas."""
+
+
+# Digits of the largest count printed exactly; Python refuses to print an
+# integer of more than 4,300 digits.
+MAX_DIGITS = 4000
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,11 @@ class SpaceQuery:
             raise CountError("need at least one non-zero operation")
         if self.multiplicity < 1:
             raise CountError("multiplicity must be at least 1")
+        # log10 of the relaxed count, compared without forming the count. It
+        # bounds the discrete count too: C(m+1, 2) p^2 is a term of (p+1)^(m+1).
+        digits_per_edge = math.log10(self.nonzero_ops + 1)
+        if self.multiplicity * relaxed_edge_count(self) > MAX_DIGITS / digits_per_edge:
+            raise CountError(f"the relaxed count has more than {MAX_DIGITS} digits")
 
 
 def relaxed_edge_count(query: SpaceQuery) -> int:

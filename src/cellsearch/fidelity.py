@@ -176,9 +176,5 @@ def check_quadratics_exact_hvp(seed: int = 0, n_problems: int = 20,
     return CheckReport("quadratic problems, exact correction", n_problems, worst, tolerance)
 
 
-def run_fidelity_suite(seed: int = 0, n_networks: int = 20,
-                       n_quadratics: int = 20) -> list[CheckReport]:
-    return [
-        check_networks_eps_rule(seed, n_problems=n_networks),
-        check_quadratics_exact_hvp(seed, n_problems=n_quadratics),
-    ]
+def run_fidelity_suite(seed: int = 0) -> list[CheckReport]:
+    return [check_networks_eps_rule(seed), check_quadratics_exact_hvp(seed)]

@@ -15,9 +15,9 @@ the current weights (first-order mode).
 
 Baselines live here too: joint optimization of both groups by coordinate
 descent on pooled train+val data (the first-order iteration with both steps
-on the pooled split), uniform random architecture sampling scored by
-from-scratch retraining, and multi-seed selection that ranks searched
-genotypes by their from-scratch validation metric.
+on the pooled split), uniform random architecture sampling, and multi-seed
+selection. Both of the last two retrain each genotype from scratch and return
+one ``Ranking``, whose best is the highest validation accuracy.
 """
 
 from __future__ import annotations
@@ -187,24 +187,24 @@ class SecondOrderInfo:
 
 @dataclass
 class CandidateResult:
-    seed: int
     genotype: Genotype
-    search_val_loss: float
     retrain_accuracy: float
 
 
 @dataclass
-class SelectionResult:
-    best: CandidateResult
+class Ranking:
+    """Retrained candidates, in the order they were sampled or searched."""
+
     candidates: list[CandidateResult]
 
+    @property
+    def best(self) -> CandidateResult:
+        """The first candidate with the highest retrain accuracy."""
+        return max(self.candidates, key=lambda c: c.retrain_accuracy)
 
-@dataclass
-class RandomSearchResult:
-    best: Genotype
-    best_score: float
-    scores: list[float]
-    genotypes: list[Genotype]
+    @property
+    def best_score(self) -> float:
+        return self.best.retrain_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -517,51 +517,29 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[f
     return problem.split_accuracy(weights, genotype, "val"), weights
 
 
-def random_search(config: SearchConfig, problem, n_samples: int) -> RandomSearchResult:
-    """Best of n uniformly sampled genotypes, each retrained from scratch."""
+def _retrained(problem, runs) -> list[CandidateResult]:
+    """One candidate per (genotype, config) pair, retrained by ``train_genotype``."""
+    return [CandidateResult(genotype, train_genotype(problem, genotype, config)[0])
+            for genotype, config in runs]
+
+
+def random_search(config: SearchConfig, problem, n_samples: int) -> Ranking:
+    """n genotypes drawn uniformly from ``config.seed``, each retrained from
+    scratch, in draw order; a tie for the best goes to the earliest sample."""
     if n_samples < 1:
         raise ConfigError("need at least one sample")
     rng = np.random.default_rng(config.seed)
-    genotypes, scores = [], []
-    for _ in range(n_samples):
-        geno = sample_genotype(problem.spec, rng)
-        accuracy, _ = train_genotype(problem, geno, config)
-        genotypes.append(geno)
-        scores.append(accuracy)
-    best_idx = int(np.argmax(scores))  # ties fall to the earliest sample
-    return RandomSearchResult(genotypes[best_idx], scores[best_idx], scores, genotypes)
+    runs = ((sample_genotype(problem.spec, rng), config) for _ in range(n_samples))
+    return Ranking(_retrained(problem, runs))
 
 
-def pick_best_candidate(candidates: Sequence[CandidateResult]) -> CandidateResult:
-    """Highest from-scratch validation metric; ties go to the lowest seed.
-
-    Search-time losses play no part in the ranking.
-    """
-    if not candidates:
-        raise ValueError("no candidates to pick from")
-    return min(candidates, key=lambda c: (-c.retrain_accuracy, c.seed))
-
-
-def select_architecture(configs: Sequence[SearchConfig], problem) -> SelectionResult:
-    """Run one search per config, retrain each result, keep the best.
-
-    Diverged runs are reported via SelectionError carrying the candidates
-    that did complete.
-    """
-    candidates: list[CandidateResult] = []
-    failures: list[str] = []
-    for config in configs:
-        traj = search(config, problem)
-        if traj.diverged or traj.genotype is None:
-            failures.append(f"seed {config.seed}: search diverged")
-            continue
-        accuracy, _ = train_genotype(problem, traj.genotype, config)
-        candidates.append(CandidateResult(
-            seed=config.seed,
-            genotype=traj.genotype,
-            search_val_loss=traj.records[-1].val_loss if traj.records else float("nan"),
-            retrain_accuracy=accuracy,
-        ))
+def select_architecture(configs: Sequence[SearchConfig], problem) -> Ranking:
+    """One search per config, each genotype retrained from scratch, in config
+    order; a tie for the best goes to the earliest config. A run that diverged
+    is reported by SelectionError, which carries the candidates that completed."""
+    runs = [(search(config, problem).genotype, config) for config in configs]
+    failures = [f"seed {config.seed}: search diverged" for g, config in runs if g is None]
+    candidates = _retrained(problem, [(g, config) for g, config in runs if g is not None])
     if failures:
         raise SelectionError("; ".join(failures), candidates)
-    return SelectionResult(pick_best_candidate(candidates), candidates)
+    return Ranking(candidates)

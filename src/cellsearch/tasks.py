@@ -151,7 +151,7 @@ def carve_test_split(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     return _retag(dataset, np.arange(len(dataset.features)), "test", fraction, seed, "test")
 
 
-def holdout_split(dataset: Dataset, fraction: float = 0.5, seed: int = 0) -> Dataset:
+def holdout_split(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Re-tag the non-test rows: a seeded ``fraction`` becomes validation."""
     return _retag(dataset, np.flatnonzero(dataset.tags != "test"), "val", fraction, seed,
                   "holdout")

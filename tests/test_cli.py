@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +382,29 @@ def test_count_multiplicity_two(capsys):
     out = capsys.readouterr().out
     assert f"discrete_exact: {1_037_664_180**2}" in out
     assert f"relaxed_exact: {8**28}" in out
+
+
+@pytest.mark.parametrize("intermediates", ["1000", "100000"])
+def test_count_rejects_a_space_too_large_to_print_with_one_line(capsys, intermediates):
+    start = time.perf_counter()
+    assert main(["count", "--intermediates", intermediates, "--ops", "7",
+                 "--multiplicity", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: the relaxed count has more than 4000 digits\n"
+
+
+def test_count_just_under_the_digit_limit_prints_exact_counts(capsys):
+    assert main(["count", "--intermediates", "65", "--ops", "7", "--multiplicity", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "edges_per_cell: 2210" in out
+    assert f"relaxed_exact: {8 ** (2 * 2210)}\n" in out
+    assert "relaxed_approx: 4.547e3991" in out
+    discrete = 1
+    for m in range(1, 66):
+        discrete *= math.comb(m + 1, 2) * 49
+    assert f"discrete_exact: {discrete**2}\n" in out
 
 
 def test_count_rejects_empty_cell_with_one_line(capsys):

@@ -90,6 +90,8 @@ def test_query_validation():
         SpaceQuery(intermediates=4, nonzero_ops=0)
     with pytest.raises(CountError):
         SpaceQuery(intermediates=4, nonzero_ops=7, multiplicity=0)
+    with pytest.raises(CountError, match="more than 4000 digits"):
+        SpaceQuery(intermediates=66, nonzero_ops=7, multiplicity=2)  # about 4112 digits
 
 
 def test_scientific_formatting():

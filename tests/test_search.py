@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from cellsearch.search import (
     CandidateResult,
     EvalCounters,
     NumericalError,
+    Ranking,
     SearchConfig,
     SelectionError,
     _grads_from,
@@ -37,7 +39,6 @@ from cellsearch.search import (
     hvp_finite_difference,
     loss_and_grads,
     loss_value,
-    pick_best_candidate,
     random_search,
     search,
     select_architecture,
@@ -527,36 +528,55 @@ def test_train_genotype_deterministic_and_learns(small_task):
 def test_random_search_singleton_returns_the_sample(small_task):
     config = eval_config(seed=5)
     result = random_search(config, small_task, 1)
-    assert result.best == result.genotypes[0]
-    assert result.best_score == result.scores[0]
+    assert result.best.genotype == result.candidates[0].genotype
+    assert result.best_score == result.candidates[0].retrain_accuracy
 
 
 def test_random_search_samples_valid_and_deterministic(small_task):
     config = eval_config(seed=11, eval_steps=10)
     r1 = random_search(config, small_task, 4)
     r2 = random_search(config, small_task, 4)
-    assert r1.scores == r2.scores
-    assert r1.best == r2.best
-    for geno in r1.genotypes:
-        geno.validate()
-    assert r1.best_score == max(r1.scores)
+    scores = [c.retrain_accuracy for c in r1.candidates]
+    assert scores == [c.retrain_accuracy for c in r2.candidates]
+    assert [c.genotype for c in r1.candidates] == [c.genotype for c in r2.candidates]
+    assert r1.best.genotype == r2.best.genotype
+    for candidate in r1.candidates:
+        candidate.genotype.validate()
+    assert r1.best_score == max(scores)
 
 
-def test_pick_best_candidate_ranks_by_retrain_metric_not_search_loss():
-    spec = CellSpec(nodes=4, input_arity=2, hidden=4, k=1)
-    geno_a = CandidateResult(seed=0, genotype=None, search_val_loss=0.10,
-                             retrain_accuracy=0.70)
-    geno_b = CandidateResult(seed=1, genotype=None, search_val_loss=0.90,
-                             retrain_accuracy=0.95)
-    # search loss prefers a, retrain metric prefers b; retrain must win
-    assert pick_best_candidate([geno_a, geno_b]) is geno_b
-    assert geno_a.search_val_loss < geno_b.search_val_loss
+def test_ranking_picks_the_best_retrain_metric_wherever_it_is_listed():
+    worse = CandidateResult(genotype=None, retrain_accuracy=0.70)
+    better = CandidateResult(genotype=None, retrain_accuracy=0.95)
+    ranking = Ranking([worse, better])
+    assert ranking.best is better
+    assert ranking.best_score == 0.95
 
 
-def test_pick_best_candidate_tie_goes_to_lowest_seed():
-    a = CandidateResult(seed=2, genotype=None, search_val_loss=0.5, retrain_accuracy=0.9)
-    b = CandidateResult(seed=7, genotype=None, search_val_loss=0.4, retrain_accuracy=0.9)
-    assert pick_best_candidate([b, a]) is a
+def test_ranking_tie_goes_to_the_candidate_listed_first():
+    first = CandidateResult(genotype=None, retrain_accuracy=0.9)
+    second = CandidateResult(genotype=None, retrain_accuracy=0.9)
+    assert Ranking([first, second]).best is first
+    with pytest.raises(ValueError):
+        Ranking([]).best
+
+
+def test_both_baselines_rank_and_give_a_tie_to_the_candidate_listed_first(small_task,
+                                                                          monkeypatch):
+    def tied(problem, genotype, config):
+        return 0.5, {}
+
+    # the package's ``search`` attribute is the function, so fetch the module by name
+    monkeypatch.setattr(importlib.import_module("cellsearch.search"), "train_genotype", tied)
+    sampled = random_search(eval_config(seed=5), small_task, 3)
+    # seeds in descending order: the first listed is not the lowest seed
+    configs = [eval_config(steps=2, batch_size=8, seed=seed) for seed in (3, 1)]
+    searched = select_architecture(configs, small_task)
+    assert (len(sampled.candidates), len(searched.candidates)) == (3, 2)
+    for ranking in (sampled, searched):
+        assert isinstance(ranking, Ranking)
+        assert ranking.best is ranking.candidates[0]
+    assert searched.best.genotype == search(configs[0], small_task).genotype
 
 
 def test_select_architecture_single_run_returns_its_genotype(small_task):
@@ -575,8 +595,9 @@ def test_select_architecture_propagates_failures_with_partial_results(small_task
                       weight_lr=1e9, clip_norm=None, anneal=False)
     with pytest.raises(SelectionError) as info:
         select_architecture([good, bad], small_task)
+    assert str(info.value) == "seed 1: search diverged"
     assert len(info.value.candidates) == 1
-    assert info.value.candidates[0].seed == 0
+    assert info.value.candidates[0].genotype == search(good, small_task).genotype
 
 
 # --- fidelity oracles -----------------------------------------------------------

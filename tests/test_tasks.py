@@ -182,12 +182,12 @@ def test_holdout_leaves_test_rows_alone():
 def test_holdout_rejects_degenerate_fractions():
     ds = make_synthetic_classification(10, 2, 2, 0.5, seed=0)
     with pytest.raises(DataError):
-        holdout_split(ds, 0.0)
+        holdout_split(ds, 0.0, seed=0)
     with pytest.raises(DataError):
-        holdout_split(ds, 1.0)
+        holdout_split(ds, 1.0, seed=0)
     tiny = Dataset(ds.features[:1], ds.labels[:1], np.array(["train"]))
     with pytest.raises(DataError, match="empty"):
-        holdout_split(tiny, 0.4)
+        holdout_split(tiny, 0.4, seed=0)
 
 
 def test_dataset_access_counters():
