@@ -3,9 +3,9 @@
 A cell has ``input_arity`` input nodes, a run of intermediate nodes, and one
 output node formed by reducing the intermediates (mean by default, concat
 optionally). Every ordered pair (i, j) with j intermediate and i any earlier
-node is an edge carrying a logit vector over the operation registry; an
-intermediate node is the sum over its incoming edges of the softmax-weighted
-mixture of all candidate operations.
+node is an edge; its logits over the operation registry are row i of node j's
+``(j, len(OP_ORDER))`` logit block. An intermediate node is the sum over its
+incoming edges of the softmax-weighted mixture of all candidate operations.
 
 Discretization keeps, per intermediate node, the k incoming edges whose
 strongest non-zero operation has the largest softmax weight (the softmax is
@@ -93,19 +93,15 @@ def weight_name(i: int, j: int, kind: str) -> str:
 
 
 def block_name(j: int) -> str:
-    """The relaxed network's name for node j's ``(j, hidden, 3 * hidden)`` block:
-    row i holds edge (i, j)'s matrices side by side, in ``PARAMETERIZED_OPS`` order."""
+    """The relaxed network's name for node j's ``(j, len(OP_ORDER))`` logit block and
+    its ``(j, hidden, 3 * hidden)`` weight block. Row i of each is edge (i, j); a weight
+    row holds the edge's matrices side by side, in ``PARAMETERIZED_OPS`` order."""
     return f"node_{j}"
-
-
-def parse_edge_key(key: str) -> tuple[int, int]:
-    i, _, j = key.partition("->")
-    return int(i), int(j)
 
 
 def init_alpha(spec: CellSpec) -> dict[str, np.ndarray]:
     """Zero logits on every edge: uniform attention over all operations."""
-    return {edge_key(i, j): np.zeros(len(OP_ORDER)) for i, j in spec.edges()}
+    return {block_name(j): np.zeros((j, len(OP_ORDER))) for j in spec.intermediate_ids}
 
 
 def softmax_weights(logits: np.ndarray) -> np.ndarray:
@@ -113,12 +109,10 @@ def softmax_weights(logits: np.ndarray) -> np.ndarray:
 
 
 def alpha_entropy(alpha: Mapping[str, np.ndarray]) -> float:
-    """Mean per-edge entropy (nats) of the softmax operation weights."""
-    total = 0.0
-    for vec in alpha.values():
-        w = softmax_weights(np.asarray(vec, dtype=np.float64))
-        total += float(-(w * np.log(np.maximum(w, 1e-300))).sum())
-    return total / max(len(alpha), 1)
+    """Mean per-edge entropy (nats) of the softmax operation weights, one per block row."""
+    rows = [softmax_weights(vec) for block in alpha.values()
+            for vec in np.asarray(block, dtype=np.float64)]
+    return sum(float(-(w * np.log(np.maximum(w, 1e-300))).sum()) for w in rows) / max(len(rows), 1)
 
 
 def uniform_entropy(n_ops: int) -> float:
@@ -130,14 +124,13 @@ def uniform_entropy(n_ops: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mixed_edge_forward(alpha_vecs: Sequence[Value], states: Sequence[Value],
-                       block: Value) -> Value:
+def mixed_edge_forward(logits: Value, states: Sequence[Value], block: Value) -> Value:
     """One intermediate node, one ``mixed-edge`` record: the sum over its
     incoming edges of each one's softmax-weighted mixture of every candidate
-    operation. Edge k reads ``alpha_vecs[k]``, ``states[k]`` and row k of the
-    node's block. The softmax runs over the whole registry, so the zero logit,
-    whose term vanishes, still shapes the other weights."""
-    return tensor.mixed_edge(alpha_vecs, states, block)
+    operation. Edge k reads row k of the node's logit block, ``states[k]`` and
+    row k of its weight block. The softmax runs over the whole registry, so the
+    zero logit, whose term vanishes, still shapes the other weights."""
+    return tensor.mixed_edge(logits, states, block)
 
 
 def _reduce(spec: CellSpec, intermediates: list[Value]) -> Value:
@@ -165,15 +158,16 @@ def cell_forward(spec: CellSpec,
                  inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
     """Relaxed cell pass: every intermediate node sums its mixed edges.
 
-    ``weights`` holds each intermediate node's block under its ``block_name``.
+    ``alpha`` and ``weights`` hold each intermediate node's logit and weight
+    block under its ``block_name``.
     Returns the reduced output and the full list of node activations (inputs
     first, then intermediates).
     """
     _check_inputs(spec, inputs)
     states: list[Value] = list(inputs)
     for j in spec.intermediate_ids:
-        states.append(mixed_edge_forward([alpha[edge_key(i, j)] for i in range(j)],
-                                         states[:j], weights[block_name(j)]))
+        states.append(mixed_edge_forward(alpha[block_name(j)], states[:j],
+                                         weights[block_name(j)]))
     return _reduce(spec, states[spec.input_arity:]), states
 
 
@@ -240,23 +234,20 @@ class Genotype:
 def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray]) -> Genotype:
     """Discretize logits: keep the k strongest edges per node, best op each.
 
-    ``alpha`` must hold one logit vector for each edge of the cell and no
-    other. Edge strength is the largest softmax weight among that edge's
-    non-zero operations (denominator includes the zero logit). Deterministic
+    ``alpha`` must hold the cell's logit blocks and no other: node j's
+    ``(j, len(OP_ORDER))`` block under ``block_name(j)``, row i for edge (i, j).
+    Edge strength is the largest softmax weight among that edge's non-zero
+    operations (denominator includes the zero logit). Deterministic
     tie-breaks: lower predecessor index first, then lower registry index.
     """
-    expected, got = {edge_key(i, j) for i, j in spec.edges()}, set(alpha)
+    expected = {block_name(j): (j, len(OP_ORDER)) for j in spec.intermediate_ids}
+    got = {name: np.shape(block) for name, block in alpha.items()}
     if got != expected:
-        raise CellError(f"logit edges do not match the cell: missing {sorted(expected - got)}, "
-                        f"unexpected {sorted(got - expected)}")
+        raise CellError(f"logit blocks {got} do not match the cell's {expected}")
     nodes = []
     for j in spec.intermediate_ids:
         scored = []
-        for i in range(j):
-            key = edge_key(i, j)
-            vec = np.asarray(alpha[key], dtype=np.float64)
-            if vec.shape != (len(OP_ORDER),):
-                raise CellError(f"edge {key}: logit vector {vec.shape} does not match op set")
+        for i, vec in enumerate(np.asarray(alpha[block_name(j)], dtype=np.float64)):
             weights = softmax_weights(vec)
             best_idx, best_kind, best_w = None, None, -1.0
             for idx, kind in enumerate(NON_ZERO_OPS, start=1):
@@ -301,15 +292,18 @@ def sample_genotype(spec: CellSpec, rng: np.random.Generator) -> Genotype:
 
 
 def format_alpha(alpha: Mapping[str, np.ndarray]) -> str:
+    """One row per edge (i, j), sorted by i, then j; node j's block has j rows."""
+    rows = {(i, len(block)): vec for block in alpha.values()
+            for i, vec in enumerate(np.asarray(block, dtype=np.float64))}
     lines = ["edge\t" + "\t".join(OP_ORDER)]
-    for key in sorted(alpha, key=parse_edge_key):
-        vec = np.asarray(alpha[key], dtype=np.float64)
-        lines.append(key + "\t" + "\t".join(repr(float(v)) for v in vec))
+    for i, j in sorted(rows):
+        lines.append(edge_key(i, j) + "\t" + "\t".join(repr(float(v)) for v in rows[i, j]))
     return "\n".join(lines) + "\n"
 
 
-def parse_alpha(text: str) -> dict[str, np.ndarray]:
-    """Inverse of format_alpha; the operation columns must be ``OP_ORDER``."""
+def parse_alpha(text: str, spec: CellSpec) -> dict[str, np.ndarray]:
+    """Inverse of format_alpha: the logit blocks of ``spec``'s cell. The
+    operation columns must be ``OP_ORDER``, and the rows the cell's edges."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CellError("empty logit snapshot")
@@ -319,7 +313,7 @@ def parse_alpha(text: str) -> dict[str, np.ndarray]:
     if header[1:] != list(OP_ORDER):
         raise CellError(f"snapshot operation columns {header[1:]} do not match the "
                         f"registry {list(OP_ORDER)}")
-    alpha: dict[str, np.ndarray] = {}
+    edges: dict[str, np.ndarray] = {}
     for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split("\t")
         if len(parts) != len(header):
@@ -330,7 +324,12 @@ def parse_alpha(text: str) -> dict[str, np.ndarray]:
             raise CellError(f"snapshot row {row} (edge {parts[0]}): {exc}") from None
         if not np.all(np.isfinite(vec)):
             raise CellError(f"snapshot row {row} (edge {parts[0]}): non-finite logit")
-        if parts[0] in alpha:
+        if parts[0] in edges:
             raise CellError(f"snapshot row {row} (edge {parts[0]}): repeated edge")
-        alpha[parts[0]] = vec
-    return alpha
+        edges[parts[0]] = vec
+    expected, got = {edge_key(i, j) for i, j in spec.edges()}, set(edges)
+    if got != expected:
+        raise CellError(f"logit edges do not match the cell: missing {sorted(expected - got)}, "
+                        f"unexpected {sorted(got - expected)}")
+    return {block_name(j): np.stack([edges[edge_key(i, j)] for i in range(j)])
+            for j in spec.intermediate_ids}

@@ -319,7 +319,7 @@ def cmd_derive(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     out = output_path(args.out, "genotype file")
     spec = cell_spec_from(cfg)
-    genotype = derive_genotype(spec, parse_alpha(read_input(args.alpha, "logit snapshot")))
+    genotype = derive_genotype(spec, parse_alpha(read_input(args.alpha, "logit snapshot"), spec))
     out.write_text(genotype.to_json())
     print("genotype:", genotype_one_liner(genotype))
     return 0

@@ -128,7 +128,7 @@ def _case_for(kind: str, rng):
         return [logits], lambda vals: tensor.cross_entropy(vals[0], labels)
     if kind == "mixed-edge":
         j, rows, d = int(rng.integers(1, 3)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        logits = list(rng.normal(size=(j, len(tensor.EDGE_TERMS))))
+        logits = rng.normal(size=(j, len(tensor.EDGE_TERMS)))
         relu = list(tensor.ACTIVATION_RULES).index("relu")
         # keep relu pre-activations away from the kink so the FD step cannot cross it
         relu_margin = 0.0
@@ -136,8 +136,8 @@ def _case_for(kind: str, rng):
             x = rng.normal(size=(j, rows, d))
             block = rng.normal(size=(j, d, len(tensor.ACTIVATION_RULES) * d))
             relu_margin = np.min(np.abs(x @ block[..., relu * d:(relu + 1) * d]))
-        return ([*logits, *x, block],
-                lambda vals: tensor.mixed_edge(vals[:j], vals[j:2 * j], vals[2 * j]))
+        return ([logits, *x, block],
+                lambda vals: tensor.mixed_edge(vals[0], vals[1:j + 1], vals[j + 1]))
     raise ValueError(f"no gradient-check case for kind {kind!r}")
 
 

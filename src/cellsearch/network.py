@@ -3,8 +3,9 @@
 Both cell inputs are independent linear projections of the same feature
 vector; the classifier head is a single linear map from the reduced cell
 output to class logits. Stems, every edge-op matrix, and the head together
-form the inner weight group; the per-edge operation logits form the outer
-(architecture) group and live elsewhere.
+form the inner weight group; the operation logits, one block per intermediate
+node under the same ``cell.block_name(j)``, form the outer (architecture) group
+and live elsewhere.
 
 Weight dicts are keyed ``stem_{i}``, then the cell's matrices, then ``head``.
 The relaxed network holds one block per intermediate node j, keyed

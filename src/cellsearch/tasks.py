@@ -6,8 +6,8 @@ perfect square in (w - a) so its inner optimum is w = a, the validation loss
 is bilinear, and the exact bilevel optimum sits at (1, 1) starting from
 (2, -2). ``SyntheticCellTask`` wraps a seeded Gaussian-cluster dataset and a
 cell classifier; its inner weights are the stems, one weight block per
-intermediate node, and the head, and its outer variables are the per-edge
-operation logits.
+intermediate node, and the head, and its outer variables are one operation
+logit block per intermediate node.
 
 Datasets carry per-split access counters so test-set hygiene is checkable:
 anything that touches test-tagged rows increments the ``test`` counter.

@@ -19,15 +19,15 @@ primitive, so every record a program makes shows at its call site.
 
 Shape rules are deliberately narrow: elementwise primitives require identical
 shapes, and the only broadcasting allowed is a 0-d scalar against a tensor.
-``concatenate`` joins along the last axis only, and the mixed-edge node
-weighs one fixed term order, ``EDGE_TERMS``.
+``concatenate`` joins along the last axis only, and the mixed-edge node reads
+one logit block, row k for edge k, in one fixed term order, ``EDGE_TERMS``.
 Everything is float64; the finite-difference machinery built on top of this
 engine is too sensitive to rounding for single precision.
 
 A pass may carry a leading slice axis: S copies of one program, run as one
 tape. Matrix multiplication takes 2-d operands, or 3-d ones whose leading axis
 holds the S slices, where a 2-d operand is shared by every slice; the
-mixed-edge node takes stacked logits, states and weight block; cross-entropy
+mixed-edge node takes stacked logit and weight blocks and states; cross-entropy
 gives one mean per slice; and ``backward`` seeds every slice of an ``(S,)``
 loss with 1. Each slice is bit-identical to the same pass run on that slice
 alone. A parameter that carries the slice axis gets each slice's own gradient;
@@ -374,17 +374,17 @@ def softmax(x: Value, axis: int = -1) -> Value:
     return _emit("softmax-over-axis", (x,), y, back)
 
 
-def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value) -> Value:
+def mixed_edge(logits: Value, states: Sequence[Value], block: Value) -> Value:
     """One intermediate node as one record: the sum over its incoming edges,
     in order, of each edge's softmax-weighted candidate terms.
 
-    Edge k reads ``logits[k]``, ``states[k]`` and ``block[k]``, a ``(d, 3 * d)``
-    slab. ``softmax(logits[k])`` weights the terms of ``EDGE_TERMS`` in order:
-    zero (nothing), identity (``states[k]``), then each activation of
-    ``ACTIVATION_RULES`` applied to ``states[k] @ W``, W being the slab's next
-    ``d`` columns. The zero term is skipped, which is exact for finite states;
-    its logit still counts in the softmax. Stacked, the logits, states and
-    block share one leading slice axis.
+    Edge k reads row k of the ``(j, len(EDGE_TERMS))`` logit block, ``states[k]``
+    and ``block[k]``, a ``(d, 3 * d)`` slab. ``softmax(logits[k])`` weights the
+    terms of ``EDGE_TERMS`` in order: zero (nothing), identity (``states[k]``),
+    then each activation of ``ACTIVATION_RULES`` applied to ``states[k] @ W``,
+    W being the slab's next ``d`` columns. The zero term is skipped, which is
+    exact for finite states; its logit still counts in the softmax. Stacked,
+    the logit block, states and weight block share one leading slice axis.
     """
     j = len(states)
     shape = states[0].data.shape if j else ()
@@ -392,14 +392,14 @@ def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value) -
     d = shape[-1] if 2 <= len(shape) <= 3 else -1
     _shape_guard(
         "mixed-edge",
-        d >= 0 and len(logits) == j and all(x.data.shape == shape for x in states)
-        and all(a.data.shape == (*lead, len(EDGE_TERMS)) for a in logits)
+        d >= 0 and all(x.data.shape == shape for x in states)
+        and logits.data.shape == (*lead, j, len(EDGE_TERMS))
         and block.data.shape == (*lead, j, d, len(ACTIVATION_RULES) * d),
-        *logits, *states, block,
+        logits, *states, block,
     )
     xd = np.concatenate([x.data[..., None, :, :] for x in states], axis=-3)
     wd = block.data
-    w = _softmax_forward(np.concatenate([a.data[..., None, :] for a in logits], axis=-2), -1)
+    w = _softmax_forward(logits.data, -1)
     # Indexed by term: per edge, its weight as a (1, 1) block against its rows.
     tw = [w[..., i, None, None] for i in range(len(EDGE_TERMS))]
     rules = list(ACTIVATION_RULES.values())
@@ -413,27 +413,26 @@ def mixed_edge(logits: Sequence[Value], states: Sequence[Value], block: Value) -
 
     def back(g, need):
         ge = g[..., None, :, :]  # every edge gets the node's gradient
-        dlogits, dstates, dblock = [None] * j, [None] * j, None
-        if True in need[:j]:
+        dlogits, dstates, dblock = None, [None] * j, None
+        if need[0]:
             dw = np.zeros_like(w)
             dw[..., 1] = (ge * xd).sum(axis=(-2, -1))
             for i, y in enumerate(ys, start=2):
                 dw[..., i] = (ge * y).sum(axis=(-2, -1))
-            dl = _softmax_backward(dw, w, -1)
-            dlogits = [dl[..., k, :] for k in range(j)]
-        need_states = True in need[j:2 * j]
-        if need_states or need[2 * j]:
+            dlogits = _softmax_backward(dw, w, -1)
+        need_states = True in need[1:-1]
+        if need_states or need[-1]:
             dz = np.empty_like(z)
             for i, ((_, backward_rule), c, y) in enumerate(zip(rules, cols, ys), start=2):
                 dz[..., c] = backward_rule(ge * tw[i], z[..., c], y)
             if need_states:
                 dx = dz @ wd.mT + ge * tw[1]
                 dstates = [dx[..., k, :, :] for k in range(j)]
-            if need[2 * j]:
+            if need[-1]:
                 dblock = xd.mT @ dz
-        return (*dlogits, *dstates, dblock)
+        return (dlogits, *dstates, dblock)
 
-    return _emit("mixed-edge", (*logits, *states, block), out, back)
+    return _emit("mixed-edge", (logits, *states, block), out, back)
 
 
 def concatenate(values: Sequence[Value]) -> Value:

@@ -14,7 +14,6 @@ from cellsearch.cell import (
     cell_forward,
     derive_genotype,
     discrete_forward,
-    edge_key,
     format_alpha,
     init_alpha,
     mixed_edge_forward,
@@ -84,13 +83,13 @@ OFF = -1e3  # a logit whose softmax weight is exactly 0.0 beside logits near 0
 
 def test_mixed_edge_uniform_zero_identity_halves_input():
     x = rows(2.0, -4.0)
-    out = tensor.mixed_edge([Value([0.0, 0.0, OFF, OFF, OFF])], [x], zero_block(1, 2))
+    out = tensor.mixed_edge(Value([[0.0, 0.0, OFF, OFF, OFF]]), [x], zero_block(1, 2))
     np.testing.assert_allclose(out.data, x.data / 2.0, rtol=0, atol=1e-15)
 
 
 def test_mixed_edge_exact_softmax_arithmetic():
     x = rows(3.0, 9.0)
-    out = tensor.mixed_edge([Value([0.0, np.log(2.0), OFF, OFF, OFF])], [x], zero_block(1, 2))
+    out = tensor.mixed_edge(Value([[0.0, np.log(2.0), OFF, OFF, OFF]]), [x], zero_block(1, 2))
     np.testing.assert_allclose(out.data, (2.0 / 3.0) * x.data, rtol=1e-15)
 
 
@@ -99,7 +98,7 @@ def test_mixed_edge_one_hot_saturation():
     spec_alpha = np.full(len(OP_ORDER), -40.0)
     spec_alpha[OP_ORDER.index("identity")] = 40.0
     block = Value(np.zeros((1, 3, 3 * len(PARAMETERIZED_OPS))))
-    out = mixed_edge_forward([Value(spec_alpha)], [x], block)
+    out = mixed_edge_forward(Value(spec_alpha[None]), [x], block)
     np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
 
@@ -113,10 +112,10 @@ def test_mixed_edge_weights_sum_to_one():
 def test_mixed_edge_rejects_wrong_logit_length():
     block = Value(np.zeros((1, 1, len(PARAMETERIZED_OPS))))
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
-        mixed_edge_forward([Value([0.0, 0.0])], [rows(1.0)], block)
+        mixed_edge_forward(Value([[0.0, 0.0]]), [rows(1.0)], block)
 
 
-@pytest.mark.parametrize("logit_count, state_count, block_shape", [
+@pytest.mark.parametrize("logit_rows, state_count, block_shape", [
     (1, 2, (2, 1, 3)),
     (2, 2, (1, 1, 3)),
     (2, 2, (2, 1, 2)),
@@ -124,8 +123,8 @@ def test_mixed_edge_rejects_wrong_logit_length():
 ], ids=["logits-fewer-than-states", "block-rows-fewer-than-edges", "block-too-narrow",
         "no-edges"])
 def test_mixed_edge_rejects_a_block_or_logit_count_unlike_its_edges(
-        logit_count, state_count, block_shape):
-    logits = [Value(np.zeros(len(OP_ORDER))) for _ in range(logit_count)]
+        logit_rows, state_count, block_shape):
+    logits = Value(np.zeros((logit_rows, len(OP_ORDER))))
     states = [rows(1.0) for _ in range(state_count)]
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
         mixed_edge_forward(logits, states, Value(np.zeros(block_shape)))
@@ -162,18 +161,19 @@ def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
 
     ``logits`` is ([slices,] edges, terms), ``xs`` ([slices,] edges, rows, d)
     and ``block`` ([slices,] edges, d, n * d); each slice's loss is summed over
-    its own rows. The node record reads the block; the per-edge reference (no
-    slice axis) reads the matrices sliced out of it.
+    its own rows. The node record reads the logit and weight blocks; the
+    per-edge reference (no slice axis) reads one logit row per edge and the
+    matrices sliced out of the weight block.
     """
     edges = xs.shape[-3]
     kinds = [kind for kind in op_set if kind in PARAMETERIZED_OPS]
     with Tape():
-        alpha = [Value.param(logits[..., e, :]) for e in range(edges)]
         states = [Value.param(xs[..., e, :, :]) for e in range(edges)]
         if fused:
-            mats = [Value.param(block)]
-            out = mixed_edge_forward(alpha, states, mats[0])
+            alpha, mats = [Value.param(logits)], [Value.param(block)]
+            out = mixed_edge_forward(alpha[0], states, mats[0])
         else:
+            alpha = [Value.param(logits[..., e, :]) for e in range(edges)]
             per_edge = [{kind: Value.param(edge_matrix(block, e, k))
                          for k, kind in enumerate(kinds)} for e in range(edges)]
             mats = [m for params in per_edge for m in params.values()]
@@ -184,6 +184,7 @@ def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
     grads = [p.grad for p in inputs]
     if fused:
         grads[-1:] = [edge_matrix(grads[-1], e, k) for e in range(edges) for k in range(len(kinds))]
+        grads[:1] = [grads[0][..., e, :] for e in range(edges)]
     return [out.data, *grads]
 
 
@@ -232,7 +233,7 @@ def test_stacked_mixed_edge_slices_bit_identical(op_set):
 def test_mixed_edge_rejects_unstacked_logits_on_stacked_input():
     block = Value(np.zeros((2, 1, 1, len(PARAMETERIZED_OPS))))
     with pytest.raises(tensor.ShapeError, match="mixed-edge"):
-        mixed_edge_forward([Value(np.zeros(len(OP_ORDER)))], [Value(np.ones((2, 3, 1)))], block)
+        mixed_edge_forward(Value(np.zeros((1, len(OP_ORDER)))), [Value(np.ones((2, 3, 1)))], block)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -242,7 +243,7 @@ def test_mixed_edge_non_finite_input_gives_non_finite_output(bad):
     x = rng.normal(size=(2, 3))
     x[1, 2] = bad
     block = Value(rng.normal(size=(1, 3, 3 * len(PARAMETERIZED_OPS))))
-    out = mixed_edge_forward([Value(np.zeros(len(OP_ORDER)))], [Value(x)], block)
+    out = mixed_edge_forward(Value(np.zeros((1, len(OP_ORDER)))), [Value(x)], block)
     assert not np.all(np.isfinite(out.data))
 
 
@@ -262,10 +263,7 @@ def saturated(op_set, kind, lo=-45.0, hi=45.0):
 def test_cell_forward_identity_edges_sum_inputs():
     spec = one_node_spec()
     a, b = rows(1.0, 2.0), rows(10.0, -3.0)
-    alpha = {
-        edge_key(0, 2): Value(saturated(OP_ORDER, "identity")),
-        edge_key(1, 2): Value(saturated(OP_ORDER, "identity")),
-    }
+    alpha = {block_name(2): Value(np.stack([saturated(OP_ORDER, "identity")] * 2))}
     out, states = cell_forward(spec, alpha, make_params(spec), [a, b])
     np.testing.assert_allclose(states[2].data, a.data + b.data, atol=1e-12)
     np.testing.assert_allclose(out.data, a.data + b.data, atol=1e-12)
@@ -274,7 +272,8 @@ def test_cell_forward_identity_edges_sum_inputs():
 def test_cell_forward_zero_edges_give_zero_nodes():
     spec = CellSpec(nodes=5, input_arity=2, hidden=2, k=1)
     alpha = {
-        edge_key(i, j): Value(saturated(OP_ORDER, "zero")) for i, j in spec.edges()
+        block_name(j): Value(np.stack([saturated(OP_ORDER, "zero")] * j))
+        for j in spec.intermediate_ids
     }
     _, states = cell_forward(spec, alpha, make_params(spec), [rows(1.0, 2.0), rows(3.0, 4.0)])
     for node in states[2:]:
@@ -285,7 +284,7 @@ def test_cell_forward_uniform_zero_identity_averages():
     spec = one_node_spec()
     a, b = rows(4.0, 0.0), rows(0.0, 2.0)
     zero_identity = np.array([0.0, 0.0, -1e3, -1e3, -1e3])  # the others get weight 0.0
-    alpha = {edge_key(i, 2): Value(zero_identity) for i in range(2)}
+    alpha = {block_name(2): Value(np.stack([zero_identity] * 2))}
     out, _ = cell_forward(spec, alpha, make_params(spec), [a, b])
     np.testing.assert_allclose(out.data, (a.data + b.data) / 2.0, atol=1e-15)
 
@@ -311,7 +310,7 @@ def test_cell_forward_concat_reduction_width():
 def test_cell_alpha_gradients_match_finite_differences():
     spec = CellSpec(nodes=5, input_arity=2, hidden=3, k=2)
     rng = np.random.default_rng(9)
-    raw_alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
+    raw_alpha = {block_name(j): rng.normal(size=(j, len(OP_ORDER))) for j in spec.intermediate_ids}
     param_arrays = node_blocks(spec, draw_edge_matrices(spec, rng))
     x0 = rng.normal(size=(2, 3))
     x1 = rng.normal(size=(2, 3))
@@ -348,7 +347,7 @@ def pair_oracle(spec, alpha, op_set):
     for j in spec.intermediate_ids:
         pairs = []
         for i in range(j):
-            w = softmax_weights(np.asarray(alpha[edge_key(i, j)], dtype=np.float64))
+            w = softmax_weights(np.asarray(alpha[block_name(j)][i], dtype=np.float64))
             for idx, kind in enumerate(op_set):
                 if kind != "zero":
                     pairs.append((-w[idx], i, idx, kind))
@@ -368,10 +367,10 @@ def test_derive_prefers_strongest_nonzero_even_if_zero_dominates():
     spec = one_node_spec()
     tiny = 1e-12
     # linear_sigmoid is left out: its logit of -1e3 gives it weight 0.0
-    alpha = {
-        edge_key(0, 2): np.append(np.log([0.6, 0.4, tiny, tiny]), -1e3),
-        edge_key(1, 2): np.append(np.log([0.2, tiny, 0.5, 0.3]), -1e3),
-    }
+    alpha = {block_name(2): np.stack([
+        np.append(np.log([0.6, 0.4, tiny, tiny]), -1e3),
+        np.append(np.log([0.2, tiny, 0.5, 0.3]), -1e3),
+    ])}
     geno = derive_genotype(spec, alpha)
     assert geno.nodes == (((1, "linear_tanh"),),)
     assert pair_oracle(spec, alpha, OP_ORDER) == [((1, "linear_tanh"),)]
@@ -383,8 +382,8 @@ def test_derive_matches_pair_oracle_on_random_logits():
         spec = CellSpec(nodes=nodes, input_arity=2, hidden=2, k=k)
         for _ in range(40):
             alpha = {
-                edge_key(i, j): rng.normal(scale=2.0, size=len(OP_ORDER))
-                for i, j in spec.edges()
+                block_name(j): rng.normal(scale=2.0, size=(j, len(OP_ORDER)))
+                for j in spec.intermediate_ids
             }
             geno = derive_genotype(spec, alpha)
             expected = pair_oracle(spec, alpha, OP_ORDER)
@@ -401,34 +400,29 @@ def test_derive_all_zero_logits_uses_tie_breaks():
 
 def one_hot_encoding(spec, geno):
     """Logits that saturate retained ops and park dropped edges on zero."""
-    alpha = {}
+    alpha = {block_name(j): np.full((j, len(OP_ORDER)), -30.0) for j in spec.intermediate_ids}
     retained = {}
     for offset, pairs in enumerate(geno.nodes):
         for pred, kind in pairs:
-            retained[edge_key(pred, spec.input_arity + offset)] = kind
+            retained[pred, spec.input_arity + offset] = kind
     for i, j in spec.edges():
-        key = edge_key(i, j)
-        vec = np.full(len(OP_ORDER), -30.0)
-        vec[OP_ORDER.index(retained.get(key, "zero"))] = 30.0
-        alpha[key] = vec
+        alpha[block_name(j)][i, OP_ORDER.index(retained.get((i, j), "zero"))] = 30.0
     return alpha
 
 
 def test_derive_one_hot_logits_reproduces_choices_and_is_idempotent():
     spec = CellSpec(nodes=6, input_arity=2, hidden=4, k=2)
     rng = np.random.default_rng(5)
-    alpha, chosen = {}, {}
+    alpha, chosen = init_alpha(spec), {}
     for rank, (i, j) in enumerate(spec.edges()):
         kind = str(rng.choice(NON_ZERO_OPS))
-        vec = np.zeros(len(OP_ORDER))
-        vec[OP_ORDER.index(kind)] = 8.0 + 0.1 * rank  # distinct strengths, no ties
-        alpha[edge_key(i, j)] = vec
-        chosen[edge_key(i, j)] = kind
+        alpha[block_name(j)][i, OP_ORDER.index(kind)] = 8.0 + 0.1 * rank  # distinct, no ties
+        chosen[i, j] = kind
     geno = derive_genotype(spec, alpha)
     for offset, pairs in enumerate(geno.nodes):
         j = spec.input_arity + offset
         for pred, kind in pairs:
-            assert kind == chosen[edge_key(pred, j)]
+            assert kind == chosen[pred, j]
 
     # round trip: encode the genotype as one-hot logits, derive again
     assert derive_genotype(spec, one_hot_encoding(spec, geno)) == geno
@@ -437,13 +431,14 @@ def test_derive_one_hot_logits_reproduces_choices_and_is_idempotent():
 def test_derive_is_invariant_to_per_edge_logit_shifts():
     spec = CellSpec(nodes=6, input_arity=2, hidden=4, k=2)
     rng = np.random.default_rng(17)
-    alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
-    shifted = {k: v + rng.normal() * 10.0 for k, v in alpha.items()}
+    alpha = {block_name(j): rng.normal(size=(j, len(OP_ORDER))) for j in spec.intermediate_ids}
+    shifted = {k: v + rng.normal(size=(len(v), 1)) * 10.0 for k, v in alpha.items()}  # per row
     assert derive_genotype(spec, alpha).nodes == derive_genotype(spec, shifted).nodes
     for k in alpha:
-        np.testing.assert_allclose(
-            softmax_weights(alpha[k]), softmax_weights(shifted[k]), atol=1e-12
-        )
+        for row, shifted_row in zip(alpha[k], shifted[k]):
+            np.testing.assert_allclose(
+                softmax_weights(row), softmax_weights(shifted_row), atol=1e-12
+            )
 
 
 def test_derived_genotypes_always_valid():
@@ -453,25 +448,40 @@ def test_derived_genotypes_always_valid():
         k = int(rng.integers(1, 3))
         spec = CellSpec(nodes=nodes, input_arity=2, hidden=2, k=k)
         alpha = {
-            edge_key(i, j): rng.normal(scale=3.0, size=len(OP_ORDER))
-            for i, j in spec.edges()
+            block_name(j): rng.normal(scale=3.0, size=(j, len(OP_ORDER)))
+            for j in spec.intermediate_ids
         }
         derive_genotype(spec, alpha).validate()
+
+
+def snapshot(edges):
+    """A logit snapshot with one all-zero row per named edge."""
+    return "edge\t" + "\t".join(OP_ORDER) + "\n" + "".join(
+        edge + "\t0.0" * len(OP_ORDER) + "\n" for edge in edges)
 
 
 def test_derive_missing_edge_rejected():
     spec = one_node_spec()
     with pytest.raises(CellError, match=re.escape("missing ['1->2'], unexpected []")):
-        derive_genotype(spec, {edge_key(0, 2): np.zeros(len(OP_ORDER))})
+        parse_alpha(snapshot(["0->2"]), spec)
 
 
 def test_derive_unexpected_edge_rejected():
     spec = one_node_spec()
-    alpha = {edge_key(i, j): np.zeros(len(OP_ORDER)) for i, j in spec.edges()}
-    alpha[edge_key(2, 3)] = np.zeros(len(OP_ORDER))
     with pytest.raises(CellError, match=re.escape("do not match the cell: missing [], "
                                                   "unexpected ['2->3']")):
-        derive_genotype(spec, alpha)
+        parse_alpha(snapshot(["0->2", "1->2", "2->3"]), spec)
+
+
+@pytest.mark.parametrize("alpha", [
+    {},
+    {block_name(2): np.zeros((1, len(OP_ORDER)))},
+    {block_name(2): np.zeros((2, len(OP_ORDER) - 1))},
+    {block_name(2): np.zeros((2, len(OP_ORDER))), block_name(3): np.zeros((3, len(OP_ORDER)))},
+], ids=["no-block", "too-few-rows", "too-few-columns", "extra-block"])
+def test_derive_rejects_logit_blocks_unlike_the_cell(alpha):
+    with pytest.raises(CellError, match=re.escape("do not match the cell's {'node_2': (2, 5)}")):
+        derive_genotype(one_node_spec(), alpha)
 
 
 # --- discrete forward -------------------------------------------------------
@@ -488,11 +498,9 @@ def test_discrete_forward_identity_edges_sum_inputs():
 def test_discrete_forward_matches_saturated_mixed_forward():
     spec = CellSpec(nodes=6, input_arity=2, hidden=4, k=2)
     rng = np.random.default_rng(77)
-    alpha_raw = {}
+    alpha_raw = {block_name(j): np.full((j, len(OP_ORDER)), -45.0) for j in spec.intermediate_ids}
     for i, j in spec.edges():
-        vec = np.full(len(OP_ORDER), -45.0)
-        vec[int(rng.integers(1, len(OP_ORDER)))] = 45.0
-        alpha_raw[edge_key(i, j)] = vec
+        alpha_raw[block_name(j)][i, int(rng.integers(1, len(OP_ORDER)))] = 45.0
     params = make_params(spec, seed=4)
     inputs = [Value(rng.normal(size=(3, 4))) for _ in range(2)]
 
@@ -504,7 +512,7 @@ def test_discrete_forward_matches_saturated_mixed_forward():
     # two strongest; with equal-height one-hots strengths tie, so restrict to the
     # two-predecessor first node for the exact comparison.
     first_node_spec = one_node_spec(hidden=4, k=2)
-    sub_alpha = {key: alpha_raw[key] for key in (edge_key(0, 2), edge_key(1, 2))}
+    sub_alpha = {block_name(2): alpha_raw[block_name(2)]}
     sub_params = {block_name(2): params[block_name(2)]}
     edge_params = {weight_name(i, 2, kind): Value(edge_matrix(params[block_name(2)].data, i, k))
                    for i in range(2) for k, kind in enumerate(PARAMETERIZED_OPS)}
@@ -568,8 +576,9 @@ def test_relaxed_init_blocks_hold_the_per_edge_draw(reduction):
 def test_init_alpha_uniform_attention():
     spec = CellSpec(nodes=7, input_arity=2, hidden=4, k=2)
     alpha = init_alpha(spec)
-    assert len(alpha) == 14  # 2 + 3 + 4 + 5 incoming edges
-    for vec in alpha.values():
+    assert len(alpha) == 4  # one block per intermediate node
+    assert sum(len(block) for block in alpha.values()) == 14  # 2 + 3 + 4 + 5 incoming edges
+    for vec in np.concatenate(list(alpha.values())):
         np.testing.assert_allclose(softmax_weights(vec), np.full(5, 0.2), atol=1e-15)
     assert alpha_entropy(alpha) == pytest.approx(uniform_entropy(5), rel=1e-12)
 
@@ -598,8 +607,8 @@ def test_sampled_genotypes_valid_and_deterministic():
 def test_genotype_json_round_trip():
     spec = CellSpec(nodes=6, input_arity=2, hidden=8, k=2, reduction="concat")
     geno = derive_genotype(spec, {
-        k: np.random.default_rng(8).normal(size=len(OP_ORDER)) for k in
-        (edge_key(i, j) for i, j in spec.edges())
+        block_name(j): np.tile(np.random.default_rng(8).normal(size=len(OP_ORDER)), (j, 1))
+        for j in spec.intermediate_ids
     })
     again = Genotype.from_json(geno.to_json())
     assert again == geno
@@ -614,9 +623,9 @@ def test_genotype_from_json_rejects_garbage():
 def test_alpha_snapshot_round_trip_full_precision():
     spec = CellSpec(nodes=6, input_arity=2, hidden=4, k=2)
     rng = np.random.default_rng(12)
-    alpha = {edge_key(i, j): rng.normal(size=len(OP_ORDER)) for i, j in spec.edges()}
+    alpha = {block_name(j): rng.normal(size=(j, len(OP_ORDER))) for j in spec.intermediate_ids}
     text = format_alpha(alpha)
-    parsed = parse_alpha(text)
+    parsed = parse_alpha(text, spec)
     assert set(parsed) == set(alpha)
     for k in alpha:
         np.testing.assert_array_equal(parsed[k], alpha[k])
@@ -624,15 +633,30 @@ def test_alpha_snapshot_round_trip_full_precision():
 
 
 def test_alpha_snapshot_parse_errors():
+    spec = one_node_spec()
     with pytest.raises(CellError, match="empty"):
-        parse_alpha("")
+        parse_alpha("", spec)
     with pytest.raises(CellError, match="header"):
-        parse_alpha("nope\t1\t2\n")
+        parse_alpha("nope\t1\t2\n", spec)
     with pytest.raises(CellError, match="columns"):
-        parse_alpha("edge\tzero\tidentity\n0->2\t1.0\n")
+        parse_alpha("edge\tzero\tidentity\n0->2\t1.0\n", spec)
     swapped = ["edge", OP_ORDER[1], OP_ORDER[0], *OP_ORDER[2:]]
     with pytest.raises(CellError, match="operation columns .* do not match the registry"):
-        parse_alpha("\t".join(swapped) + "\n0->2" + "\t0.0" * len(OP_ORDER) + "\n")
+        parse_alpha("\t".join(swapped) + "\n0->2" + "\t0.0" * len(OP_ORDER) + "\n", spec)
+
+
+def test_alpha_snapshot_rows_keep_edge_order_and_parse_back_to_the_blocks():
+    spec = CellSpec(nodes=6, input_arity=2, hidden=4, k=2)  # 3 intermediate nodes
+    rng = np.random.default_rng(4)
+    alpha = {block_name(j): rng.normal(size=(j, len(OP_ORDER))) for j in spec.intermediate_ids}
+    text = format_alpha(alpha)
+    assert [line.split("\t")[0] for line in text.splitlines()[1:]] == [
+        "0->2", "0->3", "0->4", "1->2", "1->3", "1->4", "2->3", "2->4", "3->4"]
+    parsed = parse_alpha(text, spec)
+    assert list(parsed) == list(alpha)
+    for name, block in alpha.items():
+        assert parsed[name].shape == block.shape
+        assert parsed[name].tobytes() == block.tobytes()  # bit for bit
 
 
 # --- spec validation ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -643,9 +644,12 @@ def test_grad_check_bad_flag_exits_2_with_one_line(capsys, flag, value):
 
 
 def test_module_entry_point_runs():
+    # the child does not see pytest's ``pythonpath``, so it is given the checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cellsearch", "count", "--intermediates", "1", "--ops", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "discrete_exact: 4" in proc.stdout  # C(2,2) * 2^2

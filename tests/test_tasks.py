@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellsearch.cell import CellSpec, sample_genotype
+from cellsearch.cell import CellSpec, block_name, sample_genotype
 from cellsearch.cli import build_problem, load_config
-from cellsearch.ops import PARAMETERIZED_OPS
+from cellsearch.ops import OP_ORDER, PARAMETERIZED_OPS
 from cellsearch.tasks import (
     DataConfig,
     DataError,
@@ -15,6 +15,7 @@ from cellsearch.tasks import (
     SyntheticCellTask,
     ToyBilevelTask,
     carve_test_split,
+    default_task,
     holdout_split,
     load_delimited,
     make_synthetic_classification,
@@ -290,6 +291,29 @@ def test_relaxed_desk_pass_is_one_record_per_mixed_edge():
     assert len(weights) == 6  # 2 stems, a block per node, the head
     # every matrix made is read: one left out would get a zero gradient silently
     assert read == {id(v) for v in [*weights.values(), *alpha.values()]}
+
+
+def test_logit_blocks_share_the_weight_block_names_and_feed_one_record_per_node():
+    task = default_task()
+    alpha = task.init_alpha()
+    weights = task.init_weights(0)
+    nodes = list(task.spec.intermediate_ids)
+    assert list(alpha) == [block_name(j) for j in nodes]
+    assert set(weights) == {*alpha, "stem_0", "stem_1", "head"}
+    for j in nodes:
+        assert alpha[block_name(j)].shape == (j, len(OP_ORDER))
+        assert weights[block_name(j)].shape[0] == j  # row i is edge (i, j) in both
+    alpha_v = {k: Value.param(v) for k, v in alpha.items()}
+    weights_v = {k: Value.param(v) for k, v in weights.items()}
+    batch = task.batch("train", 48, np.random.default_rng(0))
+    with Tape() as tape:
+        task.loss("train", weights_v, alpha_v, batch)
+    assert len(tape.records) == 10
+    mixed = [inputs for kind, inputs, *_ in tape.records if kind == "mixed-edge"]
+    assert [len(inputs) for inputs in mixed] == [j + 2 for j in nodes]
+    for j, inputs in zip(nodes, mixed):
+        # the node's logit block, its j predecessor states, its weight block
+        assert inputs[0] is alpha_v[block_name(j)] and inputs[-1] is weights_v[block_name(j)]
 
 
 def test_discrete_desk_pass_records_two_per_linear_edge():
