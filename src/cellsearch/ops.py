@@ -5,8 +5,8 @@ vectors index into it, so it must never be reshuffled.
 
 Node representations are always 2-d, rows of width ``hidden``; a single
 vector is a one-row matrix. Parameterized kinds apply ``activation(x @ W)``
-with one ``(hidden, hidden)`` weight matrix owned per edge-op; ``zero`` and
-``identity`` hold no parameters.
+with one ``(hidden, hidden)`` weight matrix owned per edge-op; ``identity``
+holds none, and ``zero`` is a mixed-edge term only, which ``apply_op`` rejects.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ class OpError(ValueError):
 
 
 def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
-    """Apply one candidate operation to a stack of row vectors."""
+    """Apply one non-zero operation, a kind a genotype keeps, to row vectors."""
     if x.ndim != 2:
         raise OpError(f"{kind}: expected rows of vectors, got shape {x.shape}")
-    term = OPS.get(kind)
-    if term is None:
-        raise OpError(f"unknown operation kind: {kind!r}")
-    if term == "zero":
-        return tensor.scale(x, 0.0)
+    if kind not in NON_ZERO_OPS:
+        raise OpError(f"unknown operation kind: {kind!r}, not one of {NON_ZERO_OPS}")
+    term = OPS[kind]
     if term == "identity":
         return x
     if weights is None:

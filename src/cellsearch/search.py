@@ -9,15 +9,15 @@ gradient is
 
 where v is the validation gradient at w' and M v, the mixed second-derivative
 term, is approximated by a symmetric finite difference of the alpha-gradient
-of the training loss at w +/- eps*v with eps = scale / ||v||. With xi = 0 the
-correction vanishes and the step reduces to the plain validation gradient at
-the current weights (first-order mode).
+of the training loss at w +/- eps*v with eps = scale / ||v||. Every mode
+steps by this one gradient; at xi = 0 (first-order mode) the correction
+vanishes and it is the plain validation gradient at the current weights.
 
 Baselines live here too: joint optimization of both groups by coordinate
-descent on pooled train+val data (the first-order iteration with both steps
-on the pooled split), uniform random architecture sampling, and multi-seed
-selection. Both of the last two retrain each genotype from scratch and return
-one ``Ranking``, whose best is the highest validation accuracy.
+descent on pooled train+val data (xi = 0, both steps on the pooled split),
+uniform random architecture sampling, and multi-seed selection. Both of the
+last two retrain each genotype from scratch and return one ``Ranking``,
+whose best is the highest validation accuracy.
 """
 
 from __future__ import annotations
@@ -290,15 +290,13 @@ def unrolled_weights(problem, weights: Params, alpha: Params, unroll_lr: float,
                      optimizer: SgdMomentum | None = None) -> Params:
     """One virtual training step: w - unroll_lr * d(train loss)/dw.
 
-    The incoming weights are never mutated. By default the step is the plain
-    gradient; passing the weight ``optimizer`` makes the lookahead its own
-    step at rate ``unroll_lr`` (momentum and decay included), leaving its
-    state untouched. Stacked weights and logits take one step per slice.
+    The incoming weights are never mutated (a zero step returns equal copies).
+    By default the step is the plain gradient; the weight ``optimizer`` makes
+    it that optimizer's own step at rate ``unroll_lr`` (momentum and decay
+    included), leaving its state untouched. Stacked arrays step per slice.
     """
     if unroll_lr < 0:
         raise ValueError("unroll step must be non-negative")
-    if unroll_lr == 0.0:
-        return {k: v.copy() for k, v in weights.items()}
     _, wgrads, _ = loss_and_grads(problem, "train", weights, alpha, train_batch,
                                   wrt=("weights",), counters=counters)
     if optimizer is not None:
@@ -307,9 +305,10 @@ def unrolled_weights(problem, weights: Params, alpha: Params, unroll_lr: float,
 
 
 def arch_gradient_first_order(problem, weights: Params, alpha: Params, val_batch,
-                              counters: EvalCounters | None = None):
-    """Validation gradient over alpha at the current weights."""
-    val_loss, _, agrads = loss_and_grads(problem, "val", weights, alpha, val_batch,
+                              counters: EvalCounters | None = None, split: str = "val"):
+    """Gradient over alpha of ``split``'s loss at the current weights (the
+    lookahead gradient at a zero step); returns (gradient, loss)."""
+    val_loss, _, agrads = loss_and_grads(problem, split, weights, alpha, val_batch,
                                          wrt=("alpha",), counters=counters)
     return agrads, val_loss
 
@@ -346,23 +345,23 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
                                counters: EvalCounters | None = None,
                                epsilon_scale: float = SearchConfig.hvp_epsilon_scale,
                                hvp_fn: Callable[..., Params] | None = None,
-                               optimizer: SgdMomentum | None = None):
-    """Lookahead validation gradient with the finite-difference correction.
+                               optimizer: SgdMomentum | None = None, split: str = "val"):
+    """Lookahead gradient of ``split`` (``val``, or ``joint``) with the
+    finite-difference correction: the architecture gradient of every mode.
 
     ``hvp_fn(vector) -> alpha-shaped dict`` may replace the built-in finite
     difference (e.g. with an analytic product on problems that have one).
-    Returns (alpha gradient, SecondOrderInfo). With a zero unroll step the
-    correction vanishes and this reduces, bit for bit, to the plain
-    validation gradient at the current weights.
+    Returns (alpha gradient, SecondOrderInfo). A zero unroll step takes no
+    lookahead: it is ``arch_gradient_first_order``, bit for bit, with no epsilon.
     """
     if unroll_lr == 0.0:
-        grads, val_loss = arch_gradient_first_order(problem, weights, alpha,
-                                                    val_batch, counters=counters)
+        grads, val_loss = arch_gradient_first_order(problem, weights, alpha, val_batch,
+                                                    counters=counters, split=split)
         return grads, SecondOrderInfo(None, val_loss)
     lookahead = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch,
                                  counters=counters, optimizer=optimizer)
     val_loss, val_wgrads, outer = loss_and_grads(
-        problem, "val", lookahead, alpha, val_batch, wrt=WRT_BOTH, counters=counters
+        problem, split, lookahead, alpha, val_batch, wrt=WRT_BOTH, counters=counters
     )
     vec_norm = flat_norm(val_wgrads.values())
     if not np.isfinite(vec_norm):
@@ -427,11 +426,12 @@ def _weight_step(problem, config, weights, alpha, rng, counters, split):
 def search(config: SearchConfig, problem) -> Trajectory:
     """Alternating search: one architecture step, then one weight step.
 
-    Every mode runs the same iteration body. The architecture step takes a
-    fresh batch of its split (``val``, or ``joint`` in joint mode) and, in
-    second-order mode, a fresh training batch for the lookahead; the weight
-    step then takes a fresh batch of its split (``train``, or ``joint``). In
-    joint mode the architecture loss stands in for the validation loss.
+    Every mode runs the same iteration body. Its architecture step is one
+    ``arch_gradient_second_order`` call on a fresh batch of its split (``val``,
+    or ``joint``, whose loss stands in for the validation loss), at the
+    resolved ``unroll_lr`` with a fresh training batch in second-order mode and
+    at 0 otherwise; the weight step then takes a fresh batch of its split
+    (``train``, or ``joint``).
     After each completed iteration t with ``t % config.snapshot_every == 0``
     the search keeps a copy of the logits in ``Trajectory.snapshots[t]``.
     Divergence stops the loop and returns the trajectory collected so far,
@@ -447,24 +447,19 @@ def search(config: SearchConfig, problem) -> Trajectory:
 
     for t, rate in enumerate(rates):
         w_opt.lr = rate
-        epsilon = None
         try:
             arch_batch = problem.batch(arch_split, config.batch_size, rng)
+            unroll_lr, unroll_batch = 0.0, None
             if config.mode == "second-order":
                 unroll_batch = problem.batch("train", config.batch_size, rng)
                 unroll_lr = w_opt.lr if config.unroll_lr is None else config.unroll_lr
-                agrads, info = arch_gradient_second_order(
-                    problem, weights, alpha, unroll_lr, unroll_batch, arch_batch,
-                    counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
-                    optimizer=w_opt if config.momentum_unroll else None,
-                )
-                arch_loss, epsilon = info.val_loss, info.epsilon
-                if info.correction_skipped:
-                    traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
-            else:
-                arch_loss, _, agrads = loss_and_grads(problem, arch_split, weights, alpha,
-                                                      arch_batch, wrt=("alpha",),
-                                                      counters=traj.counters)
+            agrads, info = arch_gradient_second_order(
+                problem, weights, alpha, unroll_lr, unroll_batch, arch_batch,
+                counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
+                optimizer=w_opt if config.momentum_unroll else None, split=arch_split,
+            )
+            if info.correction_skipped:
+                traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
             alpha = a_opt.step(alpha, agrads)
             train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng,
                                               traj.counters, weight_split)
@@ -476,8 +471,8 @@ def search(config: SearchConfig, problem) -> Trajectory:
         if config.snapshot_every and t % config.snapshot_every == 0:
             traj.snapshots[t] = {k: v.copy() for k, v in alpha.items()}
         traj.records.append(IterationRecord(
-            iteration=t, train_loss=train_loss, val_loss=arch_loss,
-            weight_lr=w_opt.lr, hvp_epsilon=epsilon,
+            iteration=t, train_loss=train_loss, val_loss=info.val_loss,
+            weight_lr=w_opt.lr, hvp_epsilon=info.epsilon,
             wall_clock=time.perf_counter() - start,
         ))
 

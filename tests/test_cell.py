@@ -132,13 +132,13 @@ def test_mixed_edge_rejects_a_block_or_logit_count_unlike_its_edges(
 
 def unfused_mixed_edge(alpha_vec, x, edge_op_params, op_set):
     """Reference only: the mixed edge as one record per softmax, select,
-    multiply, operation and add, with the zero term included."""
+    multiply, operation and add, with the zero term included as x scaled by 0."""
     weights = tensor.softmax(alpha_vec, axis=0)
     out = None
     for idx, kind in enumerate(op_set):
-        term = tensor.multiply(
-            tensor.select(weights, idx), apply_op(kind, edge_op_params.get(kind), x)
-        )
+        op_out = (tensor.scale(x, 0.0) if kind == "zero"
+                  else apply_op(kind, edge_op_params.get(kind), x))
+        term = tensor.multiply(tensor.select(weights, idx), op_out)
         out = term if out is None else tensor.add(out, term)
     return out
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -120,6 +121,17 @@ def test_parse_config_optional_floats():
     cfg = parse_config_text("unroll_lr = auto\nclip_norm = none\n")
     assert cfg == {"unroll_lr": None, "clip_norm": None}
     assert parse_config_text("unroll_lr = 0.5\n") == {"unroll_lr": 0.5}
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| group  | keys |", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for row in table.splitlines()[2:]:
+        keys = re.sub(r"\([^()]*\)", "", row.split("|")[2])  # drop the values
+        listed += re.findall(r"`([^`]+)`", keys)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(cli.CONFIG_KEYS)
 
 
 # --- search command -------------------------------------------------------------

@@ -21,12 +21,6 @@ def test_registry_order_is_fixed():
     assert tuple(OPS.values()) == tensor.EDGE_TERMS
 
 
-def test_zero_op_outputs_zeros():
-    x = Value(np.random.default_rng(0).normal(size=(3, 4)))
-    out = apply_op("zero", None, x)
-    np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
-
-
 def test_identity_op_returns_input():
     x = Value([[1.0, 2.0]])
     assert apply_op("identity", None, x) is x
@@ -44,13 +38,15 @@ def test_parameterized_kind_requires_weights():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(OpError, match="unknown operation"):
-        apply_op("max_pool", None, Value([[1.0]]))
+    # zero adds no term: only the mixed edge weighs it, so apply_op rejects it too
+    for kind in ("max_pool", "zero"):
+        with pytest.raises(OpError, match=f"unknown operation kind: '{kind}'"):
+            apply_op(kind, None, Value([[1.0]]))
 
 
 def test_vector_inputs_must_be_rows():
     with pytest.raises(OpError, match="rows of vectors"):
-        apply_op("zero", None, Value([1.0, 2.0]))
+        apply_op("identity", None, Value([1.0, 2.0]))
 
 
 def test_init_scale_rule():
@@ -86,7 +82,7 @@ def test_weight_gradients_match_finite_differences(kind):
     assert relative_error(wp.grad, fd[0]) < 1e-4
 
 
-@pytest.mark.parametrize("kind", ["zero", "identity"])
+@pytest.mark.parametrize("kind", ["identity"])
 def test_parameter_free_ops_leave_weights_ungradiented(kind):
     rng = np.random.default_rng(3)
     w = Value.param(rng.normal(size=(4, 4)))

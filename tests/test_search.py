@@ -143,6 +143,17 @@ def test_second_order_with_zero_unroll_equals_first_order_bitwise(small_task):
         assert np.array_equal(first[k], second[k])
 
 
+def test_zero_step_gradient_is_the_pass_of_the_architecture_split(toy):
+    weights, alpha = toy_state()
+    grads, info = arch_gradient_second_order(toy, weights, alpha, 0.0, None, None,
+                                             split="joint")
+    loss, _, expected = loss_and_grads(toy, "joint", weights, alpha, None, wrt=("alpha",))
+    assert info.epsilon is None and info.val_loss == loss
+    assert np.array_equal(grads["alpha"], expected["alpha"])
+    val_grads, _ = arch_gradient_second_order(toy, weights, alpha, 0.0, None, None)
+    assert not np.array_equal(grads["alpha"], val_grads["alpha"])
+
+
 # --- finite-difference correction product ------------------------------------
 
 

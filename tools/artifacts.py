@@ -35,6 +35,8 @@ SEARCHES = {
     "desk-momentum-unroll": ("desk.cfg", {"momentum_unroll": "true"}),
     "desk-concat": ("desk.cfg", {"steps": "100", "cell_reduction": "concat"}),
     "toy": ("toy.cfg", {}),
+    # the toy task reads the split name, so it alone shows which split joint mode descends
+    "toy-joint": ("toy.cfg", {"mode": "joint"}),
     # a search whose weights overflow (exit 3), so the failing path is covered too
     "desk-diverging": ("desk.cfg", {"weight_lr": "1e9", "clip_norm": "none", "anneal": "false"}),
 }
