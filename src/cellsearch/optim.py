@@ -9,8 +9,6 @@ optimizer buffers are the only mutable state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import flat_norm
@@ -92,21 +90,6 @@ class Adam:
             v_hat = v / c2
             out[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
-
-
-class CosineSchedule:
-    """Rate annealed from ``initial`` at step 0 to exactly 0 at step ``total``."""
-
-    def __init__(self, initial: float, total: int):
-        if total <= 0:
-            raise ValueError("cosine schedule needs a positive step count")
-        self.initial = float(initial)
-        self.total = int(total)
-
-    def rate(self, t: int | float) -> float:
-        if not 0 <= t <= self.total:
-            raise ValueError(f"schedule step {t} outside [0, {self.total}]")
-        return 0.5 * self.initial * (1.0 + math.cos(math.pi * t / self.total))
 
 
 def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:

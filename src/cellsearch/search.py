@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cell import Genotype, sample_genotype
-from .optim import Adam, CosineSchedule, SgdMomentum, clip_global_norm
+from .optim import Adam, SgdMomentum, clip_global_norm
 from .tensor import Tape, Value, backward, flat_norm
 
 Params = dict[str, np.ndarray]
@@ -67,6 +67,8 @@ class EvalCounters:
 
 MODES = ("second-order", "first-order", "joint")
 ARCH_OPTIMIZERS = ("adam", "sgd")
+# The paper's architecture-Adam betas (arXiv 1806.09055, section 3).
+ARCH_ADAM_BETAS = (0.5, 0.999)
 # The range of hvp_epsilon_scale. Far below it the difference is rounding error,
 # and exactly 0 once the perturbed weights round back to the weights; above it
 # the difference is no longer local.
@@ -86,9 +88,7 @@ class SearchConfig:
     momentum: float = 0.9
     weight_decay_weights: float = 3e-4
     weight_decay_alpha: float = 1e-3
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    arch_optimizer: str = "adam"  # sgd: plain descent
+    arch_optimizer: str = "adam"  # adam with ARCH_ADAM_BETAS; sgd: plain descent
     unroll_lr: float | None = None  # None: follow the current weight lr
     hvp_epsilon_scale: float = 1e-4  # the paper's 0.01 crosses ReLU kinks on small cells
     anneal: bool = True
@@ -122,8 +122,6 @@ class SearchConfig:
         if not MIN_EPSILON_SCALE <= self.hvp_epsilon_scale <= MAX_EPSILON_SCALE:
             raise ConfigError(f"hvp_epsilon_scale must be in [{MIN_EPSILON_SCALE}, "
                               f"{MAX_EPSILON_SCALE}], got {self.hvp_epsilon_scale}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ConfigError("Adam betas must be in [0, 1)")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
         if self.weight_decay_weights < 0 or self.weight_decay_alpha < 0:
@@ -386,7 +384,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
 
 def _make_arch_optimizer(config: SearchConfig):
     if config.arch_optimizer == "adam":
-        return Adam(config.arch_lr, betas=(config.adam_beta1, config.adam_beta2),
+        return Adam(config.arch_lr, betas=ARCH_ADAM_BETAS,
                     weight_decay=config.weight_decay_alpha)
     return SgdMomentum(config.arch_lr, momentum=0.0,
                        weight_decay=config.weight_decay_alpha)
@@ -394,12 +392,14 @@ def _make_arch_optimizer(config: SearchConfig):
 
 def _weight_training(config: SearchConfig, steps: int):
     """The weight optimizer and its rate at each of ``steps`` steps: cosine
-    annealed to 0 when ``config.anneal`` is set, constant otherwise."""
+    annealed from ``weight_lr`` at step 0 towards 0 at step ``steps`` when
+    ``config.anneal`` is set, constant otherwise."""
     opt = SgdMomentum(config.weight_lr, momentum=config.momentum,
                       weight_decay=config.weight_decay_weights)
-    if config.anneal and steps:
-        return opt, map(CosineSchedule(config.weight_lr, steps).rate, range(steps))
-    return opt, itertools.repeat(config.weight_lr, steps)
+    lr = float(config.weight_lr)
+    if config.anneal:
+        return opt, (0.5 * lr * (1.0 + math.cos(math.pi * t / steps)) for t in range(steps))
+    return opt, itertools.repeat(lr, steps)
 
 
 def _clipped(config: SearchConfig, wgrads: Params) -> Params:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellsearch.optim import Adam, CosineSchedule, OptimizerError, SgdMomentum, clip_global_norm
+from cellsearch.optim import Adam, OptimizerError, SgdMomentum, clip_global_norm
 
 
 def params_of(**kwargs):
@@ -97,27 +97,6 @@ def test_shape_mismatch_rejected():
         SgdMomentum(lr=0.1).step(params_of(p=[1.0, 2.0]), params_of(p=[1.0]))
     with pytest.raises(OptimizerError, match="keys differ"):
         Adam(lr=0.1).step(params_of(p=[1.0]), params_of(q=[1.0]))
-
-
-def test_cosine_schedule_boundaries_and_midpoint():
-    sched = CosineSchedule(initial=0.5, total=100)
-    assert sched.rate(0) == pytest.approx(0.5)
-    assert sched.rate(100) == pytest.approx(0.0, abs=1e-15)
-    assert sched.rate(50) == pytest.approx(0.25)
-
-
-def test_cosine_schedule_monotone_non_increasing():
-    sched = CosineSchedule(initial=1.0, total=37)
-    rates = [sched.rate(t) for t in range(38)]
-    assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-
-def test_cosine_schedule_rejects_out_of_range():
-    sched = CosineSchedule(initial=1.0, total=10)
-    with pytest.raises(ValueError, match="outside"):
-        sched.rate(-1)
-    with pytest.raises(ValueError, match="outside"):
-        sched.rate(11)
 
 
 def test_clip_global_norm():

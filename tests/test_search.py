@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from cellsearch.fidelity import (
     make_tiny_cell_task,
     unrolled_objective,
 )
-from cellsearch.optim import SgdMomentum
+from cellsearch.optim import Adam, SgdMomentum
 from cellsearch.search import (
     WRT_BOTH,
     CandidateResult,
@@ -33,6 +34,7 @@ from cellsearch.search import (
     SearchConfig,
     SelectionError,
     _grads_from,
+    _make_arch_optimizer,
     arch_gradient_first_order,
     arch_gradient_second_order,
     desk_search_config,
@@ -337,6 +339,22 @@ def test_toy_outer_objective_separation(toy):
     outer = lambda a: (a - 1.0) ** 2
     assert outer(float(second.final_alpha["alpha"])) < 1e-3
     assert outer(float(first.final_alpha["alpha"])) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_search_records_the_cosine_annealed_weight_rate(toy):
+    config = dataclasses.replace(toy_search_config(steps=7), anneal=True)
+    rates = [r.weight_lr for r in search(config, toy).records]
+    assert rates == [0.5 * 0.5 * (1 + math.cos(math.pi * t / 7)) for t in range(7)]
+    assert rates[0] == config.weight_lr
+    assert all(a > b > 0 for a, b in zip(rates, rates[1:]))
+    constant = search(dataclasses.replace(config, anneal=False), toy).records
+    assert [r.weight_lr for r in constant] == [config.weight_lr] * 7
+
+
+def test_architecture_adam_takes_the_papers_betas():
+    opt = _make_arch_optimizer(desk_search_config())
+    assert isinstance(opt, Adam)
+    assert (opt.beta1, opt.beta2) == (0.5, 0.999)
 
 
 class ZeroAlphaToy(ToyBilevelTask):
