@@ -187,9 +187,6 @@ class Genotype:
     nodes: tuple[tuple[tuple[int, str], ...], ...]
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if len(self.nodes) != self.spec.n_intermediate:
             raise CellError(
                 f"genotype has {len(self.nodes)} nodes, spec wants {self.spec.n_intermediate}"
@@ -226,7 +223,7 @@ class Genotype:
             nodes = tuple(
                 tuple((e["pred"], str(e["op"])) for e in pairs) for pairs in doc["nodes"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CellError(f"malformed genotype document: {exc}") from exc
         return cls(spec, nodes)
 

@@ -154,7 +154,7 @@ def check_kind(kind: str, seed: int = 0, cases: int = 20,
             out = fn(params)
             coeffs = None if kind in _LOSS_KINDS else rng.normal(size=out.shape)
             loss = _scalarize(out, coeffs)
-        backward(loss, wrt=params)
+        backward(loss)
         ad_grads = [p.grad for p in params]
 
         def f(probes):

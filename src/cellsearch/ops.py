@@ -44,11 +44,7 @@ def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
     return tensor.PRIMITIVES[term](tensor.matmul(x, weights))
 
 
-def init_scale(fan_in: int) -> float:
-    return 1.0 / float(np.sqrt(fan_in))
-
-
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform [-s, s] init with s = 1/sqrt(fan_in)."""
-    s = init_scale(fan_in)
+    s = 1.0 / float(np.sqrt(fan_in))
     return rng.uniform(-s, s, size=(fan_in, fan_out))

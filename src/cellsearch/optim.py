@@ -15,6 +15,8 @@ from .tensor import flat_norm
 
 Params = dict[str, np.ndarray]
 
+ADAM_EPS = 1e-8
+
 
 class OptimizerError(ValueError):
     """Gradient keys or shapes do not match the parameters."""
@@ -34,7 +36,7 @@ def _check_aligned(what: str, params: Params, grads: Params) -> None:
 class SgdMomentum:
     """Momentum SGD: v <- mu*v + (g + decay*p); p <- p - lr*v."""
 
-    def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, lr: float, momentum: float, weight_decay: float):
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
@@ -61,14 +63,13 @@ class SgdMomentum:
 
 
 class Adam:
-    """Bias-corrected Adam with decay folded into the gradient."""
+    """Bias-corrected Adam with decay folded into the gradient; the caller
+    passes every setting, and ``ADAM_EPS`` guards the division."""
 
-    def __init__(self, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-                 weight_decay: float = 0.0, eps: float = 1e-8):
+    def __init__(self, lr: float, betas: tuple[float, float], weight_decay: float):
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.weight_decay = float(weight_decay)
-        self.eps = float(eps)
         self.step_count = 0
         self.m: Params = {}
         self.v: Params = {}
@@ -88,7 +89,7 @@ class Adam:
             self.v[name] = v
             m_hat = m / c1
             v_hat = v / c2
-            out[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            out[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return out
 
 

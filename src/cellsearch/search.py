@@ -36,8 +36,6 @@ from .tensor import Tape, Value, backward, flat_norm
 
 Params = dict[str, np.ndarray]
 
-WRT_BOTH = ("weights", "alpha")
-
 
 class ConfigError(ValueError):
     """Unparseable, unknown, or inconsistent configuration input."""
@@ -239,8 +237,7 @@ def _grads_from(values: Mapping[str, Value], what: str) -> Params:
 
 
 def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
-                   wrt: Sequence[str] = WRT_BOTH,
-                   counters: EvalCounters | None = None):
+                   wrt: Sequence[str], counters: EvalCounters | None = None):
     """One forward/backward pass; returns (loss, weight grads, alpha grads).
 
     Gradients are computed only for the groups named in ``wrt``; the other
@@ -258,12 +255,7 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
         counters.backward_passes += 1
         counters.alpha_grad_evals += 1 if "alpha" in wrt else 0
         counters.weight_grad_evals += 1 if "weights" in wrt else 0
-    want: list[Value] = []
-    if "weights" in wrt:
-        want.extend(wv.values())
-    if "alpha" in wrt:
-        want.extend(av.values())
-    backward(loss, wrt=want)
+    backward(loss)
     wgrads = _grads_from(wv, f"{split} loss") if "weights" in wrt else None
     agrads = _grads_from(av, f"{split} loss") if "alpha" in wrt else None
     return loss_val, wgrads, agrads
@@ -359,7 +351,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
     lookahead = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch,
                                  counters=counters, optimizer=optimizer)
     val_loss, val_wgrads, outer = loss_and_grads(
-        problem, split, lookahead, alpha, val_batch, wrt=WRT_BOTH, counters=counters
+        problem, split, lookahead, alpha, val_batch, wrt=("weights", "alpha"), counters=counters
     )
     vec_norm = flat_norm(val_wgrads.values())
     if not np.isfinite(vec_norm):
@@ -506,7 +498,7 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[f
             wv = _wrap(weights)
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss)
-        backward(loss, wrt=wv.values())
+        backward(loss)
         weights = opt.step(weights, _clipped(config, _grads_from(wv, "retraining loss")))
 
     return problem.split_accuracy(weights, genotype, "val"), weights

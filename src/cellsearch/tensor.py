@@ -9,10 +9,11 @@ sorting.
 Which values need a gradient is settled at record time: parameters carry
 ``requires_grad``, each record stores which of its inputs need a gradient,
 and its output needs one if any input does. Each backward closure receives
-that mask as ``need`` and may return ``None`` for inputs that need none.
-``backward`` consumes its tape: once the sweep is done it drops the records,
-so a finished pass holds no reference cycle and is freed by reference
-counting, without waiting for the cyclic collector.
+that mask as ``need`` and may return ``None`` for inputs that need none. A
+pass thus picks what it differentiates when it wraps its arrays, and
+``backward`` fills every parameter the tape recorded. It consumes the tape,
+dropping the records, so a finished pass holds no reference cycle and is
+freed by reference counting, without waiting for the cyclic collector.
 
 ``Value`` has no arithmetic operators: each operation is a call to its
 primitive, so every record a program makes shows at its call site.
@@ -150,15 +151,15 @@ def _emit(kind: str, inputs: tuple[Value, ...], out_data: np.ndarray, backward_f
     return out
 
 
-def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
-    """Assign d(loss)/d(p) into ``p.grad`` for each requested parameter.
+def backward(loss: Value) -> None:
+    """Assign d(loss)/d(p) into ``p.grad`` for each parameter of ``tape.params``.
 
     ``loss`` must be recorded on a tape and be a scalar, or one scalar per
-    slice of a stacked pass; every slice is seeded with 1. With ``wrt``
-    omitted, every parameter the loss's tape consumed receives a gradient;
-    otherwise only the given parameters do (others are left untouched).
-    Parameters that do not influence the loss receive zeros. Each call
-    assigns fresh gradients; nothing accumulates across calls.
+    slice of a stacked pass; every slice is seeded with 1. Every parameter
+    the loss's tape recorded receives a gradient, zeros if it does not
+    influence the loss; a parameter the tape never recorded keeps its
+    ``grad``. Each call assigns fresh gradients; nothing accumulates across
+    calls.
 
     Gradients flow only through values whose ``requires_grad`` was set when
     they were recorded, and each closure is told which of its inputs need
@@ -173,10 +174,7 @@ def backward(loss: Value, wrt: Iterable[Value] | None = None) -> None:
         raise TapeError("backward: loss is not recorded on a tape")
     if tape._consumed:
         raise TapeError("backward: the tape was already consumed by an earlier backward")
-    params = list(tape.params) if wrt is None else list(wrt)
-    for p in params:
-        if not p.is_param:
-            raise TapeError("backward: wrt entries must be parameters")
+    params = tape.params  # read before the sweep drops the records
 
     adjoint: dict[int, np.ndarray] = {}
     if loss.requires_grad:

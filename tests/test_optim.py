@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellsearch.optim import Adam, OptimizerError, SgdMomentum, clip_global_norm
+from cellsearch.optim import ADAM_EPS, Adam, OptimizerError, SgdMomentum, clip_global_norm
 
 
 def params_of(**kwargs):
@@ -33,7 +33,7 @@ def test_sgd_momentum_two_step_hand_unroll():
 
 
 def test_sgd_does_not_mutate_inputs():
-    opt = SgdMomentum(lr=0.1, momentum=0.9)
+    opt = SgdMomentum(lr=0.1, momentum=0.9, weight_decay=0.0)
     p = params_of(p=[1.0])
     g = params_of(p=[2.0])
     opt.step(p, g)
@@ -62,22 +62,24 @@ def test_sgd_lookahead_is_the_step_at_its_rate_and_keeps_the_velocity():
 
 
 def test_adam_zero_gradient_first_step_is_identity():
-    opt = Adam(lr=0.01, weight_decay=0.0)
+    opt = Adam(lr=0.01, betas=(0.9, 0.999), weight_decay=0.0)
     p = params_of(p=[1.0, -3.0])
     new = opt.step(p, params_of(p=[0.0, 0.0]))
     np.testing.assert_array_equal(new["p"], p["p"])
 
 
 def test_adam_first_step_magnitude_approaches_lr():
-    opt = Adam(lr=3e-4, betas=(0.5, 0.999), weight_decay=0.0, eps=1e-12)
+    assert ADAM_EPS == 1e-8
+    opt = Adam(lr=3e-4, betas=(0.5, 0.999), weight_decay=0.0)
     p = params_of(p=[0.7, -0.2])
-    new = opt.step(p, params_of(p=[0.37, -5.1]))
+    g = np.array([0.37, -5.1])
+    new = opt.step(p, params_of(p=g))
     steps = np.abs(new["p"] - p["p"])
-    np.testing.assert_allclose(steps, [3e-4, 3e-4], rtol=1e-8)
+    np.testing.assert_allclose(steps, 3e-4 * np.abs(g) / (np.abs(g) + 1e-8), rtol=1e-8)
 
 
 def test_adam_first_step_sign_opposes_gradient():
-    opt = Adam(lr=0.01, weight_decay=0.0)
+    opt = Adam(lr=0.01, betas=(0.9, 0.999), weight_decay=0.0)
     p = params_of(p=[1.0, 1.0, 1.0])
     g = params_of(p=[0.3, -2.0, 1e-6])
     new = opt.step(p, g)
@@ -85,7 +87,7 @@ def test_adam_first_step_sign_opposes_gradient():
 
 
 def test_adam_step_counter_increments():
-    opt = Adam(lr=0.01)
+    opt = Adam(lr=0.01, betas=(0.9, 0.999), weight_decay=0.0)
     p = params_of(p=[1.0])
     for expected in (1, 2, 3):
         p = opt.step(p, params_of(p=[0.5]))
@@ -94,9 +96,11 @@ def test_adam_step_counter_increments():
 
 def test_shape_mismatch_rejected():
     with pytest.raises(OptimizerError, match="shape mismatch"):
-        SgdMomentum(lr=0.1).step(params_of(p=[1.0, 2.0]), params_of(p=[1.0]))
+        SgdMomentum(lr=0.1, momentum=0.0, weight_decay=0.0).step(params_of(p=[1.0, 2.0]),
+                                                                 params_of(p=[1.0]))
     with pytest.raises(OptimizerError, match="keys differ"):
-        Adam(lr=0.1).step(params_of(p=[1.0]), params_of(q=[1.0]))
+        Adam(lr=0.1, betas=(0.9, 0.999), weight_decay=0.0).step(params_of(p=[1.0]),
+                                                                params_of(q=[1.0]))
 
 
 def test_clip_global_norm():

@@ -26,7 +26,6 @@ from cellsearch.fidelity import (
 )
 from cellsearch.optim import Adam, SgdMomentum
 from cellsearch.search import (
-    WRT_BOTH,
     CandidateResult,
     EvalCounters,
     NumericalError,
@@ -230,7 +229,7 @@ def test_hvp_matches_nested_loss_only_oracle(small_task):
              for k, v in small_task.init_alpha().items()}
     batch = small_task.batch("train", 24, rng)
     _, val_grads, _ = loss_and_grads(small_task, "val", weights, alpha,
-                                     small_task.batch("val", 24, rng))
+                                     small_task.batch("val", 24, rng), wrt=("weights", "alpha"))
     # the product is linear in the vector; a unit direction scaled up keeps the
     # loss-only oracle's rounding noise small relative to the result
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in val_grads.values()))
@@ -395,7 +394,6 @@ def test_search_trajectory_invariants(small_task):
     for r in traj.records:
         assert np.isfinite(r.train_loss) and np.isfinite(r.val_loss)
     assert traj.genotype is not None
-    traj.genotype.validate()
 
 
 def test_search_keeps_a_snapshot_every_n_iterations(small_task):
@@ -569,8 +567,6 @@ def test_random_search_samples_valid_and_deterministic(small_task):
     assert scores == [c.retrain_accuracy for c in r2.candidates]
     assert [c.genotype for c in r1.candidates] == [c.genotype for c in r2.candidates]
     assert r1.best.genotype == r2.best.genotype
-    for candidate in r1.candidates:
-        candidate.genotype.validate()
     assert r1.best_score == max(scores)
 
 
@@ -638,8 +634,14 @@ def test_quadratic_problem_exact_correction_is_exact():
     assert report.max_error < 1e-8  # quadratic everywhere: differencing is exact
 
 
-def test_network_second_order_gradient_close_to_differenced_objective():
-    task = make_tiny_cell_task(400)
+@pytest.mark.parametrize("reduction", ["mean", "concat"])
+def test_network_second_order_gradient_close_to_differenced_objective(reduction):
+    if reduction == "mean":
+        task = make_tiny_cell_task(400)
+    else:
+        task = SyntheticCellTask(
+            DataConfig(n=60, dims=3, classes=2, noise=0.8, seed=400).build(),
+            CellSpec(nodes=5, input_arity=2, hidden=3, k=2, reduction="concat"))
     rng = np.random.default_rng(2)
     weights = task.init_weights(2)
     assert sum(w.size for w in weights.values()) <= 200
@@ -747,7 +749,8 @@ def test_single_group_gradients_bit_identical_to_both_groups(desk):
     rng = np.random.default_rng(3)
     alpha = {k: rng.normal(size=v.shape) for k, v in alpha.items()}
     batch = problem.batch("val", 48, rng)
-    loss, wgrads, agrads = loss_and_grads(problem, "val", weights, alpha, batch, wrt=WRT_BOTH)
+    loss, wgrads, agrads = loss_and_grads(problem, "val", weights, alpha, batch,
+                                          wrt=("weights", "alpha"))
     loss_w, wgrads_only, none_a = loss_and_grads(problem, "val", weights, alpha, batch,
                                                  wrt=("weights",))
     loss_a, none_w, agrads_only = loss_and_grads(problem, "val", weights, alpha, batch,
@@ -770,12 +773,14 @@ def test_stacked_cell_pass_slices_bit_identical(reduction):
     weights = {k: rng.normal(size=(slices, *v.shape)) for k, v in task.init_weights(5).items()}
     alpha = {k: rng.normal(size=(slices, *v.shape)) for k, v in task.init_alpha().items()}
     batch = task.batch("train", 16, rng)
-    loss, wgrads, agrads = loss_and_grads(task, "train", weights, alpha, batch)
+    loss, wgrads, agrads = loss_and_grads(task, "train", weights, alpha, batch,
+                                          wrt=("weights", "alpha"))
     assert loss.shape == (slices,)
     assert np.array_equal(loss_value(task, "train", weights, alpha, batch), loss)
     for s in range(slices):
         alone = loss_and_grads(task, "train", {k: w[s] for k, w in weights.items()},
-                               {k: a[s] for k, a in alpha.items()}, batch)
+                               {k: a[s] for k, a in alpha.items()}, batch,
+                               wrt=("weights", "alpha"))
         assert alone[0] == loss[s]
         for got, want in ((wgrads, alone[1]), (agrads, alone[2])):
             assert got.keys() == want.keys()
