@@ -155,20 +155,18 @@ def _check_inputs(spec: CellSpec, inputs: Sequence[Value]) -> None:
 def cell_forward(spec: CellSpec,
                  alpha: Mapping[str, Value],
                  weights: Mapping[str, Value],
-                 inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
+                 inputs: Sequence[Value]) -> Value:
     """Relaxed cell pass: every intermediate node sums its mixed edges.
 
     ``alpha`` and ``weights`` hold each intermediate node's logit and weight
-    block under its ``block_name``.
-    Returns the reduced output and the full list of node activations (inputs
-    first, then intermediates).
+    block under its ``block_name``. Returns the reduced cell output.
     """
     _check_inputs(spec, inputs)
     states: list[Value] = list(inputs)
     for j in spec.intermediate_ids:
         states.append(mixed_edge_forward(alpha[block_name(j)], states[:j],
                                          weights[block_name(j)]))
-    return _reduce(spec, states[spec.input_arity:]), states
+    return _reduce(spec, states[spec.input_arity:])
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +257,8 @@ def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray]) -> Genotype
 
 def discrete_forward(genotype: Genotype,
                      weights: Mapping[str, Value],
-                     inputs: Sequence[Value]) -> tuple[Value, list[Value]]:
-    """Forward pass of a derived architecture: only retained edges run."""
+                     inputs: Sequence[Value]) -> Value:
+    """The reduced cell output of a derived architecture: only retained edges run."""
     spec = genotype.spec
     _check_inputs(spec, inputs)
     states: list[Value] = list(inputs)
@@ -271,7 +269,7 @@ def discrete_forward(genotype: Genotype,
             term = apply_op(kind, weights.get(weight_name(pred, j, kind)), states[pred])
             acc = term if acc is None else tensor.add(acc, term)
         states.append(acc)
-    return _reduce(spec, states[spec.input_arity:]), states
+    return _reduce(spec, states[spec.input_arity:])
 
 
 def sample_genotype(spec: CellSpec, rng: np.random.Generator) -> Genotype:

@@ -151,15 +151,17 @@ def read_input(path, what: str) -> str:
 def output_path(path, what: str, directory: bool = False) -> Path:
     """``path``, checked as a place to write ``what`` to, before any work.
 
-    An output directory may exist; its missing ancestors are made later, so
-    the nearest existing one must be a directory. An output file must not be
-    a directory, and its parent must be one. The path, or that directory if
-    the path does not exist yet, must be writable. Nothing is created here.
+    An output directory may exist only if empty, so no earlier run's file is
+    left beside the new ones; its missing ancestors are made later, so the
+    nearest existing one must be a directory. An output file must not be a
+    directory, and its parent must be one. The path, or that directory if the
+    path does not exist yet, must be writable. Nothing is created here.
     """
     path = Path(path)
     if directory:
         base = next(p for p in (path, *path.parents) if p.exists())
-        error = None if base.is_dir() else errno.EEXIST if base == path else errno.ENOTDIR
+        error = ((errno.ENOTEMPTY if base == path and any(path.iterdir()) else None)
+                 if base.is_dir() else errno.EEXIST if base == path else errno.ENOTDIR)
     else:
         base = path.parent
         error = (errno.EISDIR if path.is_dir() else None if base.is_dir()

@@ -70,14 +70,12 @@ class CellClassifier:
 
     def logits_mixed(self, weights: Mapping[str, Value], alpha: Mapping[str, Value],
                      features: np.ndarray) -> Value:
-        x = Value(features)
-        out, _ = cell_forward(self.spec, alpha, weights, self._stem_nodes(weights, x))
+        out = cell_forward(self.spec, alpha, weights, self._stem_nodes(weights, Value(features)))
         return tensor.matmul(out, weights["head"])
 
     def logits_discrete(self, weights: Mapping[str, Value], genotype: Genotype,
                         features: np.ndarray) -> Value:
-        x = Value(features)
-        out, _ = discrete_forward(genotype, weights, self._stem_nodes(weights, x))
+        out = discrete_forward(genotype, weights, self._stem_nodes(weights, Value(features)))
         return tensor.matmul(out, weights["head"])
 
     def accuracy_discrete(self, weight_arrays: Mapping[str, np.ndarray], genotype: Genotype,

@@ -45,14 +45,6 @@ class NumericalError(RuntimeError):
     """A loss or gradient became non-finite."""
 
 
-class SelectionError(RuntimeError):
-    """A selection run failed; partial results ride on the exception."""
-
-    def __init__(self, message: str, candidates: list):
-        super().__init__(message)
-        self.candidates = candidates
-
-
 @dataclass
 class EvalCounters:
     """Instrumentation for cost accounting and complexity assertions."""
@@ -522,11 +514,11 @@ def random_search(config: SearchConfig, problem, n_samples: int) -> Ranking:
 
 def select_architecture(configs: Sequence[SearchConfig], problem) -> Ranking:
     """One search per config, each genotype retrained from scratch, in config
-    order; a tie for the best goes to the earliest config. A run that diverged
-    is reported by SelectionError, which carries the candidates that completed."""
+    order; a tie for the best goes to the earliest config. If any search
+    diverged, every search still runs, then ``NumericalError`` names each
+    diverged seed and nothing is retrained."""
     runs = [(search(config, problem).genotype, config) for config in configs]
     failures = [f"seed {config.seed}: search diverged" for g, config in runs if g is None]
-    candidates = _retrained(problem, [(g, config) for g, config in runs if g is not None])
     if failures:
-        raise SelectionError("; ".join(failures), candidates)
-    return Ranking(candidates)
+        raise NumericalError("; ".join(failures))
+    return Ranking(_retrained(problem, runs))

@@ -235,9 +235,10 @@ class SyntheticCellTask:
     """Bilevel search task: cell classifier on a tagged dataset whose three
     splits all have rows, as ``DataConfig.build`` ensures.
 
-    Train and validation rows are cached once at construction; the test split
-    is never read here. Batches are drawn without replacement per call from
-    the caller's generator, so a seeded run is reproducible.
+    Train and validation rows are read once and joined into the ``joint``
+    pool, of which the ``train`` and ``val`` pools are views; test rows are
+    read only by ``split_accuracy``. Batches are drawn without replacement
+    from the caller's generator, so a seeded run is reproducible.
     """
 
     has_cell = True
@@ -246,10 +247,9 @@ class SyntheticCellTask:
         self.dataset = dataset
         self.spec = spec
         self.model = CellClassifier(spec, dataset.n_features, dataset.n_classes)
-        self._cache = {
-            "train": dataset.rows("train"),
-            "val": dataset.rows("val"),
-        }
+        (xt, yt), (xv, yv) = dataset.rows("train"), dataset.rows("val")
+        x, y, n = np.concatenate([xt, xv]), np.concatenate([yt, yv]), len(xt)
+        self._pools = {"train": (x[:n], y[:n]), "val": (x[n:], y[n:]), "joint": (x, y)}
 
     def init_weights(self, seed: int) -> dict[str, np.ndarray]:
         return self.model.init_weights(seed)
@@ -257,19 +257,8 @@ class SyntheticCellTask:
     def init_alpha(self) -> dict[str, np.ndarray]:
         return init_alpha(self.spec)
 
-    def _pool(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        if split in self._cache:
-            return self._cache[split]
-        if split == "joint":
-            xt, yt = self._cache["train"]
-            xv, yv = self._cache["val"]
-            joint = (np.concatenate([xt, xv]), np.concatenate([yt, yv]))
-            self._cache["joint"] = joint
-            return joint
-        raise ValueError(f"unknown split {split!r}")
-
     def batch(self, split: str, size: int, rng: np.random.Generator):
-        x, y = self._pool(split)
+        x, y = self._pools[split]
         if size >= len(x):
             return x, y
         idx = rng.choice(len(x), size=size, replace=False)
@@ -288,10 +277,7 @@ class SyntheticCellTask:
 
     def split_accuracy(self, weight_arrays, genotype: Genotype, split: str) -> float:
         """From-scratch-model accuracy on a full split (reads the dataset)."""
-        if split in ("train", "val"):
-            features, labels = self._pool(split)
-        else:
-            features, labels = self.dataset.rows(split)
+        features, labels = self.dataset.rows(split) if split == "test" else self._pools[split]
         return self.model.accuracy_discrete(weight_arrays, genotype, features, labels)
 
 

@@ -261,23 +261,24 @@ def saturated(op_set, kind, lo=-45.0, hi=45.0):
 
 
 def test_cell_forward_identity_edges_sum_inputs():
-    spec = one_node_spec()
     a, b = rows(1.0, 2.0), rows(10.0, -3.0)
     alpha = {block_name(2): Value(np.stack([saturated(OP_ORDER, "identity")] * 2))}
-    out, states = cell_forward(spec, alpha, make_params(spec), [a, b])
-    np.testing.assert_allclose(states[2].data, a.data + b.data, atol=1e-12)
-    np.testing.assert_allclose(out.data, a.data + b.data, atol=1e-12)
+    for reduction in REDUCTIONS:  # one intermediate: concat is the node, mean its average
+        spec = one_node_spec(reduction=reduction)
+        out = cell_forward(spec, alpha, make_params(spec), [a, b])
+        np.testing.assert_allclose(out.data, a.data + b.data, atol=1e-12)
 
 
 def test_cell_forward_zero_edges_give_zero_nodes():
-    spec = CellSpec(nodes=5, input_arity=2, hidden=2, k=1)
+    spec = CellSpec(nodes=5, input_arity=2, hidden=2, k=1, reduction="concat")
     alpha = {
         block_name(j): Value(np.stack([saturated(OP_ORDER, "zero")] * j))
         for j in spec.intermediate_ids
     }
-    _, states = cell_forward(spec, alpha, make_params(spec), [rows(1.0, 2.0), rows(3.0, 4.0)])
-    for node in states[2:]:
-        np.testing.assert_allclose(node.data, np.zeros((1, 2)), atol=1e-12)
+    out = cell_forward(spec, alpha, make_params(spec), [rows(1.0, 2.0), rows(3.0, 4.0)])
+    assert out.shape == (1, 2 * spec.n_intermediate)
+    for node in np.split(out.data, spec.n_intermediate, axis=1):  # concat: side by side
+        np.testing.assert_allclose(node, np.zeros((1, 2)), atol=1e-12)
 
 
 def test_cell_forward_uniform_zero_identity_averages():
@@ -285,7 +286,7 @@ def test_cell_forward_uniform_zero_identity_averages():
     a, b = rows(4.0, 0.0), rows(0.0, 2.0)
     zero_identity = np.array([0.0, 0.0, -1e3, -1e3, -1e3])  # the others get weight 0.0
     alpha = {block_name(2): Value(np.stack([zero_identity] * 2))}
-    out, _ = cell_forward(spec, alpha, make_params(spec), [a, b])
+    out = cell_forward(spec, alpha, make_params(spec), [a, b])
     np.testing.assert_allclose(out.data, (a.data + b.data) / 2.0, atol=1e-15)
 
 
@@ -302,7 +303,7 @@ def test_cell_forward_concat_reduction_width():
     alpha = {k: Value(v) for k, v in init_alpha(spec).items()}
     params = make_params(spec, seed=1)
     x = Value(np.random.default_rng(2).normal(size=(4, 3)))
-    out, _ = cell_forward(spec, alpha, params, [x, x])
+    out = cell_forward(spec, alpha, params, [x, x])
     assert out.shape == (4, 6)
     assert spec.output_width() == 6
 
@@ -320,7 +321,7 @@ def test_cell_alpha_gradients_match_finite_differences():
     def loss_from(arrays):
         alpha = {k: Value(a) for k, a in zip(keys, arrays)}
         params = {name: Value(w) for name, w in param_arrays.items()}
-        out, _ = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
+        out = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
         return tensor.sum_all(tensor.multiply(out, Value(coeffs)))
 
     arrays = [raw_alpha[k] for k in keys]
@@ -328,7 +329,7 @@ def test_cell_alpha_gradients_match_finite_differences():
         alpha_params = [Value.param(a) for a in arrays]
         alpha = {k: v for k, v in zip(keys, alpha_params)}
         params = {name: Value(w) for name, w in param_arrays.items()}
-        out, _ = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
+        out = cell_forward(spec, alpha, params, [Value(x0), Value(x1)])
         loss = tensor.sum_all(tensor.multiply(out, Value(coeffs)))
     backward(loss)
 
@@ -491,7 +492,7 @@ def test_discrete_forward_identity_edges_sum_inputs():
     spec = one_node_spec(k=2)
     geno = Genotype(spec, (((0, "identity"), (1, "identity")),))
     a, b = rows(1.0, 2.0), rows(0.5, -0.5)
-    out, _ = discrete_forward(geno, {}, [a, b])
+    out = discrete_forward(geno, {}, [a, b])
     np.testing.assert_allclose(out.data, a.data + b.data)
 
 
@@ -504,7 +505,7 @@ def test_discrete_forward_matches_saturated_mixed_forward():
     params = make_params(spec, seed=4)
     inputs = [Value(rng.normal(size=(3, 4))) for _ in range(2)]
 
-    mixed_out, _ = cell_forward(spec, {k: Value(v) for k, v in alpha_raw.items()}, params, inputs)
+    mixed_out = cell_forward(spec, {k: Value(v) for k, v in alpha_raw.items()}, params, inputs)
     geno = derive_genotype(spec, alpha_raw)
     # saturated one-hot logits keep one edge per op; discrete pass keeps k=2 edges,
     # so compare on a spec whose k equals the full in-degree of the first node only
@@ -516,11 +517,11 @@ def test_discrete_forward_matches_saturated_mixed_forward():
     sub_params = {block_name(2): params[block_name(2)]}
     edge_params = {weight_name(i, 2, kind): Value(edge_matrix(params[block_name(2)].data, i, k))
                    for i in range(2) for k, kind in enumerate(PARAMETERIZED_OPS)}
-    mixed_out, _ = cell_forward(
+    mixed_out = cell_forward(
         first_node_spec, {k: Value(v) for k, v in sub_alpha.items()}, sub_params, inputs
     )
     sub_geno = derive_genotype(first_node_spec, sub_alpha)
-    disc_out, _ = discrete_forward(sub_geno, edge_params, inputs)
+    disc_out = discrete_forward(sub_geno, edge_params, inputs)
     np.testing.assert_allclose(mixed_out.data, disc_out.data, atol=1e-9)
 
 
@@ -529,8 +530,8 @@ def test_discrete_forward_order_within_node_is_irrelevant():
     g1 = Genotype(spec, (((0, "identity"), (1, "identity")),))
     g2 = Genotype(spec, (((1, "identity"), (0, "identity")),))
     a, b = rows(2.0, 3.0), rows(-1.0, 4.0)
-    out1, _ = discrete_forward(g1, {}, [a, b])
-    out2, _ = discrete_forward(g2, {}, [a, b])
+    out1 = discrete_forward(g1, {}, [a, b])
+    out2 = discrete_forward(g2, {}, [a, b])
     np.testing.assert_array_equal(out1.data, out2.data)
 
 

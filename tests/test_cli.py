@@ -135,16 +135,25 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     assert set(listed) == set(cli.CONFIG_KEYS)
 
 
-def test_every_artifact_config_parses_and_builds():
+def test_every_artifact_config_parses_and_builds(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("artifacts", root / "tools" / "artifacts.py")
     artifacts = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(artifacts)
+    # the configs name the dataset file relative to the tool's OUTDIR
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "inputs" / "data.csv").write_text(artifacts.dataset_text())
+    file_configs = []
     for name, (base, keys) in artifacts.CONFIGS.items():
         text = artifacts.with_keys((root / "configs" / base).read_text(), keys)
         cfg = parse_config_text(text, name)
         for build in (cli.search_config_from, cli.cell_spec_from, cli.data_config_from):
             build(cfg)
+        if "data_path" in cfg:
+            cli.data_config_from(cfg).build()
+            file_configs.append(name)
+    assert file_configs, "no artifact config reads a dataset file"
 
 
 # --- search command -------------------------------------------------------------
@@ -529,6 +538,8 @@ def small_cfg_with(line: str) -> str:
     ("search", "out", "afile", "afile: File exists"),
     ("random-search", "out", "afile", "afile: File exists"),
     ("search", "out", "afile/sub", "afile/sub: Not a directory"),
+    ("search", "out", "useddir", "useddir: Directory not empty"),
+    ("random-search", "out", "useddir", "useddir: Directory not empty"),
     ("derive", "out", "adir", "adir: Is a directory"),
     ("derive", "out", "nodir/g.json", "nodir/g.json: No such file or directory"),
     ("evaluate", "out", "adir", "adir: Is a directory"),
@@ -557,7 +568,8 @@ def small_cfg_with(line: str) -> str:
         "config-directory", "config-not-utf8", "data-directory", "data-not-utf8",
         "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
         "genotype-not-utf8", "data-no-test-rows", "search-out-file",
-        "random-search-out-file", "search-out-under-file", "derive-out-directory",
+        "random-search-out-file", "search-out-under-file", "search-out-not-empty",
+        "random-search-out-not-empty", "derive-out-directory",
         "derive-out-missing-parent", "evaluate-out-directory", "negative-snapshot-every",
         "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
         "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none",
@@ -577,6 +589,8 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, bounda
     elif boundary == "out":
         (tmp_path / "afile").write_text("")
         (tmp_path / "adir").mkdir()
+        (tmp_path / "useddir").mkdir()
+        (tmp_path / "useddir" / "genotype.json").write_text("")  # an earlier run's
         out = tmp_path / text
         path.write_text(small_snapshot() if command == "derive" else small_genotype())
         cfg.write_text(SMALL_CFG)

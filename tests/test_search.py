@@ -31,7 +31,6 @@ from cellsearch.search import (
     NumericalError,
     Ranking,
     SearchConfig,
-    SelectionError,
     _grads_from,
     _make_arch_optimizer,
     arch_gradient_first_order,
@@ -614,15 +613,19 @@ def test_select_architecture_single_run_returns_its_genotype(small_task):
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_select_architecture_propagates_failures_with_partial_results(small_task):
+def test_select_architecture_raises_numerical_error_before_retraining(small_task, monkeypatch):
+    def retrain(*args, **kwargs):
+        raise AssertionError("retrained after a search diverged")
+
+    # the package's ``search`` attribute is the function, so fetch the module by name
+    monkeypatch.setattr(importlib.import_module("cellsearch.search"), "train_genotype", retrain)
     good = eval_config(steps=3, batch_size=8, eval_steps=5, seed=0)
-    bad = eval_config(steps=30, batch_size=8, eval_steps=5, seed=1,
-                      weight_lr=1e9, clip_norm=None, anneal=False)
-    with pytest.raises(SelectionError) as info:
-        select_architecture([good, bad], small_task)
-    assert str(info.value) == "seed 1: search diverged"
-    assert len(info.value.candidates) == 1
-    assert info.value.candidates[0].genotype == search(good, small_task).genotype
+    bad = [eval_config(steps=30, batch_size=8, eval_steps=5, seed=seed,
+                       weight_lr=1e9, clip_norm=None, anneal=False) for seed in (1, 2)]
+    with pytest.raises(NumericalError) as info:
+        select_architecture([bad[0], good, bad[1]], small_task)
+    # every search runs before the failure is raised
+    assert str(info.value) == "seed 1: search diverged; seed 2: search diverged"
 
 
 # --- fidelity oracles -----------------------------------------------------------

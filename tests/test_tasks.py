@@ -257,6 +257,22 @@ def test_cell_task_full_batch_when_size_exceeds_pool():
     assert len(x) == task.dataset.size("train")
 
 
+def test_cell_task_pools_are_train_val_and_train_then_val():
+    ds = DataConfig(n=120, dims=3, classes=2, noise=0.5, seed=4).build()
+    task = SyntheticCellTask(ds, CellSpec(nodes=4, input_arity=2, hidden=4, k=1))
+    rng = np.random.default_rng(0)
+    pools = {split: task.batch(split, 10**6, rng) for split in ("train", "val", "joint")}
+    assert ds.access_counts == {"train": 1, "val": 1}
+    assert ds.access_counts.get("test", 0) == 0
+    for split in ("train", "val"):  # as ``rows`` returns them, read without counting
+        mask = ds.tags == split
+        np.testing.assert_array_equal(pools[split][0], ds.features[mask])
+        np.testing.assert_array_equal(pools[split][1], ds.labels[mask])
+    for k in range(2):
+        np.testing.assert_array_equal(pools["joint"][k],
+                                      np.concatenate([pools["train"][k], pools["val"][k]]))
+
+
 def test_data_config_loading_from_file(tmp_path):
     ds = make_synthetic_classification(60, 3, 2, 0.5, seed=2)
     path = tmp_path / "raw.csv"

@@ -4,9 +4,14 @@
 
 Runs each command below with ``CHECKOUT/src`` first on the import path and
 keeps, per command, ``OUTDIR/<name>/``: ``stdout``, ``stderr``, ``exit_code``
-and the ``out/`` tree the command's ``--out`` wrote. The configs the commands
-read (one per search, and one for the random search) are derived from
-``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``.
+and the ``out/`` tree the command's ``--out`` wrote. The commands are a search
+per entry of ``SEARCHES``, a random search, a derive and an evaluate of the
+mean and the concat cell, an evaluate whose retraining overflows, an evaluate
+of the dataset-file search's genotype, ``grad-check`` and ``count``. The
+configs the commands read (one per search, and one for the random search) are
+derived from ``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``, beside
+``data.csv``, a small fixed dataset file with no split column, so the file
+route carves its test rows and holds out its val rows.
 Commands run in ``OUTDIR`` with relative paths, and the checkout's path is
 written as ``CHECKOUT`` in stderr, so two checkouts that behave the same give
 two OUTDIRs that ``diff -r`` finds identical. That is the check a refactor
@@ -16,13 +21,14 @@ must pass:
     python3 tools/artifacts.py .      /tmp/after
     diff -r /tmp/before /tmp/after
 
-The whole set takes about 20 s on one core of a 2-vCPU VM.
+The whole set takes about 18 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +45,8 @@ SEARCHES = {
     "toy-joint": ("toy.cfg", {"mode": "joint"}),
     # a search whose weights overflow (exit 3), so the failing path is covered too
     "desk-diverging": ("desk.cfg", {"weight_lr": "1e9", "clip_norm": "none", "anneal": "false"}),
+    # a dataset file instead of generated data: load_delimited and the file route of build
+    "desk-file": ("desk.cfg", {"data_path": "inputs/data.csv", "steps": "60"}),
 }
 # Config name -> the same, for every config a command reads.
 CONFIGS = {**SEARCHES, "random-search": ("desk.cfg", {"n_samples": "4"})}
@@ -51,6 +59,15 @@ def with_keys(text: str, keys: dict[str, str]) -> str:
         key = line.split("#", 1)[0].partition("=")[0].strip()
         lines.append(f"{key} = {left.pop(key)}" if key in left else line)
     lines += [f"{key} = {value}" for key, value in left.items()]
+    return "\n".join(lines) + "\n"
+
+
+def dataset_text() -> str:
+    """200 fixed rows of 3 features and a 0/1 label that no linear rule separates."""
+    rng, lines = random.Random(0), ["x0,x1,x2,label"]
+    for _ in range(200):
+        x = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        lines.append(",".join(map(repr, x)) + f",{int(x[0] * x[1] + 0.3 * x[2] > 0)}")
     return "\n".join(lines) + "\n"
 
 
@@ -75,6 +92,9 @@ def commands(outdir: Path):
         yield f"evaluate-{cell}", ["evaluate", "--genotype", genotype,
                                    "--config", f"inputs/{cfg}.cfg",
                                    "--out", f"evaluate-{cell}/out/metrics.txt"]
+    yield "evaluate-file", ["evaluate", "--genotype", "search-desk-file/out/genotype.json",
+                            "--config", "inputs/desk-file.cfg",
+                            "--out", "evaluate-file/out/metrics.txt"]
     # a retrain whose weights overflow, so cli.main's exit 3 is covered too
     yield "evaluate-diverging", ["evaluate", "--genotype", "derive-mean/out/genotype.json",
                                  "--config", "inputs/desk-diverging.cfg",
@@ -95,6 +115,7 @@ def main(argv=None) -> int:
         parser.error(f"{outdir} is not empty")
 
     (outdir / "inputs").mkdir(parents=True, exist_ok=True)
+    (outdir / "inputs" / "data.csv").write_text(dataset_text())
     for name, (base, keys) in CONFIGS.items():
         text = (checkout / "configs" / base).read_text()
         (outdir / "inputs" / f"{name}.cfg").write_text(with_keys(text, keys))
