@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cell import (
     REDUCTIONS,
@@ -138,9 +140,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 
 def read_input(path, what: str) -> str:
-    """The text of an input file; failing to read it is an input error."""
+    """The text of an input file, less any byte-order mark; unreadable is an input error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"no such {what}: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -464,7 +466,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # each loss and gradient is checked finite where made
+            return args.func(args)
     except (ConfigError, CellError, DataError, CountError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

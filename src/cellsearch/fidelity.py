@@ -140,8 +140,8 @@ def make_tiny_cell_task(seed: int) -> SyntheticCellTask:
 
 def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
                             tolerance: float = 1e-2) -> CheckReport:
-    """Second-order gradient, at the search's default ε rule, vs differenced
-    unrolled objective on real cells."""
+    """Second-order gradient, at the search's ε rule (``HVP_EPSILON_SCALE``), vs
+    differenced unrolled objective on real cells."""
     worst = 0.0
     for p in range(n_problems):
         task = make_tiny_cell_task(seed + 1000 + p)

@@ -9,7 +9,7 @@ gradient is
 
 where v is the validation gradient at w' and M v, the mixed second-derivative
 term, is approximated by a symmetric finite difference of the alpha-gradient
-of the training loss at w +/- eps*v with eps = scale / ||v||. Every mode
+of the training loss at w +/- eps*v with eps = HVP_EPSILON_SCALE / ||v||. Every mode
 steps by this one gradient; at xi = 0 (first-order mode) the correction
 vanishes and it is the plain validation gradient at the current weights.
 
@@ -59,10 +59,9 @@ MODES = ("second-order", "first-order", "joint")
 ARCH_OPTIMIZERS = ("adam", "sgd")
 # The paper's architecture-Adam betas (arXiv 1806.09055, section 3).
 ARCH_ADAM_BETAS = (0.5, 0.999)
-# The range of hvp_epsilon_scale. Far below it the difference is rounding error,
-# and exactly 0 once the perturbed weights round back to the weights; above it
-# the difference is no longer local.
-MIN_EPSILON_SCALE, MAX_EPSILON_SCALE = 1e-10, 1.0
+# eps * ||v||, the difference step's length; the paper's 0.01 moves ReLU pre-activations
+# of small cells across zero.
+HVP_EPSILON_SCALE = 1e-4
 
 
 @dataclass
@@ -80,7 +79,6 @@ class SearchConfig:
     weight_decay_alpha: float = 1e-3
     arch_optimizer: str = "adam"  # adam with ARCH_ADAM_BETAS; sgd: plain descent
     unroll_lr: float | None = None  # None: follow the current weight lr
-    hvp_epsilon_scale: float = 1e-4  # the paper's 0.01 crosses ReLU kinks on small cells
     anneal: bool = True
     clip_norm: float | None = 5.0
     momentum_unroll: bool = False
@@ -109,9 +107,6 @@ class SearchConfig:
             raise ConfigError("budgets must be non-negative, batch sizes positive")
         if self.seed < 0 or self.eval_seed < 0:
             raise ConfigError("seeds must be non-negative")
-        if not MIN_EPSILON_SCALE <= self.hvp_epsilon_scale <= MAX_EPSILON_SCALE:
-            raise ConfigError(f"hvp_epsilon_scale must be in [{MIN_EPSILON_SCALE}, "
-                              f"{MAX_EPSILON_SCALE}], got {self.hvp_epsilon_scale}")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
         if self.weight_decay_weights < 0 or self.weight_decay_alpha < 0:
@@ -206,13 +201,8 @@ def _wrap(arrays: Mapping[str, np.ndarray], as_params: bool = True) -> dict[str,
 
 def _require_finite(what: str, loss: Value):
     """The loss as a float, or stacked, as one float per slice; checked finite."""
-    if loss.ndim:
-        value = loss.data
-        finite = np.isfinite(value).all()
-    else:
-        value = loss.item()
-        finite = math.isfinite(value)
-    if not finite:
+    value = loss.data if loss.ndim else loss.item()
+    if not np.isfinite(value).all():
         raise NumericalError(f"{what} is not finite: {value}")
     return value
 
@@ -325,7 +315,6 @@ def hvp_finite_difference(problem, weights: Params, alpha: Params, vector: Param
 def arch_gradient_second_order(problem, weights: Params, alpha: Params,
                                unroll_lr: float, train_batch, val_batch,
                                counters: EvalCounters | None = None,
-                               epsilon_scale: float = SearchConfig.hvp_epsilon_scale,
                                hvp_fn: Callable[..., Params] | None = None,
                                optimizer: SgdMomentum | None = None, split: str = "val"):
     """Lookahead gradient of ``split`` (``val``, or ``joint``) with the
@@ -351,7 +340,7 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
     if vec_norm < 1e-12:
         # correction term is the product with a vanishing vector; define it as zero
         return dict(outer), SecondOrderInfo(None, val_loss, correction_skipped=True)
-    epsilon = epsilon_scale / vec_norm
+    epsilon = HVP_EPSILON_SCALE / vec_norm
     if hvp_fn is None:
         correction = hvp_finite_difference(problem, weights, alpha, val_wgrads,
                                            train_batch, epsilon, counters=counters)
@@ -439,7 +428,7 @@ def search(config: SearchConfig, problem) -> Trajectory:
                 unroll_lr = w_opt.lr if config.unroll_lr is None else config.unroll_lr
             agrads, info = arch_gradient_second_order(
                 problem, weights, alpha, unroll_lr, unroll_batch, arch_batch,
-                counters=traj.counters, epsilon_scale=config.hvp_epsilon_scale,
+                counters=traj.counters,
                 optimizer=w_opt if config.momentum_unroll else None, split=arch_split,
             )
             if info.correction_skipped:

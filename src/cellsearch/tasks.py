@@ -170,7 +170,7 @@ def load_delimited(path) -> Dataset:
     must be the ids 0..C-1, so that no label indexes the wrong logit.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataError(f"no such dataset file: {path}") from None

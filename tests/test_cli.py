@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from cellsearch import cli
-from cellsearch.cell import Genotype
+from cellsearch.cell import Genotype, parse_alpha
 from cellsearch.cli import TRAJECTORY_HEADER, ConfigError, main, parse_config_text
 from cellsearch.search import IterationRecord
+from cellsearch.tasks import load_delimited
 
 
 
@@ -135,11 +136,18 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     assert set(listed) == set(cli.CONFIG_KEYS)
 
 
-def test_every_artifact_config_parses_and_builds(tmp_path, monkeypatch):
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("artifacts", root / "tools" / "artifacts.py")
+def artifacts_tool():
+    """``tools/artifacts.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifacts.py"
+    spec = importlib.util.spec_from_file_location("artifacts", path)
     artifacts = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(artifacts)
+    return artifacts
+
+
+def test_every_artifact_config_parses_and_builds(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    artifacts = artifacts_tool()
     # the configs name the dataset file relative to the tool's OUTDIR
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inputs").mkdir()
@@ -154,6 +162,37 @@ def test_every_artifact_config_parses_and_builds(tmp_path, monkeypatch):
             cli.data_config_from(cfg).build()
             file_configs.append(name)
     assert file_configs, "no artifact config reads a dataset file"
+
+
+def write_artifact_tree(root: Path, val_loss: float, error: float, genotype: str) -> Path:
+    """A small tree in the layout ``tools/artifacts.py`` writes."""
+    (root / "search" / "out").mkdir(parents=True)
+    (root / "search" / "exit_code").write_text("0\n")
+    (root / "search" / "out" / "summary.txt").write_text(f"final_val_loss: {val_loss!r}\n")
+    (root / "search" / "out" / "genotype.json").write_text(genotype)
+    (root / "grad-check").mkdir()
+    (root / "grad-check" / "stdout").write_text(
+        f"primitive add: max_rel_err={error:.3e} (tol 1e-06) PASS\n")
+    return root
+
+
+def test_artifact_compare_passes_a_one_ulp_move_and_fails_a_changed_genotype(tmp_path,
+                                                                              capsys):
+    tool = artifacts_tool()
+    base = write_artifact_tree(tmp_path / "a", 0.25, 1e-9, small_genotype())
+    moved = write_artifact_tree(tmp_path / "b", float(np.nextafter(0.25, 1.0)), 3e-9,
+                                small_genotype())
+    changed = write_artifact_tree(tmp_path / "c", 0.25, 1e-9,
+                                  small_genotype().replace("identity", "linear_relu", 1))
+    assert tool.main(["--compare", str(base), str(moved)]) == 0
+    out = capsys.readouterr().out
+    assert "search/out/summary.txt: max rel diff 2.220e-16\n" in out
+    assert "grad-check/stdout: max rel diff 0.000e+00, verdict lines 6.667e-01" in out
+    assert out.endswith("compare: 4 files in both, 2 byte-identical, 0 breaches\n")
+    assert tool.main(["--compare", str(base), str(changed)]) == 1
+    out = capsys.readouterr().out
+    assert "search/out/genotype.json: max rel diff 0.000e+00; BREACH" in out
+    assert out.endswith("1 breaches\n")
 
 
 # --- search command -------------------------------------------------------------
@@ -222,7 +261,6 @@ def test_search_rerun_is_byte_identical(small_cfg, tmp_path, capsys):
     assert read_tree(out1) == read_tree(out2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_search_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text(SMALL_CFG.replace("weight_lr = 0.05", "weight_lr = 1e9")
@@ -234,7 +272,6 @@ def test_search_divergence_exits_3(tmp_path, capsys):
     assert layout_lists_what_was_written(out) == {"trajectory", "summary", "alpha_dir"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_evaluate_divergence_exits_3_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text(SMALL_CFG.replace("weight_lr = 0.05", "weight_lr = 1e9")
@@ -505,7 +542,6 @@ def small_cfg_with(line: str) -> str:
     ("search", "config", "clip_norm = 0", "clip norm must be positive"),
     ("search", "config", "arch_lr = -0.01", "learning rates must be non-negative"),
     ("search", "config", "weight_lr = -0.05", "learning rates must be non-negative"),
-    ("search", "config", "hvp_epsilon_scale = nan", "hvp_epsilon_scale must be finite"),
     ("search", "config", "unroll_lr = nan", "unroll_lr must be finite"),
     ("search", "config", "momentum = nan", "momentum must be finite"),
     ("search", "config", "weight_decay_weights = nan", "weight_decay_weights must be finite"),
@@ -554,16 +590,15 @@ def small_cfg_with(line: str) -> str:
     ("search", "config", "weight_lr = inf", "weight_lr must be finite"),
     ("search", "config", "unroll_lr = -1", "unroll step must be non-negative"),
     ("search", "config", "data_noise = -1", "data noise must be non-negative"),
-    ("search", "config", "hvp_epsilon_scale = 1e-300",
-     "hvp_epsilon_scale must be in [1e-10, 1.0]"),
+    ("search", "config", "hvp_epsilon_scale = 1e-4", "unknown key 'hvp_epsilon_scale'"),
     ("search", "config", "adam_beta1 = 0.5", "unknown key 'adam_beta1'"),
     ("search", "config", "adam_beta2 = 0.999", "unknown key 'adam_beta2'"),
     ("evaluate", "genotype", "[" * 100000, "malformed genotype document"),
 ], ids=["snapshot-non-numeric", "snapshot-nan", "negative-label", "label-above-classes",
         "nan-feature", "inf-feature", "single-class", "zero-eval-batch", "negative-clip-norm",
-        "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-hvp-epsilon-scale",
-        "nan-unroll-lr", "nan-momentum", "nan-weight-decay-weights", "inf-weight-decay-alpha",
-        "nan-data-noise", "float-pred", "bool-pred", "string-pred", "float-input-arity",
+        "zero-clip-norm", "negative-arch-lr", "negative-weight-lr", "nan-unroll-lr",
+        "nan-momentum", "nan-weight-decay-weights", "inf-weight-decay-alpha", "nan-data-noise",
+        "float-pred", "bool-pred", "string-pred", "float-input-arity",
         "negative-seed", "negative-eval-seed", "negative-data-seed", "duplicate-snapshot-edge",
         "config-directory", "config-not-utf8", "data-directory", "data-not-utf8",
         "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
@@ -574,7 +609,7 @@ def small_cfg_with(line: str) -> str:
         "momentum-above-1", "negative-momentum", "negative-weight-decay-weights",
         "negative-weight-decay-alpha", "random-mode", "clip-norm-auto", "unroll-lr-none",
         "inf-weight-lr", "negative-unroll-lr", "negative-data-noise",
-        "tiny-hvp-epsilon-scale", "adam-beta1-key", "adam-beta2-key",
+        "hvp-epsilon-scale-key", "adam-beta1-key", "adam-beta2-key",
         "genotype-deep-nesting"])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, boundary, text,
                                                message):
@@ -609,6 +644,28 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, command, bounda
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1, err
+
+
+def dataset_columns(path) -> tuple[list, ...]:
+    data = load_delimited(path)
+    return data.features.tolist(), data.labels.tolist(), data.tags.tolist()
+
+
+SMALL_SPEC = cli.cell_spec_from(parse_config_text(SMALL_CFG))
+
+
+@pytest.mark.parametrize("text, read", [
+    (SMALL_CFG, cli.load_config),
+    ("label,x0,x1\n0,1.0,2.0\n1,0.5,1.0\n", dataset_columns),
+    (small_snapshot(), lambda path: {k: v.tolist() for k, v in parse_alpha(
+        cli.read_input(path, "logit snapshot"), SMALL_SPEC).items()}),
+    (small_genotype(), lambda path: Genotype.from_json(cli.read_input(path, "genotype file"))),
+], ids=["config", "dataset", "snapshot", "genotype"])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, text, read):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert read(marked) == read(plain)
 
 
 @pytest.mark.parametrize("command", ["random-search", "evaluate"])

@@ -26,6 +26,7 @@ from cellsearch.fidelity import (
 )
 from cellsearch.optim import Adam, SgdMomentum
 from cellsearch.search import (
+    HVP_EPSILON_SCALE,
     CandidateResult,
     EvalCounters,
     NumericalError,
@@ -259,15 +260,8 @@ def test_second_order_with_curvature_matched_step_is_exact_hypergradient(toy, al
 
 def test_second_order_epsilon_rule(toy):
     weights, alpha = toy_state(alpha=0.5, w=0.1)  # val gradient over w' is a = 0.5
-    _, info = arch_gradient_second_order(toy, weights, alpha, 0.1, None, None,
-                                         epsilon_scale=0.01)
-    assert info.epsilon == pytest.approx(0.02)
-
-
-def test_second_order_epsilon_scale_defaults_to_the_search_configs(toy):
-    weights, alpha = toy_state(alpha=0.5, w=0.1)  # val gradient over w' is a = 0.5
     _, info = arch_gradient_second_order(toy, weights, alpha, 0.1, None, None)
-    assert info.epsilon == pytest.approx(SearchConfig().hvp_epsilon_scale / 0.5)
+    assert info.epsilon == pytest.approx(HVP_EPSILON_SCALE / 0.5)
 
 
 def test_second_order_skips_correction_for_vanishing_val_gradient(toy):

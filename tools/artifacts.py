@@ -13,22 +13,38 @@ derived from ``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``, beside
 ``data.csv``, a small fixed dataset file with no split column, so the file
 route carves its test rows and holds out its val rows.
 Commands run in ``OUTDIR`` with relative paths, and the checkout's path is
-written as ``CHECKOUT`` in stderr, so two checkouts that behave the same give
-two OUTDIRs that ``diff -r`` finds identical. That is the check a refactor
-must pass:
+written as ``CHECKOUT`` in stderr, which holds what a user sees, so two
+checkouts that behave the same give two OUTDIRs that ``diff -r`` finds
+identical. That is the check a refactor must pass:
 
     python3 tools/artifacts.py PARENT /tmp/before
     python3 tools/artifacts.py .      /tmp/after
     diff -r /tmp/before /tmp/after
 
 The whole set takes about 18 s on a 2-vCPU VM.
+
+A change that moves artifacts at the rounding level checks itself with
+
+    python3 tools/artifacts.py --compare /tmp/before /tmp/after
+
+instead. The two trees must hold the same files, and each manifest the same
+layout. ``genotype.json`` files and exit codes must be byte-equal. Other text
+must be equal once its numbers are masked, and each pair of numbers must agree
+within ``REL_TOL`` relative or ``ABS_TOL`` absolute; on a line with a PASS or
+FAIL verdict (grad-check) the verdicts must match, and the numbers, differences
+of near-equal values themselves, are reported but not bounded. It prints the
+largest relative difference of each file that is not byte-identical, and
+exits 1 on any breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,11 +119,95 @@ def commands(outdir: Path):
     yield "count", ["count", "--intermediates", "4", "--ops", "7", "--multiplicity", "2"]
 
 
+REL_TOL, ABS_TOL = 1e-10, 1e-300
+# A number as the artifacts print it: an int, a float in repr or %g form, nan or inf.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+VERDICT = re.compile(r"\b(?:PASS|FAIL)\b")
+EXACT = ("genotype.json", "exit_code")  # file names that must be byte-equal
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude: 0 within ``ABS_TOL`` or for two nans,
+    inf where a non-finite value differs."""
+    if abs(a - b) <= ABS_TOL or a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    diff = abs(a - b) / max(abs(a), abs(b))
+    return diff if math.isfinite(diff) else math.inf
+
+
+def compare_text(a: str, b: str) -> tuple[float, float, str | None]:
+    """(largest bounded relative difference, largest one on verdict lines, the
+    first breach or None) of two texts, line by line."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return 0.0, 0.0, f"{len(lines_a)} lines against {len(lines_b)}"
+    bounded = unbounded = 0.0
+    for n, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
+        if NUMBER.sub("#", line_a) != NUMBER.sub("#", line_b):
+            return bounded, unbounded, f"line {n} differs beyond its numbers"
+        pairs = zip(map(float, NUMBER.findall(line_a)), map(float, NUMBER.findall(line_b)))
+        diff = max((relative_difference(x, y) for x, y in pairs), default=0.0)
+        if VERDICT.search(line_a):
+            unbounded = max(unbounded, diff)
+        elif diff > REL_TOL:
+            return bounded, unbounded, f"line {n}: numbers differ by {diff:.3e} relative"
+        else:
+            bounded = max(bounded, diff)
+    return bounded, unbounded, None
+
+
+def compare_file(name: str, a: bytes, b: bytes) -> tuple[float, float, str | None]:
+    """``compare_text`` of two versions of the artifact file ``name``, which differ."""
+    if name in EXACT:
+        return 0.0, 0.0, "differs, and must be byte-equal"
+    try:
+        text_a, text_b = a.decode(), b.decode()
+    except UnicodeDecodeError:
+        return 0.0, 0.0, "differs, and is not text"
+    if name == "manifest.json" and json.loads(text_a)["layout"] != json.loads(text_b)["layout"]:
+        return 0.0, 0.0, "manifest layouts differ"
+    return compare_text(text_a, text_b)
+
+
+def compare_trees(a: Path, b: Path) -> int:
+    """Print one line per file that is not byte-identical; 1 on any breach."""
+    files_a, files_b = ({str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+                        for root in (a, b))
+    breaches = sorted(f"{name}: only in {a}" for name in files_a - files_b)
+    breaches += sorted(f"{name}: only in {b}" for name in files_b - files_a)
+    for line in breaches:
+        print(line)
+    common, identical = sorted(files_a & files_b), 0
+    for name in common:
+        data_a, data_b = (a / name).read_bytes(), (b / name).read_bytes()
+        if data_a == data_b:
+            identical += 1
+            continue
+        bounded, unbounded, breach = compare_file(Path(name).name, data_a, data_b)
+        line = f"{name}: max rel diff {bounded:.3e}"
+        if unbounded:
+            line += f", verdict lines {unbounded:.3e} (not bounded)"
+        if breach:
+            breaches.append(name)
+            line += f"; BREACH: {breach}"
+        print(line)
+    print(f"compare: {len(common)} files in both, {identical} byte-identical, "
+          f"{len(breaches)} breaches")
+    return 1 if breaches else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
-    parser.add_argument("checkout", type=Path, help="a cellsearch tree with src/ and configs/")
-    parser.add_argument("outdir", type=Path, help="a new or empty directory")
+    parser.add_argument("checkout", type=Path, nargs="?",
+                        help="a cellsearch tree with src/ and configs/")
+    parser.add_argument("outdir", type=Path, nargs="?", help="a new or empty directory")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two OUTDIRs instead of making one")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare_trees(*args.compare)
+    if args.outdir is None:
+        parser.error("need CHECKOUT and OUTDIR, or --compare A B")
     checkout, outdir = args.checkout.resolve(), args.outdir.resolve()
     if not (checkout / "src" / "cellsearch").is_dir():
         parser.error(f"{checkout} has no src/cellsearch")
@@ -120,9 +220,7 @@ def main(argv=None) -> int:
         text = (checkout / "configs" / base).read_text()
         (outdir / "inputs" / f"{name}.cfg").write_text(with_keys(text, keys))
 
-    # numpy's overflow warnings quote source lines by number, which any edit moves
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
-               PYTHONWARNINGS="ignore::RuntimeWarning",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for name, cli_args in commands(outdir):
         (outdir / name / "out").mkdir(parents=True, exist_ok=True)
