@@ -264,6 +264,16 @@ def test_second_order_epsilon_rule(toy):
     assert info.epsilon == pytest.approx(HVP_EPSILON_SCALE / 0.5)
 
 
+def test_second_order_epsilon_scale_defaults_to_the_search_configs(toy):
+    # no config field sets the scale: every search steps at the one constant
+    assert not any("epsilon" in f.name for f in dataclasses.fields(SearchConfig))
+    for config in (SearchConfig(steps=1), toy_search_config(steps=1),
+                   dataclasses.replace(desk_search_config(), steps=1)):
+        traj = search(config, toy)
+        # the first step's val gradient over w' is the starting logit a = 2
+        assert traj.records[0].hvp_epsilon == pytest.approx(HVP_EPSILON_SCALE / 2.0)
+
+
 def test_second_order_skips_correction_for_vanishing_val_gradient(toy):
     weights, alpha = toy_state(alpha=0.0, w=1.0)  # val gradient over w' is a = 0
     grads, info = arch_gradient_second_order(toy, weights, alpha, 0.1, None, None)
