@@ -4,7 +4,7 @@ The quantity under test is the gradient of the scalar map
 
     alpha -> val_loss(w - xi * d(train loss)/dw(w, alpha), alpha)
 
-produced by ``arch_gradient_second_order``. Two oracles check it:
+produced by ``arch_gradient_second_order`` (or through the momentum step). Two oracles check it:
 
 * central finite differences of the map itself, coordinate by coordinate,
   recomputing the lookahead at every probe (works on any problem); the probes
@@ -21,6 +21,7 @@ import numpy as np
 from . import tensor
 from .cell import CellSpec
 from .gradcheck import CheckReport
+from .optim import SgdMomentum
 from .search import (
     Params,
     arch_gradient_second_order,
@@ -35,18 +36,18 @@ UNROLL_LR = 0.1
 
 
 def unrolled_objective(problem, weights: Params, alpha: Params, unroll_lr: float,
-                       train_batch, val_batch) -> float:
-    """Validation loss after one virtual training step at the given logits."""
-    lookahead = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch)
-    return loss_value(problem, "val", lookahead, alpha, val_batch)
+                       train_batch, val_batch, optimizer: SgdMomentum | None = None) -> float:
+    """Validation loss after ``unrolled_weights``'s virtual step at the given logits."""
+    stepped = unrolled_weights(problem, weights, alpha, unroll_lr, train_batch, optimizer=optimizer)
+    return loss_value(problem, "val", stepped, alpha, val_batch)
 
 
 def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: float,
-                         train_batch, val_batch) -> Params:
-    """Central differences of the unrolled objective over every logit.
+                         train_batch, val_batch, optimizer: SgdMomentum | None = None) -> Params:
+    """Central differences of the unrolled objective over every logit, at either unroll rule.
 
-    All probes run as one stacked pass: the logits carry the probe axis, and
-    the weights are broadcast along it, so each probe takes its own lookahead.
+    All probes run as one stacked pass: the logits carry the probe axis, and the weights,
+    and with them any velocity, broadcast along it, so each probe takes its own lookahead.
     """
     keys = list(alpha)
 
@@ -54,7 +55,7 @@ def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: flo
         stacked = {k: np.broadcast_to(w, (len(probes[0]), *w.shape))
                    for k, w in weights.items()}
         return unrolled_objective(problem, stacked, dict(zip(keys, probes)), unroll_lr,
-                                  train_batch, val_batch)
+                                  train_batch, val_batch, optimizer)
 
     grads = tensor.finite_difference(objective, [alpha[k] for k in keys])
     return dict(zip(keys, grads))
@@ -138,23 +139,33 @@ def make_tiny_cell_task(seed: int) -> SyntheticCellTask:
     return SyntheticCellTask(data.build(), spec)
 
 
+def network_problems(seed: int, n_problems: int):
+    """Problems k = seed .. seed + n_problems - 1: (task, weights, alpha, train batch, val
+    batch, weight optimizer). An odd k unrolls the momentum step from a N(0, 1) velocity
+    drawn after the batches, an even k the plain step (None), whatever the seed."""
+    for k in range(seed, seed + n_problems):
+        task = make_tiny_cell_task(k + 1000)
+        rng = np.random.default_rng(k)
+        weights = task.init_weights(k)
+        alpha = {name: rng.normal(scale=0.5, size=v.shape) for name, v in task.init_alpha().items()}
+        train_batch, val_batch = task.batch("train", 16, rng), task.batch("val", 16, rng)
+        optimizer = None
+        if k % 2:
+            # the desk search's momentum and decay; the lookahead takes UNROLL_LR, not lr
+            optimizer = SgdMomentum(UNROLL_LR, momentum=0.9, weight_decay=3e-4)
+            optimizer.velocity = {name: rng.normal(size=w.shape) for name, w in weights.items()}
+        yield task, weights, alpha, train_batch, val_batch, optimizer
+
+
 def check_networks_eps_rule(seed: int = 0, n_problems: int = 20,
                             tolerance: float = 1e-2) -> CheckReport:
-    """Second-order gradient, at the search's ε rule (``HVP_EPSILON_SCALE``), vs
-    differenced unrolled objective on real cells."""
+    """Second-order gradient, at the search's ε rule (``HVP_EPSILON_SCALE``), vs differenced
+    unrolled objective on the real cells of ``network_problems``, under both unroll rules."""
     worst = 0.0
-    for p in range(n_problems):
-        task = make_tiny_cell_task(seed + 1000 + p)
-        rng = np.random.default_rng(seed + p)
-        weights = task.init_weights(seed + p)
-        alpha = {k: rng.normal(scale=0.5, size=v.shape)
-                 for k, v in task.init_alpha().items()}
-        train_batch = task.batch("train", 16, rng)
-        val_batch = task.batch("val", 16, rng)
-        grads, _ = arch_gradient_second_order(task, weights, alpha, UNROLL_LR,
-                                              train_batch, val_batch)
-        oracle = fd_unrolled_gradient(task, weights, alpha, UNROLL_LR,
-                                      train_batch, val_batch)
+    for task, weights, alpha, *batches, optimizer in network_problems(seed, n_problems):
+        grads, _ = arch_gradient_second_order(task, weights, alpha, UNROLL_LR, *batches,
+                                              optimizer=optimizer)
+        oracle = fd_unrolled_gradient(task, weights, alpha, UNROLL_LR, *batches, optimizer)
         worst = max(worst, tensor.relative_error(flatten(grads), flatten(oracle)))
     return CheckReport("cell networks, differenced correction", n_problems, worst, tolerance)
 
