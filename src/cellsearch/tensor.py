@@ -20,8 +20,11 @@ primitive, so every record a program makes shows at its call site.
 
 Shape rules are deliberately narrow: elementwise primitives require identical
 shapes, and the only broadcasting allowed is a 0-d scalar against a tensor.
-``concatenate`` joins along the last axis only, and the mixed-edge node reads
-one logit block, row k for edge k, in one fixed term order, ``EDGE_TERMS``.
+``concatenate`` joins along the last axis only. The mixed-edge node reads its
+logit block in one fixed term order, ``EDGE_TERMS``, and its ``(j, d, 3 * d)``
+weight block, row k for edge k, through term-major slabs inside its record.
+Each ``ACTIVATION_RULES`` entry is a ``(forward, derivative)`` pair, used by
+its primitive and the node; with ``out``, each writes the bits it would return.
 Everything is float64; the finite-difference machinery built on top of this
 engine is too sensitive to rounding for single precision.
 
@@ -288,39 +291,30 @@ def matmul(a: Value, b: Value) -> Value:
     return _emit("matrix-multiply", (a, b), ad @ bd, back)
 
 
-# Elementwise activation rules: ``forward(z) -> y`` and ``backward(g, z, y)``
-# giving the gradient with respect to z. The activation primitives and the
-# fused mixed edge both apply them.
+def _tanh_derivative(z, y, out=None):
+    return np.subtract(1.0, np.multiply(y, y, out=out), out=out)
 
 
-def _tanh_forward(z):
-    return np.tanh(z)
+def _relu_forward(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
-def _tanh_backward(g, z, y):
-    return g * (1.0 - y * y)
+def _relu_derivative(z, y, out=None):
+    return np.greater(z, 0.0, out=out)
 
 
-def _relu_forward(z):
-    return np.where(z > 0.0, z, 0.0)
+def _sigmoid_forward(z, out=None):
+    return np.divide(1.0, np.add(1.0, np.exp(np.negative(z, out=out), out=out), out=out), out=out)
 
 
-def _relu_backward(g, z, y):
-    return g * (z > 0.0)
+def _sigmoid_derivative(z, y, out=None):
+    return np.multiply(y, np.subtract(1.0, y, out=out), out=out)
 
 
-def _sigmoid_forward(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _sigmoid_backward(g, z, y):
-    return g * y * (1.0 - y)
-
-
-ACTIVATION_RULES = {
-    "tanh": (_tanh_forward, _tanh_backward),
-    "relu": (_relu_forward, _relu_backward),
-    "sigmoid": (_sigmoid_forward, _sigmoid_backward),
+ACTIVATION_RULES = {  # kind: (forward(z, out=None), derivative(z, y, out=None))
+    "tanh": (np.tanh, _tanh_derivative),
+    "relu": (_relu_forward, _relu_derivative),
+    "sigmoid": (_sigmoid_forward, _sigmoid_derivative),
 }
 
 # The logit order of every mixed edge: what ``softmax(logits)[i]`` weights.
@@ -328,12 +322,12 @@ EDGE_TERMS: tuple[str, ...] = ("zero", "identity", *ACTIVATION_RULES)
 
 
 def _activation(kind: str, x: Value) -> Value:
-    forward, backward_rule = ACTIVATION_RULES[kind]
+    forward, derivative = ACTIVATION_RULES[kind]
     z = x.data
     y = forward(z)
 
     def back(g, need):
-        return (backward_rule(g, z, y),)
+        return (g * derivative(z, y),)
 
     return _emit(kind, (x,), y, back)
 
@@ -383,48 +377,54 @@ def mixed_edge(logits: Value, states: Sequence[Value], block: Value) -> Value:
     W being the slab's next ``d`` columns. The zero term is skipped, which is
     exact for finite states; its logit still counts in the softmax. Stacked,
     the logit block, states and weight block share one leading slice axis.
+
+    Inside, the terms sit in contiguous term-major slabs ``(4, j, B, d)`` (the
+    states, then each activation), so the output and the logit gradient are
+    products of ``(4j, B * d)`` rows; derivatives go back once to ``(j, B, 3d)``.
     """
     j = len(states)
     shape = states[0].data.shape if j else ()
     lead = shape[:-2]
     d = shape[-1] if 2 <= len(shape) <= 3 else -1
+    n = len(ACTIVATION_RULES)
     _shape_guard(
         "mixed-edge",
         d >= 0 and all(x.data.shape == shape for x in states)
         and logits.data.shape == (*lead, j, len(EDGE_TERMS))
-        and block.data.shape == (*lead, j, d, len(ACTIVATION_RULES) * d),
+        and block.data.shape == (*lead, j, d, n * d),
         logits, *states, block,
     )
-    xd = np.concatenate([x.data[..., None, :, :] for x in states], axis=-3)
-    wd = block.data
+    b, s = shape[-2], len(lead)
     w = _softmax_forward(logits.data, -1)
-    # Indexed by term: per edge, its weight as a (1, 1) block against its rows.
-    tw = [w[..., i, None, None] for i in range(len(EDGE_TERMS))]
-    rules = list(ACTIVATION_RULES.values())
-    cols = [slice(n * d, (n + 1) * d) for n in range(len(rules))]
-    z = xd @ wd
-    ys = [forward(z[..., c]) for (forward, _), c in zip(rules, cols)]
-    e = np.zeros_like(xd) + tw[1] * xd
-    for i, y in enumerate(ys, start=2):
-        e = e + tw[i] * y
-    out = e.sum(axis=-3)
+    w_terms = w[..., 1:].mT  # (terms, j): identity, then each activation
+    slabs = np.empty((*lead, 1 + n, j, b, d))
+    xd, y = slabs[..., 0, :, :, :], slabs[..., 1:, :, :, :]
+    for k, x in enumerate(states):
+        xd[..., k, :, :] = x.data
+    mats = block.data.reshape(*lead, j, d, n, d).transpose(*range(s), s + 2, s, s + 1, s + 3)
+    # ``out`` keeps z term-major: matmul would follow the edge-major block's strides.
+    z = np.matmul(xd[..., None, :, :, :], mats, out=np.empty((*lead, n, j, b, d)))
+    for t, (forward, _) in enumerate(ACTIVATION_RULES.values()):
+        forward(z[..., t, :, :, :], out=y[..., t, :, :, :])
+    rows = slabs.reshape(*lead, (1 + n) * j, b * d)
+    out = (w_terms.reshape(*lead, 1, (1 + n) * j) @ rows).reshape(shape)
 
     def back(g, need):
-        ge = g[..., None, :, :]  # every edge gets the node's gradient
         dlogits, dstates, dblock = None, [None] * j, None
         if need[0]:
             dw = np.zeros_like(w)
-            dw[..., 1] = (ge * xd).sum(axis=(-2, -1))
-            for i, y in enumerate(ys, start=2):
-                dw[..., i] = (ge * y).sum(axis=(-2, -1))
+            dw[..., 1:] = (rows @ g.reshape(*lead, b * d, 1)).reshape(*lead, 1 + n, j).mT
             dlogits = _softmax_backward(dw, w, -1)
         need_states = True in need[1:-1]
         if need_states or need[-1]:
             dz = np.empty_like(z)
-            for i, ((_, backward_rule), c, y) in enumerate(zip(rules, cols, ys), start=2):
-                dz[..., c] = backward_rule(ge * tw[i], z[..., c], y)
+            for t, (_, derivative) in enumerate(ACTIVATION_RULES.values()):
+                derivative(z[..., t, :, :, :], y[..., t, :, :, :], out=dz[..., t, :, :, :])
+            dz *= w_terms[..., 1:, :, None, None]
+            dz *= g[..., None, None, :, :]
+            dz = dz.transpose(*range(s), s + 1, s + 2, s, s + 3).reshape(*lead, j, b, n * d)
             if need_states:
-                dx = dz @ wd.mT + ge * tw[1]
+                dx = dz @ block.data.mT + g[..., None, :, :] * w[..., 1, None, None]
                 dstates = [dx[..., k, :, :] for k in range(j)]
             if need[-1]:
                 dblock = xd.mT @ dz

@@ -188,9 +188,15 @@ def node_output_and_grads(fused, logits, xs, block, coeffs, op_set):
     return [out.data, *grads]
 
 
-def random_node(rng, op_set, slices=()):
-    edges = int(rng.integers(1, 5))
-    n_rows, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+# Desk nodes: 48-row batches at hidden 16, with 2, 3 and 4 incoming edges.
+DESK_NODES = [(edges, 48, 16) for edges in (2, 3, 4)]
+
+
+def random_node(rng, op_set, slices=(), shape=None):
+    """A node's logits, states, block and loss coefficients. ``shape`` fixes
+    (edges, rows, hidden); by default each is drawn small."""
+    edges, n_rows, hidden = shape or (
+        int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 6)))
     n_act = sum(kind in PARAMETERIZED_OPS for kind in op_set)
     logits = rng.normal(scale=2.0, size=(*slices, edges, len(op_set)))
     xs = rng.normal(size=(*slices, edges, n_rows, hidden))
@@ -203,10 +209,10 @@ def random_node(rng, op_set, slices=()):
 @pytest.mark.parametrize("saturate", [False, True])
 def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
     """The node record against the per-edge reference summed over its edges,
-    for one to four edges."""
+    for one to four edges, at small shapes and at the desk's."""
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        logits, xs, block, coeffs = random_node(rng, op_set)
+    for shape in [None] * 10 + DESK_NODES:
+        logits, xs, block, coeffs = random_node(rng, op_set, shape=shape)
         if saturate:
             logits = np.stack([saturated(op_set, op_set[int(rng.integers(len(op_set)))],
                                          -40.0, 40.0) for _ in logits])
@@ -220,9 +226,9 @@ def test_fused_mixed_edge_matches_unfused_reference(op_set, saturate):
 @pytest.mark.parametrize("op_set", [OP_ORDER])
 def test_stacked_mixed_edge_slices_bit_identical(op_set):
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        slices = int(rng.integers(1, 5))
-        logits, xs, block, coeffs = random_node(rng, op_set, (slices,))
+    for shape in [None] * 10 + DESK_NODES:
+        slices = 2 if shape else int(rng.integers(1, 5))
+        logits, xs, block, coeffs = random_node(rng, op_set, (slices,), shape)
         stacked = node_output_and_grads(True, logits, xs, block, coeffs, op_set)
         for s in range(slices):
             alone = node_output_and_grads(True, logits[s], xs[s], block[s], coeffs[s], op_set)

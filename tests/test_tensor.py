@@ -339,6 +339,42 @@ def test_requires_grad_set_at_record_time():
     assert [need for *_, need in tape.records] == [(False, False), (False, True)]
 
 
+def rule_inputs():
+    """Pre-activations with both signed zeros, both saturated ends and random values."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([[0.0, -0.0, 40.0, -40.0], rng.normal(scale=3.0, size=20)]).reshape(4, 6)
+
+
+@pytest.mark.parametrize("kind", list(tensor.ACTIVATION_RULES))
+def test_activation_rule_writes_the_same_bits_into_a_strided_slab(kind):
+    forward, derivative = tensor.ACTIVATION_RULES[kind]
+    z = rule_inputs()
+    y = forward(z)
+    for fn, args, want in [(forward, (z,), y), (derivative, (z, y), derivative(z, y))]:
+        big = np.full((3, 4, 2, 6), np.nan)
+        slab = big[1, :, 0, :]
+        assert fn(*args, out=slab) is slab
+        assert slab.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+        assert np.isnan(big).sum() == big.size - slab.size
+
+
+@pytest.mark.parametrize("kind, gradient", [
+    ("tanh", lambda g, z, y: g * (1.0 - y * y)),
+    ("relu", lambda g, z, y: g * (z > 0.0)),
+])
+def test_tanh_and_relu_primitives_keep_their_bits(kind, gradient):
+    z = rule_inputs()
+    g = np.random.default_rng(12).normal(size=z.shape)
+    x = Value.param(z)
+    with Tape():
+        out = tensor.PRIMITIVES[kind](x)
+        loss = tensor.sum_all(tensor.multiply(out, Value(g)))
+    backward(loss)
+    y = np.tanh(z) if kind == "tanh" else np.where(z > 0.0, z, 0.0)
+    assert out.data.tobytes() == y.tobytes()
+    assert x.grad.tobytes() == gradient(g, z, y).tobytes()
+
+
 @pytest.mark.parametrize("kind", sorted(tensor.PRIMITIVES))
 def test_single_parameter_gradient_bit_identical_to_all_parameter_gradient(kind):
     rng = np.random.default_rng(17)
