@@ -105,14 +105,16 @@ def init_alpha(spec: CellSpec) -> dict[str, np.ndarray]:
 
 
 def softmax_weights(logits: np.ndarray) -> np.ndarray:
-    return tensor._softmax_forward(logits, 0)
+    """Operation weights over the last axis: each row of a logit block, or one row."""
+    return tensor._softmax_forward(logits, -1)
 
 
 def alpha_entropy(alpha: Mapping[str, np.ndarray]) -> float:
     """Mean per-edge entropy (nats) of the softmax operation weights, one per block row."""
-    rows = [softmax_weights(vec) for block in alpha.values()
-            for vec in np.asarray(block, dtype=np.float64)]
-    return sum(float(-(w * np.log(np.maximum(w, 1e-300))).sum()) for w in rows) / max(len(rows), 1)
+    blocks = [softmax_weights(np.asarray(block, dtype=np.float64)) for block in alpha.values()]
+    entropies = [float(e) for w in blocks
+                 for e in -(w * np.log(np.maximum(w, 1e-300))).sum(axis=-1)]
+    return sum(entropies) / max(len(entropies), 1)
 
 
 def uniform_entropy(n_ops: int) -> float:
@@ -241,17 +243,13 @@ def derive_genotype(spec: CellSpec, alpha: Mapping[str, np.ndarray]) -> Genotype
         raise CellError(f"logit blocks {got} do not match the cell's {expected}")
     nodes = []
     for j in spec.intermediate_ids:
-        scored = []
-        for i, vec in enumerate(np.asarray(alpha[block_name(j)], dtype=np.float64)):
-            weights = softmax_weights(vec)
-            best_idx, best_kind, best_w = None, None, -1.0
-            for idx, kind in enumerate(NON_ZERO_OPS, start=1):
-                if weights[idx] > best_w:
-                    best_idx, best_kind, best_w = idx, kind, float(weights[idx])
-            scored.append((-best_w, i, best_idx, best_kind))
-        scored.sort()
-        kept = sorted(scored[: spec.k], key=lambda item: item[1])
-        nodes.append(tuple((i, kind) for _, i, _, kind in kept))
+        # column 0 is the zero operation; argmax takes the first (lowest-registry) maximum
+        weights = softmax_weights(np.asarray(alpha[block_name(j)], dtype=np.float64))[:, 1:]
+        best = weights.argmax(axis=-1)
+        strength = weights[np.arange(j), best]
+        # a stable sort keeps the lower predecessor first among equal strengths
+        kept = np.sort(np.argsort(-strength, kind="stable")[: spec.k])
+        nodes.append(tuple((int(i), NON_ZERO_OPS[best[i]]) for i in kept))
     return Genotype(spec, tuple(nodes))
 
 

@@ -9,8 +9,9 @@ produced by ``arch_gradient_second_order`` (or through the momentum step). Two o
 * central finite differences of the map itself, coordinate by coordinate,
   recomputing the lookahead at every probe (works on any problem); the probes
   run stacked, as one lookahead pass and one validation pass;
-* random quadratic bilevel problems whose mixed second derivative is a known
-  constant matrix, so the correction term has an exact closed form and the
+* random quadratic bilevel problems, each loss one quadratic form over the
+  weights and logits together, whose mixed second derivative is a constant
+  block of that form, so the correction term has an exact closed form and the
   whole gradient is exact.
 """
 
@@ -68,10 +69,13 @@ def flatten(params: Params) -> np.ndarray:
 class QuadraticBilevelProblem:
     """Random quadratic losses with a closed-form mixed second derivative.
 
-    Training loss 0.5 w A w' + w B a' + c w' + 0.5 a D a' is strictly convex
-    in the weights; the mixed second derivative is the constant matrix B, so
-    the exact correction product is available for any vector. Both groups are
-    single row vectors.
+    Over the row z = [w, a] of 6 weights and 4 logits, each split's loss is
+    0.5 z H z' + c z' for its own symmetric H and row c. The training H has
+    positive definite diagonal blocks, so the loss is strictly convex in the
+    weights; validation's logit block is zero, and only validation has a linear
+    logit term. The weight-logit block of the training H is the constant mixed
+    second derivative, so the exact correction product is available for any
+    vector.
     """
 
     def __init__(self, seed: int = 0):
@@ -82,14 +86,14 @@ class QuadraticBilevelProblem:
             m = rng.normal(size=(n, n))
             return m @ m.T / n + 0.5 * np.eye(n)
 
-        self.a_train = psd(dim_w)
-        self.cross_train = rng.normal(size=(dim_w, dim_alpha))
-        self.lin_train = rng.normal(size=(1, dim_w))
-        self.d_train = psd(dim_alpha)
-        self.a_val = psd(dim_w)
-        self.cross_val = rng.normal(size=(dim_w, dim_alpha))
-        self.lin_val_w = rng.normal(size=(1, dim_w))
-        self.lin_val_a = rng.normal(size=(1, dim_alpha))
+        # split: (H, c); each draw is taken where it is written, in this order
+        self.forms = {}
+        a, cross, lin = psd(dim_w), rng.normal(size=(dim_w, dim_alpha)), rng.normal(size=(1, dim_w))
+        self.forms["train"] = (np.block([[a, cross], [cross.T, psd(dim_alpha)]]),
+                               np.hstack([lin, np.zeros((1, dim_alpha))]))
+        a, cross, lin = psd(dim_w), rng.normal(size=(dim_w, dim_alpha)), rng.normal(size=(1, dim_w))
+        self.forms["val"] = (np.block([[a, cross], [cross.T, np.zeros((dim_alpha, dim_alpha))]]),
+                             np.hstack([lin, rng.normal(size=(1, dim_alpha))]))
         self.w0 = {"w": rng.normal(size=(1, dim_w))}
         self.alpha0 = {"alpha": rng.normal(size=(1, dim_alpha))}
 
@@ -99,36 +103,18 @@ class QuadraticBilevelProblem:
     def init_alpha(self) -> Params:
         return {k: v.copy() for k, v in self.alpha0.items()}
 
-    # Each term sums its row, so a stacked pass gives one value per slice.
-    def _quad(self, row: Value, matrix: np.ndarray) -> Value:
-        return tensor.scale(tensor.sum_all(tensor.multiply(row, tensor.matmul(row, Value(matrix))),
-                                           axis=(-2, -1)), 0.5)
-
-    def _bilinear(self, w: Value, a: Value, matrix: np.ndarray) -> Value:
-        return tensor.sum_all(tensor.multiply(tensor.matmul(w, Value(matrix)), a),
-                              axis=(-2, -1))
-
-    def _linear(self, row: Value, coeffs: np.ndarray) -> Value:
-        return tensor.sum_all(tensor.multiply(row, Value(np.broadcast_to(coeffs, row.shape))),
-                              axis=(-2, -1))
-
     def loss(self, split: str, weights, alpha, batch) -> Value:
-        w, a = weights["w"], alpha["alpha"]
-        if split == "train":
-            return tensor.add(
-                tensor.add(self._quad(w, self.a_train), self._bilinear(w, a, self.cross_train)),
-                tensor.add(self._linear(w, self.lin_train), self._quad(a, self.d_train)),
-            )
-        if split == "val":
-            return tensor.add(
-                tensor.add(self._quad(w, self.a_val), self._bilinear(w, a, self.cross_val)),
-                tensor.add(self._linear(w, self.lin_val_w), self._linear(a, self.lin_val_a)),
-            )
-        raise ValueError(f"unknown split {split!r}")
+        """z (0.5 z H + c)', summed over the row, so a stacked pass gives one value per slice."""
+        h, c = self.forms[split]
+        z = tensor.concatenate([weights["w"], alpha["alpha"]])
+        inner = tensor.add(tensor.scale(tensor.matmul(z, Value(h)), 0.5),
+                           Value(np.broadcast_to(c, z.shape)))
+        return tensor.sum_all(tensor.multiply(z, inner), axis=(-2, -1))
 
     def exact_hvp(self, vector: Params) -> Params:
         """The constant mixed second derivative applied to a weight vector."""
-        return {"alpha": vector["w"] @ self.cross_train}
+        v = vector["w"]
+        return {"alpha": v @ self.forms["train"][0][:v.shape[-1], v.shape[-1]:]}
 
 
 def make_tiny_cell_task(seed: int) -> SyntheticCellTask:

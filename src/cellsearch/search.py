@@ -143,7 +143,7 @@ class IterationRecord:
     val_loss: float
     weight_lr: float
     hvp_epsilon: float | None
-    wall_clock: float
+    wall_clock: float  # seconds since the loop began; the benchmark's per-iteration latency
 
 
 @dataclass

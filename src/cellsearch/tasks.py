@@ -180,6 +180,9 @@ def load_delimited(path) -> Dataset:
     if not rows:
         raise DataError(f"{path}: empty dataset file")
     header = rows[0]
+    for name in ("label", "split"):
+        if header.count(name) > 1:
+            raise DataError(f"{path}: repeated {name!r} column in header {header}")
     if "label" not in header:
         raise DataError(f"{path}: no 'label' column in header {header}")
     label_col = header.index("label")

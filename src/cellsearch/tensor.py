@@ -30,12 +30,12 @@ engine is too sensitive to rounding for single precision.
 
 A pass may carry a leading slice axis: S copies of one program, run as one
 tape. Matrix multiplication takes 2-d operands, or 3-d ones whose leading axis
-holds the S slices, where a 2-d operand is shared by every slice; the
+holds the S slices, where a 2-d operand is shared by every slice and is a
+constant (the features, a fixed matrix), so it gets no gradient; the
 mixed-edge node takes stacked logit and weight blocks and states; cross-entropy
 gives one mean per slice; and ``backward`` seeds every slice of an ``(S,)``
 loss with 1. Each slice is bit-identical to the same pass run on that slice
-alone. A parameter that carries the slice axis gets each slice's own gradient;
-one shared across slices gets the sum of theirs.
+alone; a parameter carries the slice axis, and each slice gets its own gradient.
 """
 
 from __future__ import annotations
@@ -265,13 +265,8 @@ def scale(a: Value, c: float) -> Value:
     return _emit("scale-by-constant", (a,), a.data * c, back)
 
 
-def _sum_slices(g: np.ndarray | None, ndim: int) -> np.ndarray | None:
-    # The gradient of an operand shared by every slice sums over the slice axis.
-    return g.sum(axis=0) if g is not None and g.ndim > ndim else g
-
-
 def matmul(a: Value, b: Value) -> Value:
-    """Matrix product of 2-d operands, or per slice, where a 2-d one is shared."""
+    """Matrix product of 2-d operands, or per slice, where a 2-d one is a shared constant."""
     ad, bd = a.data, b.data
     _shape_guard(
         "matrix-multiply",
@@ -279,14 +274,9 @@ def matmul(a: Value, b: Value) -> Value:
         and (ad.ndim == 2 or bd.ndim == 2 or ad.shape[0] == bd.shape[0]),
         a, b,
     )
-    shared = ad.ndim != bd.ndim
 
     def back(g, need):
-        da = g @ bd.mT if need[0] else None
-        db = ad.mT @ g if need[1] else None
-        if shared:
-            return _sum_slices(da, ad.ndim), _sum_slices(db, bd.ndim)
-        return da, db
+        return (g @ bd.mT if need[0] else None), (ad.mT @ g if need[1] else None)
 
     return _emit("matrix-multiply", (a, b), ad @ bd, back)
 

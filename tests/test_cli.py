@@ -571,6 +571,14 @@ def small_cfg_with(line: str) -> str:
     ("evaluate", "genotype", small_genotype().encode() + NOT_UTF8, "cannot read genotype file"),
     ("search", "data", "x0,x1,label,split\n1.0,2.0,0,train\n0.5,1.0,1,train\n"
      "2.0,0.0,0,val\n0.0,1.0,1,val\n", "input: no test rows"),
+    ("search", "data", "x0,label,label\n1.0,0,0\n0.5,1,0\n", "repeated 'label' column"),
+    ("search", "data", "x0,x1,label,split,split\n1.0,2.0,0,train,val\n",
+     "repeated 'split' column"),
+    ("search", "data", "x0,x1\n1.0,2.0\n", "no 'label' column"),
+    ("search", "data", "label,split\n0,train\n1,val\n", "no feature columns"),
+    ("search", "data", "x0,x1,label\n1.0,2.0,0\n0.5,1.0,0.5\n", "line 3: non-integer label"),
+    ("search", "data", "x0,x1,label,split\n1.0,2.0,0,holdout\n",
+     "line 2: unknown split tag 'holdout'"),
     ("search", "out", "afile", "afile: File exists"),
     ("random-search", "out", "afile", "afile: File exists"),
     ("search", "out", "afile/sub", "afile/sub: Not a directory"),
@@ -602,7 +610,9 @@ def small_cfg_with(line: str) -> str:
         "negative-seed", "negative-eval-seed", "negative-data-seed", "duplicate-snapshot-edge",
         "config-directory", "config-not-utf8", "data-directory", "data-not-utf8",
         "data-oversized-field", "snapshot-directory", "snapshot-not-utf8", "genotype-directory",
-        "genotype-not-utf8", "data-no-test-rows", "search-out-file",
+        "genotype-not-utf8", "data-no-test-rows", "data-repeated-label",
+        "data-repeated-split", "data-no-label", "data-no-features", "data-non-integer-label",
+        "data-unknown-split", "search-out-file",
         "random-search-out-file", "search-out-under-file", "search-out-not-empty",
         "random-search-out-not-empty", "derive-out-directory",
         "derive-out-missing-parent", "evaluate-out-directory", "negative-snapshot-every",

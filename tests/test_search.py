@@ -50,7 +50,7 @@ from cellsearch.search import (
     unrolled_weights,
 )
 from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask
-from cellsearch.tensor import Value, finite_difference, relative_error, scale
+from cellsearch.tensor import Tape, Value, finite_difference, relative_error, scale
 from test_tasks import toy_losses
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -721,6 +721,35 @@ def test_quadratic_exact_hvp_matches_finite_difference_hvp():
     exact = problem.exact_hvp(vector)
     fd = hvp_finite_difference(problem, weights, alpha, vector, None, 1e-3)
     assert relative_error(exact["alpha"], fd["alpha"]) < 1e-9
+
+
+def test_quadratic_problem_is_the_four_term_bilevel_quadratic():
+    # each split written out term by term, from the same draws taken in the same order
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+
+        def psd(n):
+            m = rng.normal(size=(n, n))
+            return m @ m.T / n + 0.5 * np.eye(n)
+
+        a_t, b_t, c_t, d_t = psd(6), rng.normal(size=(6, 4)), rng.normal(size=(1, 6)), psd(4)
+        a_v, b_v, c_v = psd(6), rng.normal(size=(6, 4)), rng.normal(size=(1, 6))
+        e_v = rng.normal(size=(1, 4))
+        problem = QuadraticBilevelProblem(seed=seed)
+        assert np.array_equal(problem.init_weights()["w"], rng.normal(size=(1, 6)))
+        assert np.array_equal(problem.init_alpha()["alpha"], rng.normal(size=(1, 4)))
+        w, a = rng.normal(size=(1, 6)), rng.normal(size=(1, 4))
+        np.testing.assert_allclose(problem.exact_hvp({"w": w})["alpha"], w @ b_t, rtol=1e-14)
+        written_out = {
+            "train": 0.5 * w @ a_t @ w.T + w @ b_t @ a.T + c_t @ w.T + 0.5 * a @ d_t @ a.T,
+            "val": 0.5 * w @ a_v @ w.T + w @ b_v @ a.T + c_v @ w.T + e_v @ a.T,
+        }
+        for split, ref in written_out.items():
+            value = loss_value(problem, split, {"w": w}, {"alpha": a}, None)
+            assert value == pytest.approx(ref.item(), rel=1e-12, abs=1e-12)
+            with Tape() as tape:
+                problem.loss(split, {"w": Value.param(w)}, {"alpha": Value.param(a)}, None)
+            assert len(tape.records) == 6  # concatenate, matmul, scale, add, multiply, sum
 
 
 # --- gradient plumbing ---------------------------------------------------------

@@ -91,26 +91,24 @@ def test_backward_seeds_every_slice_of_a_stacked_loss():
 
 
 # --- the slice axis: each slice of a stacked pass is bit-identical to the
-# same pass on that slice alone; a shared operand's gradient sums the slices'.
+# same pass on that slice alone; a shared operand is a constant.
 
 
 def stacked_and_per_slice(build, stacked, shared=()):
     """Run ``build`` once on the stacked arrays and once per slice; return the
     stacked loss and gradients and the per-slice ones, slices along axis 0.
-    Arrays in ``shared`` have no slice axis and every slice uses them."""
-    def run(arrays, fixed):
+    Arrays in ``shared`` have no slice axis; every slice uses them as constants."""
+    def run(arrays):
         with Tape():
-            params = [Value.param(a) for a in (*arrays, *fixed)]
-            loss = build(*params)
+            params = [Value.param(a) for a in arrays]
+            loss = build(*params, *(Value(a) for a in shared))
         backward(loss)
         return loss.data, [p.grad for p in params]
 
-    loss, grads = run(stacked, shared)
-    per = [run([a[s] for a in stacked], shared) for s in range(len(stacked[0]))]
+    loss, grads = run(stacked)
+    per = [run([a[s] for a in stacked]) for s in range(len(stacked[0]))]
     per_loss = np.stack([p[0] for p in per])
     per_grads = [np.stack([p[1][k] for p in per]) for k in range(len(grads))]
-    for k in range(len(stacked), len(grads)):
-        per_grads[k] = per_grads[k].sum(axis=0)
     return (loss, grads), (per_loss, per_grads)
 
 
