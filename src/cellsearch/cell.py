@@ -84,12 +84,8 @@ class CellSpec:
 
 
 def edge_key(i: int, j: int) -> str:
+    """Edge (i, j)'s name: its logit snapshot row, and its kept matrix in a discrete network."""
     return f"{i}->{j}"
-
-
-def weight_name(i: int, j: int, kind: str) -> str:
-    """The discrete network's name for the matrix of operation ``kind`` on edge (i, j)."""
-    return f"{edge_key(i, j)}:{kind}"
 
 
 def block_name(j: int) -> str:
@@ -264,7 +260,7 @@ def discrete_forward(genotype: Genotype,
         j = spec.input_arity + offset
         acc = None
         for pred, kind in pairs:
-            term = apply_op(kind, weights.get(weight_name(pred, j, kind)), states[pred])
+            term = apply_op(kind, weights.get(edge_key(pred, j)), states[pred])
             acc = term if acc is None else tensor.add(acc, term)
         states.append(acc)
     return _reduce(spec, states[spec.input_arity:])

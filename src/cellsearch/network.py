@@ -10,7 +10,7 @@ and live elsewhere.
 Weight dicts are keyed ``stem_{i}``, then the cell's matrices, then ``head``.
 The relaxed network holds one block per intermediate node j, keyed
 ``cell.block_name(j)``; a discrete network instantiated from a genotype holds
-one matrix per retained parameterized edge, keyed ``cell.weight_name(i, j, kind)``.
+one matrix per retained parameterized edge, keyed ``cell.edge_key(i, j)``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor
-from .cell import CellSpec, Genotype, block_name, cell_forward, discrete_forward, weight_name
+from .cell import CellSpec, Genotype, block_name, cell_forward, discrete_forward, edge_key
 from .ops import OP_ORDER, PARAMETERIZED_OPS, init_linear
 from .tensor import Value
 
@@ -50,7 +50,7 @@ class CellClassifier:
         stems, mats, head = self._draw(seed, [(pred, self.spec.input_arity + offset, kind)
                                               for offset, pairs in enumerate(genotype.nodes)
                                               for pred, kind in pairs])
-        return {**stems, **{weight_name(*key): m for key, m in mats.items()}, "head": head}
+        return {**stems, **{edge_key(i, j): m for (i, j, _), m in mats.items()}, "head": head}
 
     def _draw(self, seed: int, edge_ops):
         """Stems, then a matrix per parameterized ``(i, j, kind)`` in order, then the head."""

@@ -3,10 +3,9 @@
 The registry order, that of ``OPS``, is fixed and public. Architecture logit
 vectors index into it, so it must never be reshuffled.
 
-Node representations are always 2-d, rows of width ``hidden``; a single
-vector is a one-row matrix. Parameterized kinds apply ``activation(x @ W)``
-with one ``(hidden, hidden)`` weight matrix owned per edge-op; ``identity``
-holds none, and ``zero`` is a mixed-edge term only, which ``apply_op`` rejects.
+Parameterized kinds apply ``activation(x @ W)`` to rows of width ``hidden``,
+with one ``(hidden, hidden)`` weight matrix per edge-op; ``identity`` holds
+none, and ``zero`` is a mixed-edge term only.
 """
 
 from __future__ import annotations
@@ -26,22 +25,10 @@ NON_ZERO_OPS: tuple[str, ...] = OP_ORDER[1:]
 PARAMETERIZED_OPS: tuple[str, ...] = tuple(k for k in OPS if OPS[k] in tensor.ACTIVATION_RULES)
 
 
-class OpError(ValueError):
-    """Unknown operation kind or missing/invalid operation parameters."""
-
-
 def apply_op(kind: str, weights: Value | None, x: Value) -> Value:
-    """Apply one non-zero operation, a kind a genotype keeps, to row vectors."""
-    if x.ndim != 2:
-        raise OpError(f"{kind}: expected rows of vectors, got shape {x.shape}")
-    if kind not in NON_ZERO_OPS:
-        raise OpError(f"unknown operation kind: {kind!r}, not one of {NON_ZERO_OPS}")
+    """Apply one non-zero kind, as a genotype keeps, to ``([slices,] rows, hidden)`` states."""
     term = OPS[kind]
-    if term == "identity":
-        return x
-    if weights is None:
-        raise OpError(f"{kind}: operation requires a weight matrix")
-    return tensor.PRIMITIVES[term](tensor.matmul(x, weights))
+    return x if term == "identity" else tensor.PRIMITIVES[term](tensor.matmul(x, weights))
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

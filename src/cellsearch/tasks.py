@@ -165,13 +165,14 @@ def holdout_split(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 
 def load_delimited(path) -> Dataset:
     """Parse a dataset file, reporting malformed rows with their line number.
+    Blank lines hold no row and are skipped.
 
     Features must be finite, and the labels of its C classes (at least two)
     must be the ids 0..C-1, so that no label indexes the wrong logit.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            rows = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row]
     except FileNotFoundError:
         raise DataError(f"no such dataset file: {path}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -179,7 +180,7 @@ def load_delimited(path) -> Dataset:
         raise DataError(f"cannot read dataset file {path}: {reason}") from None
     if not rows:
         raise DataError(f"{path}: empty dataset file")
-    header = rows[0]
+    header = rows[0][1]
     for name in ("label", "split"):
         if header.count(name) > 1:
             raise DataError(f"{path}: repeated {name!r} column in header {header}")
@@ -193,8 +194,8 @@ def load_delimited(path) -> Dataset:
     if not feature_cols:
         raise DataError(f"{path}: no feature columns")
 
-    features, labels, tags = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    features, labels, tags, linenos = [], [], [], []
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(
                 f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
@@ -211,19 +212,20 @@ def load_delimited(path) -> Dataset:
         if tag not in SPLITS:
             raise DataError(f"{path}: line {lineno}: unknown split tag {tag!r}")
         tags.append(tag)
+        linenos.append(lineno)
     if not features:
         raise DataError(f"{path}: dataset has a header but no rows")
     features = np.asarray(features, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        raise DataError(f"{path}: line {bad[0] + 2}: non-finite feature value")
+        raise DataError(f"{path}: line {linenos[bad[0]]}: non-finite feature value")
     n_classes = len(set(labels))
     if n_classes < 2:
         raise DataError(f"{path}: every row has label {labels[0]}; need at least two classes")
     for row, label in enumerate(labels):
         if not 0 <= label < n_classes:
             raise DataError(
-                f"{path}: line {row + 2}: label {label} out of range: "
+                f"{path}: line {linenos[row]}: label {label} out of range: "
                 f"the {n_classes} classes must be numbered 0..{n_classes - 1}"
             )
     return Dataset(features, np.asarray(labels, dtype=np.int64), np.asarray(tags, dtype="<U5"))

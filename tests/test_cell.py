@@ -14,6 +14,7 @@ from cellsearch.cell import (
     cell_forward,
     derive_genotype,
     discrete_forward,
+    edge_key,
     format_alpha,
     init_alpha,
     mixed_edge_forward,
@@ -21,7 +22,6 @@ from cellsearch.cell import (
     sample_genotype,
     softmax_weights,
     uniform_entropy,
-    weight_name,
 )
 from cellsearch.network import CellClassifier
 from cellsearch.ops import (
@@ -46,10 +46,10 @@ def edge_matrix(block, i, k):
 
 def node_blocks(spec, edge_mats):
     """Per intermediate node j, the block whose row i holds the matrices of edge
-    (i, j), keyed by ``weight_name``, side by side in PARAMETERIZED_OPS order."""
+    (i, j), keyed by ``(i, j, kind)``, side by side in PARAMETERIZED_OPS order."""
     return {
         block_name(j): np.stack([
-            np.concatenate([edge_mats[weight_name(i, j, kind)] for kind in PARAMETERIZED_OPS],
+            np.concatenate([edge_mats[i, j, kind] for kind in PARAMETERIZED_OPS],
                            axis=-1)
             for i in range(j)
         ])
@@ -60,7 +60,7 @@ def node_blocks(spec, edge_mats):
 def draw_edge_matrices(spec, rng):
     """One matrix per (edge, parameterized kind), drawn in that order."""
     return {
-        weight_name(i, j, kind): init_linear(rng, spec.hidden, spec.hidden)
+        (i, j, kind): init_linear(rng, spec.hidden, spec.hidden)
         for i, j in spec.edges()
         for kind in PARAMETERIZED_OPS
     }
@@ -511,22 +511,20 @@ def test_discrete_forward_matches_saturated_mixed_forward():
     params = make_params(spec, seed=4)
     inputs = [Value(rng.normal(size=(3, 4))) for _ in range(2)]
 
-    mixed_out = cell_forward(spec, {k: Value(v) for k, v in alpha_raw.items()}, params, inputs)
-    geno = derive_genotype(spec, alpha_raw)
-    # saturated one-hot logits keep one edge per op; discrete pass keeps k=2 edges,
-    # so compare on a spec whose k equals the full in-degree of the first node only
-    # when every edge is retained. Here every node has >= 2 edges and k=2 keeps the
-    # two strongest; with equal-height one-hots strengths tie, so restrict to the
-    # two-predecessor first node for the exact comparison.
+    # the first node has exactly k = 2 incoming edges, so its discrete pass
+    # keeps every edge that the saturated mixed pass runs
     first_node_spec = one_node_spec(hidden=4, k=2)
     sub_alpha = {block_name(2): alpha_raw[block_name(2)]}
     sub_params = {block_name(2): params[block_name(2)]}
-    edge_params = {weight_name(i, 2, kind): Value(edge_matrix(params[block_name(2)].data, i, k))
-                   for i in range(2) for k, kind in enumerate(PARAMETERIZED_OPS)}
     mixed_out = cell_forward(
         first_node_spec, {k: Value(v) for k, v in sub_alpha.items()}, sub_params, inputs
     )
     sub_geno = derive_genotype(first_node_spec, sub_alpha)
+    edge_params = {
+        edge_key(i, 2): Value(edge_matrix(params[block_name(2)].data, i,
+                                          PARAMETERIZED_OPS.index(kind)))
+        for i, kind in sub_geno.nodes[0] if kind in PARAMETERIZED_OPS
+    }
     disc_out = discrete_forward(sub_geno, edge_params, inputs)
     np.testing.assert_allclose(mixed_out.data, disc_out.data, atol=1e-9)
 

@@ -195,6 +195,18 @@ def test_artifact_compare_passes_a_one_ulp_move_and_fails_a_changed_genotype(tmp
     assert out.endswith("1 breaches\n")
 
 
+def test_artifact_compare_exits_2_on_a_missing_or_empty_tree(tmp_path, capsys):
+    tool = artifacts_tool()
+    base = write_artifact_tree(tmp_path / "a", 0.25, 1e-9, small_genotype())
+    (tmp_path / "empty" / "sub").mkdir(parents=True)
+    for a, b in [(base, tmp_path / "absent"), (tmp_path / "empty", base),
+                 (tmp_path / "absent", tmp_path / "gone"), (base, base / "search" / "exit_code")]:
+        with pytest.raises(SystemExit) as exit_info:
+            tool.main(["--compare", str(a), str(b)])
+        assert exit_info.value.code == 2
+        assert "is not a directory that holds a file" in capsys.readouterr().err
+
+
 # --- search command -------------------------------------------------------------
 
 

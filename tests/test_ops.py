@@ -7,7 +7,6 @@ from cellsearch.ops import (
     OP_ORDER,
     OPS,
     PARAMETERIZED_OPS,
-    OpError,
     apply_op,
     init_linear,
 )
@@ -29,23 +28,6 @@ def test_linear_tanh_with_zero_weights_is_zero():
     x = Value([[0.3, -0.7]])
     out = apply_op("linear_tanh", Value(np.zeros((2, 2))), x)
     np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
-
-
-def test_parameterized_kind_requires_weights():
-    with pytest.raises(OpError, match="requires a weight matrix"):
-        apply_op("linear_relu", None, Value([[1.0]]))
-
-
-def test_unknown_kind_rejected():
-    # zero adds no term: only the mixed edge weighs it, so apply_op rejects it too
-    for kind in ("max_pool", "zero"):
-        with pytest.raises(OpError, match=f"unknown operation kind: '{kind}'"):
-            apply_op(kind, None, Value([[1.0]]))
-
-
-def test_vector_inputs_must_be_rows():
-    with pytest.raises(OpError, match="rows of vectors"):
-        apply_op("identity", None, Value([1.0, 2.0]))
 
 
 def test_init_linear_uses_fan_in():

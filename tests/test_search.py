@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellsearch.cell import CellSpec, sample_genotype
+from cellsearch.cell import CellSpec, Genotype, sample_genotype
 from cellsearch.cli import (
     build_problem,
     cell_spec_from,
@@ -50,7 +50,7 @@ from cellsearch.search import (
     unrolled_weights,
 )
 from cellsearch.tasks import DataConfig, SyntheticCellTask, ToyBilevelTask
-from cellsearch.tensor import Tape, Value, finite_difference, relative_error, scale
+from cellsearch.tensor import Tape, Value, backward, finite_difference, relative_error, scale
 from test_tasks import toy_losses
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -331,10 +331,29 @@ def test_search_records_the_cosine_annealed_weight_rate(toy):
     assert [r.weight_lr for r in constant] == [config.weight_lr] * 7
 
 
+def test_default_unroll_step_follows_the_annealed_rate(toy, monkeypatch):
+    search_module = importlib.import_module("cellsearch.search")  # the package rebinds .search
+    original, unroll_rates = search_module.arch_gradient_second_order, []
+
+    def spied(problem, weights, alpha, unroll_lr, *args, **kwargs):
+        unroll_rates.append(unroll_lr)
+        return original(problem, weights, alpha, unroll_lr, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "arch_gradient_second_order", spied)
+    traj = search(dataclasses.replace(toy_search_config(steps=6), anneal=True), toy)
+    assert unroll_rates == [r.weight_lr for r in traj.records]
+    assert unroll_rates[0] > unroll_rates[-1] > 0
+
+
 def test_architecture_adam_takes_the_papers_betas():
     opt = _make_arch_optimizer(desk_search_config())
     assert isinstance(opt, Adam)
     assert (opt.beta1, opt.beta2) == (0.5, 0.999)
+    for name, kind in (("adam", Adam), ("sgd", SgdMomentum)):
+        config = dataclasses.replace(desk_search_config(), arch_optimizer=name,
+                                     weight_decay_alpha=0.25)
+        opt = _make_arch_optimizer(config)
+        assert isinstance(opt, kind) and opt.weight_decay == 0.25
 
 
 class ZeroAlphaToy(ToyBilevelTask):
@@ -531,6 +550,15 @@ def test_train_genotype_deterministic_and_learns(small_task):
     for k in w1:
         assert np.array_equal(w1[k], w2[k])
     assert acc1 > 0.6  # well above chance on the easy dataset
+
+
+def test_retraining_draws_its_batches_from_the_eval_seed(small_task):
+    geno = sample_genotype(small_task.spec, np.random.default_rng(1))
+    acc1, w1 = train_genotype(small_task, geno, eval_config(seed=0, eval_steps=10))
+    acc2, w2 = train_genotype(small_task, geno, eval_config(seed=1, eval_steps=10))
+    assert acc1 == acc2
+    for k in w1:
+        assert np.array_equal(w1[k], w2[k]), k
 
 
 def test_random_search_singleton_returns_the_sample(small_task):
@@ -798,6 +826,36 @@ def test_stacked_cell_pass_slices_bit_identical(reduction):
             assert got.keys() == want.keys()
             for k in want:
                 assert np.array_equal(got[k][s], want[k]), (s, k)
+
+
+@pytest.mark.parametrize("reduction", ["mean", "concat"])
+def test_stacked_discrete_pass_slices_bit_identical(reduction):
+    data = DataConfig(n=60, dims=3, classes=3, noise=0.8, seed=5).build()
+    spec = CellSpec(nodes=5, input_arity=2, hidden=3, k=2, reduction=reduction)
+    task = SyntheticCellTask(data, spec)
+    genotype = Genotype(spec, (((0, "linear_tanh"), (1, "identity")),
+                               ((1, "linear_relu"), (2, "linear_sigmoid"))))
+    rng = np.random.default_rng(5)
+    slices = 4
+    weights = {k: rng.normal(size=(slices, *v.shape))
+               for k, v in task.model.init_genotype_weights(genotype, 5).items()}
+    batch = task.batch("train", 16, rng)
+
+    def discrete_pass(arrays):
+        with Tape():
+            values = {k: Value.param(v) for k, v in arrays.items()}
+            loss = task.discrete_loss(values, genotype, batch)
+        backward(loss)
+        return loss.data, {k: v.grad for k, v in values.items()}
+
+    loss, grads = discrete_pass(weights)
+    assert loss.shape == (slices,)
+    for s in range(slices):
+        alone_loss, alone_grads = discrete_pass({k: w[s] for k, w in weights.items()})
+        assert alone_loss == loss[s]
+        assert grads.keys() == alone_grads.keys()
+        for k in alone_grads:
+            assert np.array_equal(grads[k][s], alone_grads[k]), (s, k)
 
 
 def test_taped_passes_leave_no_cyclic_garbage(desk):

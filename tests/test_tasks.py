@@ -212,6 +212,21 @@ def test_delimited_round_trip_full_precision(tmp_path):
     np.testing.assert_array_equal(loaded.tags, ds.tags)
 
 
+def test_delimited_skips_blank_lines_and_keeps_line_numbers(tmp_path):
+    ds = make_synthetic_classification(40, 3, 2, 0.7, seed=5)
+    ds = holdout_split(carve_test_split(ds, 0.25, seed=5), 0.5, seed=5)
+    plain, trailing = tmp_path / "plain.csv", tmp_path / "trailing.csv"
+    save_delimited(ds, plain)
+    trailing.write_text(plain.read_text() + "\n")
+    want, got = load_delimited(plain), load_delimited(trailing)
+    for name in ("features", "labels", "tags"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    gap = tmp_path / "gap.csv"
+    gap.write_text("x0,label\n1.0,0\n\n2.0,5\n")
+    with pytest.raises(DataError, match="line 4: label 5 out of range"):
+        load_delimited(gap)
+
+
 def test_delimited_error_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1,label\n1.0,2.0,0\n3.0,1\n")
@@ -255,6 +270,16 @@ def test_cell_task_full_batch_when_size_exceeds_pool():
     task = SyntheticCellTask(cfg.build(), CellSpec(nodes=4, input_arity=2, hidden=4, k=1))
     x, y = task.batch("train", 10_000, np.random.default_rng(0))
     assert len(x) == task.dataset.size("train")
+
+
+def test_cell_task_batches_draw_rows_without_replacement():
+    cfg = DataConfig(n=100, dims=3, classes=2, noise=0.5, seed=1)
+    task = SyntheticCellTask(cfg.build(), CellSpec(nodes=4, input_arity=2, hidden=4, k=1))
+    rng = np.random.default_rng(0)
+    for split in ("train", "val", "joint"):
+        pool = len(task.batch(split, 10_000, rng)[0])
+        x, _ = task.batch(split, pool - 1, rng)
+        assert len(np.unique(x, axis=0)) == pool - 1, split
 
 
 def test_cell_task_pools_are_train_val_and_train_then_val():

@@ -27,7 +27,8 @@ A change that moves artifacts at the rounding level checks itself with
 
     python3 tools/artifacts.py --compare /tmp/before /tmp/after
 
-instead. The two trees must hold the same files, and each manifest the same
+instead. Both must be directories that hold at least one file, or it exits 2.
+The two trees must hold the same files, and each manifest the same
 layout. ``genotype.json`` files and exit codes must be byte-equal. Other text
 must be equal once its numbers are masked, and each pair of numbers must agree
 within ``REL_TOL`` relative or ``ABS_TOL`` absolute; on a line with a PASS or
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
                         help="compare two OUTDIRs instead of making one")
     args = parser.parse_args(argv)
     if args.compare:
+        for tree in args.compare:
+            if not (tree.is_dir() and any(p.is_file() for p in tree.rglob("*"))):
+                parser.error(f"{tree} is not a directory that holds a file")
         return compare_trees(*args.compare)
     if args.outdir is None:
         parser.error("need CHECKOUT and OUTDIR, or --compare A B")
