@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor
 from .cell import CellSpec
 from .gradcheck import CheckReport
-from .optim import SgdMomentum
+from .optim import SgdMomentum, pack
 from .search import (
     Params,
     arch_gradient_second_order,
@@ -139,7 +139,7 @@ def network_problems(seed: int, n_problems: int):
         if k % 2:
             # the desk search's momentum and decay; the lookahead takes UNROLL_LR, not lr
             optimizer = SgdMomentum(UNROLL_LR, momentum=0.9, weight_decay=3e-4)
-            optimizer.velocity = {name: rng.normal(size=w.shape) for name, w in weights.items()}
+            optimizer.velocity = pack([rng.normal(size=w.shape) for w in weights.values()])
         yield task, weights, alpha, train_batch, val_batch, optimizer
 
 

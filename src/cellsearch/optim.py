@@ -1,13 +1,20 @@
 """Parameter update rules for network weights and architecture logits.
 
-Parameters and gradients travel as name-keyed dicts of float64 arrays. Both
-update rules fold weight decay into the gradient as an additive ``decay * p``
-term before any momentum accumulation; this convention is fixed here so runs
-are reproducible. ``step`` returns fresh arrays and never mutates its inputs;
-optimizer buffers are the only mutable state.
+Each parameter group travels as one contiguous float64 vector: ``pack`` lays a
+group's arrays end to end in the group's own name order, and ``unpack`` gives
+named views back, shaped as the arrays. The update rules, the clip and the
+norm are each one numpy expression over that vector, and each optimizer
+keeps one state array per group. Both update rules fold weight decay into the
+gradient as an additive ``decay * p`` term before any momentum accumulation;
+this convention is fixed here so runs are reproducible. ``step`` returns a
+fresh vector and never mutates its inputs; optimizer buffers are the only
+mutable state.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -19,47 +26,56 @@ ADAM_EPS = 1e-8
 
 
 class OptimizerError(ValueError):
-    """Gradient keys or shapes do not match the parameters."""
+    """A gradient vector's shape does not match the parameters'."""
 
 
-def _check_aligned(what: str, params: Params, grads: Params) -> None:
-    if set(params) != set(grads):
-        missing = set(params) ^ set(grads)
-        raise OptimizerError(f"{what}: parameter/gradient keys differ: {sorted(missing)}")
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise OptimizerError(
-                f"{what}: shape mismatch for {name!r}: {p.shape} vs {grads[name].shape}"
-            )
+def pack(arrays: Iterable[np.ndarray], lead: tuple[int, ...] = ()) -> np.ndarray:
+    """The arrays' entries in order as one vector; with leading slice axes
+    ``lead`` on every array, one vector per slice."""
+    return np.concatenate([np.reshape(a, (*lead, -1)) for a in arrays], axis=-1)
+
+
+def unpack(vector: np.ndarray, like: Mapping[str, np.ndarray]) -> Params:
+    """Views of ``vector``, named and shaped as ``like``'s arrays in order;
+    ``like`` carries the same leading slice axes as ``vector``."""
+    lead, start, out = vector.shape[:-1], 0, {}
+    for name, p in like.items():
+        shape = np.shape(p)[len(lead):]
+        stop = start + math.prod(shape)
+        out[name] = vector[..., start:stop].reshape((*lead, *shape))
+        start = stop
+    return out
+
+
+def _check_aligned(what: str, params: np.ndarray, grads: np.ndarray) -> None:
+    if grads.shape != params.shape:
+        raise OptimizerError(f"{what}: shape mismatch: {params.shape} vs {grads.shape}")
 
 
 class SgdMomentum:
-    """Momentum SGD: v <- mu*v + (g + decay*p); p <- p - lr*v."""
+    """Momentum SGD: v <- mu*v + (g + decay*p); p <- p - lr*v. Before the
+    first step the velocity is empty (None) and v is the decayed gradient."""
 
     def __init__(self, lr: float, momentum: float, weight_decay: float):
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.velocity: Params = {}
+        self.velocity: np.ndarray | None = None
 
-    def _velocity(self, name: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def _velocity(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
         g = g + self.weight_decay * p
-        v = self.velocity.get(name)
-        return g if v is None else self.momentum * v + g
+        return g if self.velocity is None else self.momentum * self.velocity + g
 
-    def step(self, params: Params, grads: Params) -> Params:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         _check_aligned("sgd", params, grads)
-        out: Params = {}
-        for name, p in params.items():
-            v = self.velocity[name] = self._velocity(name, p, grads[name])
-            out[name] = p - self.lr * v
-        return out
+        self.velocity = v = self._velocity(params, grads)
+        return params - self.lr * v
 
-    def lookahead(self, params: Params, grads: Params, lr: float) -> Params:
-        """What ``step`` would return at rate ``lr``; the velocity is left as it is."""
+    def lookahead(self, params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
+        """What ``step`` would return at rate ``lr``; the velocity is left as it
+        is. Stacked vectors step per slice, the velocity broadcast along them."""
         _check_aligned("sgd", params, grads)
-        return {name: p - lr * self._velocity(name, p, grads[name])
-                for name, p in params.items()}
+        return params - lr * self._velocity(params, grads)
 
 
 class Adam:
@@ -71,26 +87,18 @@ class Adam:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m: Params = {}
-        self.v: Params = {}
+        self.m: np.ndarray | float = 0.0
+        self.v: np.ndarray | float = 0.0
 
-    def step(self, params: Params, grads: Params) -> Params:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         _check_aligned("adam", params, grads)
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
-        out: Params = {}
-        for name, p in params.items():
-            g = grads[name] + self.weight_decay * p
-            m = self.beta1 * self.m.get(name, 0.0) + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v.get(name, 0.0) + (1.0 - self.beta2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            m_hat = m / c1
-            v_hat = v / c2
-            out[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        return out
+        g = grads + self.weight_decay * params
+        self.m = m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        return params - self.lr * (m / (1.0 - self.beta1 ** t)) / (
+            np.sqrt(v / (1.0 - self.beta2 ** t)) + ADAM_EPS)
 
 
 def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:

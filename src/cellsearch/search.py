@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cell import Genotype, sample_genotype
-from .optim import Adam, SgdMomentum, clip_global_norm
+from .optim import Adam, SgdMomentum, clip_global_norm, pack, unpack
 from .tensor import Tape, Value, backward, flat_norm
 
 Params = dict[str, np.ndarray]
@@ -207,25 +207,27 @@ def _require_finite(what: str, loss: Value):
     return value
 
 
-def _grads_from(values: Mapping[str, Value], what: str) -> Params:
-    """The gradients of a group, checked finite by one sum; only a
-    non-finite sum is scanned name by name."""
-    out = {name: v.grad for name, v in values.items()}
-    if not np.isfinite(sum(float(g.sum()) for g in out.values())):
-        for name, g in out.items():
-            if not np.all(np.isfinite(g)):
+def _grads_from(values: Mapping[str, Value], what: str, lead: tuple[int, ...] = ()):
+    """The gradients of a group packed into one vector (one per slice of
+    ``lead``), checked finite by one reduction; only on a failure is each
+    name scanned, to name the non-finite parameter."""
+    grads = pack([v.grad for v in values.values()], lead)
+    if not np.isfinite(grads).all():
+        for name, v in values.items():
+            if not np.all(np.isfinite(v.grad)):
                 raise NumericalError(f"{what}: non-finite gradient for {name!r}")
-    return out
+    return grads
 
 
 def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
                    wrt: Sequence[str], counters: EvalCounters | None = None):
     """One forward/backward pass; returns (loss, weight grads, alpha grads).
 
-    Gradients are computed only for the groups named in ``wrt``; the other
-    group is wrapped as constants and its slot comes back ``None``. Counters
-    record which groups were requested. Arrays with a leading slice axis make
-    a stacked pass: one loss and one gradient per slice.
+    Gradients are computed only for the groups named in ``wrt``, each packed
+    into one vector in its group's name order (``optim.unpack`` names them);
+    the other group is wrapped as constants and its slot comes back ``None``.
+    Counters record which groups were requested. Arrays with a leading slice
+    axis make a stacked pass: one loss and one gradient vector per slice.
     """
     with Tape():
         wv = _wrap(weights, "weights" in wrt)
@@ -238,8 +240,9 @@ def loss_and_grads(problem, split: str, weights: Params, alpha: Params, batch,
         counters.alpha_grad_evals += 1 if "alpha" in wrt else 0
         counters.weight_grad_evals += 1 if "weights" in wrt else 0
     backward(loss)
-    wgrads = _grads_from(wv, f"{split} loss") if "weights" in wrt else None
-    agrads = _grads_from(av, f"{split} loss") if "alpha" in wrt else None
+    lead = np.shape(loss_val)
+    wgrads = _grads_from(wv, f"{split} loss", lead) if "weights" in wrt else None
+    agrads = _grads_from(av, f"{split} loss", lead) if "alpha" in wrt else None
     return loss_val, wgrads, agrads
 
 
@@ -271,9 +274,10 @@ def unrolled_weights(problem, weights: Params, alpha: Params, unroll_lr: float,
         raise ValueError("unroll step must be non-negative")
     _, wgrads, _ = loss_and_grads(problem, "train", weights, alpha, train_batch,
                                   wrt=("weights",), counters=counters)
+    w = pack(weights.values(), wgrads.shape[:-1])
     if optimizer is not None:
-        return optimizer.lookahead(weights, wgrads, unroll_lr)
-    return {name: w - unroll_lr * wgrads[name] for name, w in weights.items()}
+        return unpack(optimizer.lookahead(w, wgrads, unroll_lr), weights)
+    return unpack(w - unroll_lr * wgrads, weights)
 
 
 def arch_gradient_first_order(problem, weights: Params, alpha: Params, val_batch,
@@ -282,7 +286,7 @@ def arch_gradient_first_order(problem, weights: Params, alpha: Params, val_batch
     lookahead gradient at a zero step); returns (gradient, loss)."""
     val_loss, _, agrads = loss_and_grads(problem, split, weights, alpha, val_batch,
                                          wrt=("alpha",), counters=counters)
-    return agrads, val_loss
+    return unpack(agrads, alpha), val_loss
 
 
 def hvp_finite_difference(problem, weights: Params, alpha: Params, vector: Params,
@@ -303,13 +307,12 @@ def hvp_finite_difference(problem, weights: Params, alpha: Params, vector: Param
     if 0 < step < spacing:
         raise NumericalError(f"difference step {step:.3g} is below the weights' "
                              f"rounding spacing {spacing:.3g}")
-    plus = {k: w + epsilon * vector[k] for k, w in weights.items()}
-    minus = {k: w - epsilon * vector[k] for k, w in weights.items()}
-    _, _, g_plus = loss_and_grads(problem, "train", plus, alpha, train_batch,
-                                  wrt=("alpha",), counters=counters)
-    _, _, g_minus = loss_and_grads(problem, "train", minus, alpha, train_batch,
-                                   wrt=("alpha",), counters=counters)
-    return {k: (g_plus[k] - g_minus[k]) / (2.0 * epsilon) for k in alpha}
+    w, v = pack(weights.values()), pack(vector.values())
+    _, _, g_plus = loss_and_grads(problem, "train", unpack(w + epsilon * v, weights), alpha,
+                                  train_batch, wrt=("alpha",), counters=counters)
+    _, _, g_minus = loss_and_grads(problem, "train", unpack(w - epsilon * v, weights), alpha,
+                                   train_batch, wrt=("alpha",), counters=counters)
+    return unpack((g_plus - g_minus) / (2.0 * epsilon), alpha)
 
 
 def arch_gradient_second_order(problem, weights: Params, alpha: Params,
@@ -334,12 +337,13 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
     val_loss, val_wgrads, outer = loss_and_grads(
         problem, split, lookahead, alpha, val_batch, wrt=("weights", "alpha"), counters=counters
     )
+    outer, val_wgrads = unpack(outer, alpha), unpack(val_wgrads, lookahead)
     vec_norm = flat_norm(val_wgrads.values())
     if not np.isfinite(vec_norm):
         raise NumericalError("validation gradient norm overflowed")
     if vec_norm < 1e-12:
         # correction term is the product with a vanishing vector; define it as zero
-        return dict(outer), SecondOrderInfo(None, val_loss, correction_skipped=True)
+        return outer, SecondOrderInfo(None, val_loss, correction_skipped=True)
     epsilon = HVP_EPSILON_SCALE / vec_norm
     if hvp_fn is None:
         correction = hvp_finite_difference(problem, weights, alpha, val_wgrads,
@@ -375,25 +379,25 @@ def _weight_training(config: SearchConfig, steps: int):
     return opt, itertools.repeat(lr, steps)
 
 
-def _clipped(config: SearchConfig, wgrads: Params) -> Params:
-    """The weight gradients clipped to ``config.clip_norm``, unchanged if it is None.
+def _clipped(config: SearchConfig, wgrads: np.ndarray, weights: Params) -> np.ndarray:
+    """The weight gradient vector clipped to ``config.clip_norm``, unchanged if it is None.
 
     Finite gradients whose norm overflows would be scaled to zero; that
     stops the run instead.
     """
     if config.clip_norm is None:
         return wgrads
-    clipped, norm = clip_global_norm(wgrads, config.clip_norm)
+    clipped, norm = clip_global_norm(unpack(wgrads, weights), config.clip_norm)
     if not math.isfinite(norm):
         raise NumericalError("weight gradient norm overflowed")
-    return clipped
+    return pack(clipped.values())
 
 
 def _weight_step(problem, config, weights, alpha, rng, counters, split):
     batch = problem.batch(split, config.batch_size, rng)
     loss, wgrads, _ = loss_and_grads(problem, split, weights, alpha, batch,
                                      wrt=("weights",), counters=counters)
-    return loss, _clipped(config, wgrads)
+    return loss, _clipped(config, wgrads, weights)
 
 
 def search(config: SearchConfig, problem) -> Trajectory:
@@ -414,6 +418,9 @@ def search(config: SearchConfig, problem) -> Trajectory:
     rng = np.random.default_rng(config.seed)
     traj = Trajectory()
     weights, alpha = problem.init_weights(config.seed), problem.init_alpha()
+    # one vector per group; the names are views into it, and each step writes it in place
+    w, a = pack(weights.values()), pack(alpha.values())
+    weights, alpha = unpack(w, weights), unpack(a, alpha)
     w_opt, rates = _weight_training(config, config.steps)
     a_opt = _make_arch_optimizer(config)
     start = time.perf_counter()
@@ -433,10 +440,10 @@ def search(config: SearchConfig, problem) -> Trajectory:
             )
             if info.correction_skipped:
                 traj.events.append(f"iter {t}: correction skipped, vanishing val gradient")
-            alpha = a_opt.step(alpha, agrads)
+            a[:] = a_opt.step(a, pack(agrads.values()))
             train_loss, wgrads = _weight_step(problem, config, weights, alpha, rng,
                                               traj.counters, weight_split)
-            weights = w_opt.step(weights, wgrads)
+            w[:] = w_opt.step(w, wgrads)
         except NumericalError as exc:
             traj.events.append(f"iter {t}: diverged: {exc}")
             traj.diverged = True
@@ -470,6 +477,8 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[f
     """
     rng = np.random.default_rng(config.eval_seed)
     weights = problem.model.init_genotype_weights(genotype, config.eval_seed)
+    w = pack(weights.values())
+    weights = unpack(w, weights)
     opt, rates = _weight_training(config, config.eval_steps)
 
     for rate in rates:
@@ -480,7 +489,7 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[f
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss)
         backward(loss)
-        weights = opt.step(weights, _clipped(config, _grads_from(wv, "retraining loss")))
+        w[:] = opt.step(w, _clipped(config, _grads_from(wv, "retraining loss"), weights))
 
     return problem.split_accuracy(weights, genotype, "val"), weights
 

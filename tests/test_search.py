@@ -26,7 +26,7 @@ from cellsearch.fidelity import (
     network_problems,
     unrolled_objective,
 )
-from cellsearch.optim import Adam, SgdMomentum
+from cellsearch.optim import Adam, SgdMomentum, pack, unpack
 from cellsearch.search import (
     HVP_EPSILON_SCALE,
     CandidateResult,
@@ -104,7 +104,7 @@ def test_unrolled_weights_fixed_point_at_inner_optimum(toy):
 def test_unrolled_weights_momentum_composite(toy):
     weights, alpha = toy_state()
     optimizer = SgdMomentum(0.025, momentum=0.9, weight_decay=0.0)
-    optimizer.velocity = {"w": np.asarray(3.0)}
+    optimizer.velocity = np.array([3.0])  # the packed velocity of the one weight "w"
     stepped = unrolled_weights(toy, weights, alpha, 0.1, None, optimizer=optimizer)
     # gradient is 2w - 2a = -8; composite step uses 0.9*3 + (-8) = -5.3
     assert stepped["w"] == pytest.approx(-2.0 - 0.1 * (-5.3))
@@ -152,7 +152,7 @@ def test_zero_step_gradient_is_the_pass_of_the_architecture_split(toy):
                                              split="joint")
     loss, _, expected = loss_and_grads(toy, "joint", weights, alpha, None, wrt=("alpha",))
     assert info.epsilon is None and info.val_loss == loss
-    assert np.array_equal(grads["alpha"], expected["alpha"])
+    assert np.array_equal(pack(grads.values()), expected)
     val_grads, _ = arch_gradient_second_order(toy, weights, alpha, 0.0, None, None)
     assert not np.array_equal(grads["alpha"], val_grads["alpha"])
 
@@ -234,8 +234,8 @@ def test_hvp_matches_nested_loss_only_oracle(small_task):
                                      small_task.batch("val", 24, rng), wrt=("weights", "alpha"))
     # the product is linear in the vector; a unit direction scaled up keeps the
     # loss-only oracle's rounding noise small relative to the result
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in val_grads.values()))
-    vector = {k: g * (10.0 / norm) for k, g in val_grads.items()}
+    norm = np.sqrt(np.sum(val_grads * val_grads))
+    vector = unpack(val_grads * (10.0 / norm), weights)
     fast = hvp_finite_difference(small_task, weights, alpha, vector, batch, 1e-4)
     oracle = hvp_nested_fd(small_task, weights, alpha, vector, batch, step=1e-6)
     assert relative_error(flatten(fast), flatten(oracle)) < 1e-3
@@ -796,11 +796,9 @@ def test_single_group_gradients_bit_identical_to_both_groups(desk):
     loss_a, none_w, agrads_only = loss_and_grads(problem, "val", weights, alpha, batch,
                                                  wrt=("alpha",))
     assert loss == loss_w == loss_a and none_a is None and none_w is None
-    assert wgrads_only.keys() == wgrads.keys() and agrads_only.keys() == agrads.keys()
-    for k in wgrads:
-        assert np.array_equal(wgrads_only[k], wgrads[k]), k
-    for k in agrads:
-        assert np.array_equal(agrads_only[k], agrads[k]), k
+    assert wgrads.shape == (sum(w.size for w in weights.values()),)
+    assert agrads.shape == (sum(a.size for a in alpha.values()),)
+    assert np.array_equal(wgrads_only, wgrads) and np.array_equal(agrads_only, agrads)
 
 
 @pytest.mark.parametrize("reduction", ["mean", "concat"])
@@ -822,10 +820,10 @@ def test_stacked_cell_pass_slices_bit_identical(reduction):
                                {k: a[s] for k, a in alpha.items()}, batch,
                                wrt=("weights", "alpha"))
         assert alone[0] == loss[s]
-        for got, want in ((wgrads, alone[1]), (agrads, alone[2])):
-            assert got.keys() == want.keys()
-            for k in want:
-                assert np.array_equal(got[k][s], want[k]), (s, k)
+        for got, want, like in ((wgrads, alone[1], weights), (agrads, alone[2], alpha)):
+            assert np.array_equal(got[s], want), s
+            for k, view in unpack(got, like).items():
+                assert view.shape == like[k].shape, k
 
 
 @pytest.mark.parametrize("reduction", ["mean", "concat"])
@@ -888,4 +886,4 @@ def test_grads_from_names_the_non_finite_parameter():
 def test_grads_from_accepts_finite_gradients_whose_sum_overflows():
     values = _with_grads(a=np.array([1e308]), b=np.array([1e308]))
     grads = _grads_from(values, "val loss")
-    assert grads["a"] is values["a"].grad and grads["b"] is values["b"].grad
+    assert np.array_equal(grads, [1e308, 1e308])

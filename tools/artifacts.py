@@ -7,7 +7,8 @@ keeps, per command, ``OUTDIR/<name>/``: ``stdout``, ``stderr``, ``exit_code``
 and the ``out/`` tree the command's ``--out`` wrote. The commands are a search
 per entry of ``SEARCHES``, a random search, a derive and an evaluate of the
 mean and the concat cell, an evaluate whose retraining overflows, an evaluate
-of the dataset-file search's genotype, ``grad-check`` and ``count``. The
+of the dataset-file search's genotype, an evaluate whose retraining clips,
+``grad-check`` and ``count``. The
 configs the commands read (one per search, and one for the random search) are
 derived from ``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``, beside
 ``data.csv``, a small fixed dataset file with no split column, so the file
@@ -64,6 +65,8 @@ SEARCHES = {
     "desk-diverging": ("desk.cfg", {"weight_lr": "1e9", "clip_norm": "none", "anneal": "false"}),
     # a dataset file instead of generated data: load_delimited and the file route of build
     "desk-file": ("desk.cfg", {"data_path": "inputs/data.csv", "steps": "60"}),
+    # a clip limit below the desk gradient norms, so the clip scales almost every step
+    "desk-clipped": ("desk.cfg", {"clip_norm": "0.05", "steps": "100"}),
 }
 # Config name -> the same, for every config a command reads.
 CONFIGS = {**SEARCHES, "random-search": ("desk.cfg", {"n_samples": "4"})}
@@ -116,6 +119,10 @@ def commands(outdir: Path):
     yield "evaluate-diverging", ["evaluate", "--genotype", "derive-mean/out/genotype.json",
                                  "--config", "inputs/desk-diverging.cfg",
                                  "--out", "evaluate-diverging/out/metrics.txt"]
+    # a retrain that clips almost every step, so the retraining clip path is covered too
+    yield "evaluate-clipped", ["evaluate", "--genotype", "derive-mean/out/genotype.json",
+                               "--config", "inputs/desk-clipped.cfg",
+                               "--out", "evaluate-clipped/out/metrics.txt"]
     yield "grad-check", ["grad-check"]
     yield "count", ["count", "--intermediates", "4", "--ops", "7", "--multiplicity", "2"]
 
