@@ -63,7 +63,7 @@ def fd_unrolled_gradient(problem, weights: Params, alpha: Params, unroll_lr: flo
 
 
 def flatten(params: Params) -> np.ndarray:
-    return np.concatenate([params[k].reshape(-1) for k in sorted(params)])
+    return pack(params.values())
 
 
 class QuadraticBilevelProblem:

@@ -18,8 +18,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tensor import flat_norm
-
 Params = dict[str, np.ndarray]
 
 ADAM_EPS = 1e-8
@@ -32,7 +30,8 @@ class OptimizerError(ValueError):
 def pack(arrays: Iterable[np.ndarray], lead: tuple[int, ...] = ()) -> np.ndarray:
     """The arrays' entries in order as one vector; with leading slice axes
     ``lead`` on every array, one vector per slice."""
-    return np.concatenate([np.reshape(a, (*lead, -1)) for a in arrays], axis=-1)
+    shape = (*lead, -1)
+    return np.concatenate([np.asarray(a).reshape(shape) for a in arrays], axis=-1)
 
 
 def unpack(vector: np.ndarray, like: Mapping[str, np.ndarray]) -> Params:
@@ -47,14 +46,18 @@ def unpack(vector: np.ndarray, like: Mapping[str, np.ndarray]) -> Params:
     return out
 
 
+def flat_norm(vector: np.ndarray) -> float:
+    """The L2 norm of a packed vector, as one dot product."""
+    return math.sqrt(vector @ vector)
+
+
 def _check_aligned(what: str, params: np.ndarray, grads: np.ndarray) -> None:
     if grads.shape != params.shape:
         raise OptimizerError(f"{what}: shape mismatch: {params.shape} vs {grads.shape}")
 
 
 class SgdMomentum:
-    """Momentum SGD: v <- mu*v + (g + decay*p); p <- p - lr*v. Before the
-    first step the velocity is empty (None) and v is the decayed gradient."""
+    """Momentum SGD: v <- mu*v + (g + decay*p), or g + decay*p from no velocity; p <- p - lr*v."""
 
     def __init__(self, lr: float, momentum: float, weight_decay: float):
         self.lr = float(lr)
@@ -87,8 +90,7 @@ class Adam:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m: np.ndarray | float = 0.0
-        self.v: np.ndarray | float = 0.0
+        self.m = self.v = 0.0  # each the group's one state array from the first step on
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         _check_aligned("adam", params, grads)
@@ -101,13 +103,12 @@ class Adam:
             np.sqrt(v / (1.0 - self.beta2 ** t)) + ADAM_EPS)
 
 
-def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_global_norm(grads: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
+    """Scale a packed gradient vector so its L2 norm is at most ``max_norm``.
 
-    Returns the (possibly rescaled) gradients and the pre-clip norm.
+    Returns the (possibly rescaled) vector and the pre-clip norm.
     """
-    total = flat_norm(grads.values())
+    total = flat_norm(grads)
     if total <= max_norm or total == 0.0:
         return grads, total
-    factor = max_norm / total
-    return {k: g * factor for k, g in grads.items()}, total
+    return grads * (max_norm / total), total

@@ -31,8 +31,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cell import Genotype, sample_genotype
-from .optim import Adam, SgdMomentum, clip_global_norm, pack, unpack
-from .tensor import Tape, Value, backward, flat_norm
+from .optim import Adam, SgdMomentum, clip_global_norm, flat_norm, pack, unpack
+from .tensor import Tape, Value, backward
 
 Params = dict[str, np.ndarray]
 
@@ -303,11 +303,11 @@ def hvp_finite_difference(problem, weights: Params, alpha: Params, vector: Param
     """
     if epsilon <= 0:
         raise ValueError(f"finite-difference step must be positive, got {epsilon}")
-    step, spacing = epsilon * flat_norm(vector.values()), np.spacing(flat_norm(weights.values()))
+    w, v = pack(weights.values()), pack(vector.values())
+    step, spacing = epsilon * flat_norm(v), np.spacing(flat_norm(w))
     if 0 < step < spacing:
         raise NumericalError(f"difference step {step:.3g} is below the weights' "
                              f"rounding spacing {spacing:.3g}")
-    w, v = pack(weights.values()), pack(vector.values())
     _, _, g_plus = loss_and_grads(problem, "train", unpack(w + epsilon * v, weights), alpha,
                                   train_batch, wrt=("alpha",), counters=counters)
     _, _, g_minus = loss_and_grads(problem, "train", unpack(w - epsilon * v, weights), alpha,
@@ -337,14 +337,14 @@ def arch_gradient_second_order(problem, weights: Params, alpha: Params,
     val_loss, val_wgrads, outer = loss_and_grads(
         problem, split, lookahead, alpha, val_batch, wrt=("weights", "alpha"), counters=counters
     )
-    outer, val_wgrads = unpack(outer, alpha), unpack(val_wgrads, lookahead)
-    vec_norm = flat_norm(val_wgrads.values())
+    outer, vec_norm = unpack(outer, alpha), flat_norm(val_wgrads)
     if not np.isfinite(vec_norm):
         raise NumericalError("validation gradient norm overflowed")
     if vec_norm < 1e-12:
         # correction term is the product with a vanishing vector; define it as zero
         return outer, SecondOrderInfo(None, val_loss, correction_skipped=True)
     epsilon = HVP_EPSILON_SCALE / vec_norm
+    val_wgrads = unpack(val_wgrads, lookahead)
     if hvp_fn is None:
         correction = hvp_finite_difference(problem, weights, alpha, val_wgrads,
                                            train_batch, epsilon, counters=counters)
@@ -379,7 +379,7 @@ def _weight_training(config: SearchConfig, steps: int):
     return opt, itertools.repeat(lr, steps)
 
 
-def _clipped(config: SearchConfig, wgrads: np.ndarray, weights: Params) -> np.ndarray:
+def _clipped(config: SearchConfig, wgrads: np.ndarray) -> np.ndarray:
     """The weight gradient vector clipped to ``config.clip_norm``, unchanged if it is None.
 
     Finite gradients whose norm overflows would be scaled to zero; that
@@ -387,17 +387,17 @@ def _clipped(config: SearchConfig, wgrads: np.ndarray, weights: Params) -> np.nd
     """
     if config.clip_norm is None:
         return wgrads
-    clipped, norm = clip_global_norm(unpack(wgrads, weights), config.clip_norm)
+    clipped, norm = clip_global_norm(wgrads, config.clip_norm)
     if not math.isfinite(norm):
         raise NumericalError("weight gradient norm overflowed")
-    return pack(clipped.values())
+    return clipped
 
 
 def _weight_step(problem, config, weights, alpha, rng, counters, split):
     batch = problem.batch(split, config.batch_size, rng)
     loss, wgrads, _ = loss_and_grads(problem, split, weights, alpha, batch,
                                      wrt=("weights",), counters=counters)
-    return loss, _clipped(config, wgrads, weights)
+    return loss, _clipped(config, wgrads)
 
 
 def search(config: SearchConfig, problem) -> Trajectory:
@@ -489,7 +489,7 @@ def train_genotype(problem, genotype: Genotype, config: SearchConfig) -> tuple[f
             loss = problem.discrete_loss(wv, genotype, (features, labels))
         _require_finite("retraining loss", loss)
         backward(loss)
-        w[:] = opt.step(w, _clipped(config, _grads_from(wv, "retraining loss"), weights))
+        w[:] = opt.step(w, _clipped(config, _grads_from(wv, "retraining loss")))
 
     return problem.split_accuracy(weights, genotype, "val"), weights
 

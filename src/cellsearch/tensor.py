@@ -40,7 +40,7 @@ alone; a parameter carries the slice axis, and each slice gets its own gradient.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -588,11 +588,3 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return diff
     return diff / denom
-
-
-def flat_norm(arrays: Iterable[np.ndarray]) -> float:
-    """Global L2 norm over a collection of arrays."""
-    total = 0.0
-    for a in arrays:
-        total += float(np.sum(np.asarray(a, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))

@@ -539,11 +539,12 @@ def test_discrete_forward_order_within_node_is_irrelevant():
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
-def test_discrete_forward_rejects_invalid_genotype():
-    spec = one_node_spec(k=2)
-    with pytest.raises(CellError, match="zero operation"):
-        bad = Genotype(spec, (((0, "zero"), (1, "identity")),))
-        discrete_forward(bad, {}, [rows(1.0, 2.0), rows(3.0, 4.0)])
+def test_discrete_forward_input_validation():
+    geno = Genotype(one_node_spec(k=2), (((0, "identity"), (1, "identity")),))
+    with pytest.raises(CellError, match="expected 2 cell inputs"):
+        discrete_forward(geno, {}, [rows(1.0, 2.0)])
+    with pytest.raises(tensor.ShapeError, match="cell input"):
+        discrete_forward(geno, {}, [rows(1.0), rows(1.0)])
 
 
 @pytest.mark.parametrize("nodes, message", [

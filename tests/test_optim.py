@@ -120,14 +120,13 @@ def test_shape_mismatch_rejected():
 
 
 def test_clip_global_norm():
-    grads = {"a": vec(3.0), "b": vec(4.0)}
+    grads = vec(3.0, 4.0)
     clipped, norm = clip_global_norm(grads, 5.0)
     assert norm == pytest.approx(5.0)
     assert clipped is grads
     clipped, norm = clip_global_norm(grads, 1.0)
     assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(clipped["a"], [0.6])
-    np.testing.assert_allclose(clipped["b"], [0.8])
+    np.testing.assert_allclose(clipped, [0.6, 0.8])
 
 
 def test_pack_and_unpack_keep_the_name_order_and_share_memory():
@@ -195,3 +194,11 @@ def test_vector_rules_equal_per_name_rules_bit_for_bit():
                           (unpack(adam.m, weights), m), (unpack(adam.v, weights), v)):
             for name in weights:
                 assert np.array_equal(got[name], want[name]), (t, name)
+
+
+def test_flat_norm_equals_the_per_array_norm_within_rounding():
+    # one dot product sums in another order than a sum per array, so the two
+    # agree to a few units of float64 rounding, not bit for bit
+    weights = build_problem(load_config(DESK_CFG)).init_weights(0)
+    per_array = np.sqrt(sum(float(np.sum(w * w)) for w in weights.values()))
+    assert flat_norm(pack(weights.values())) == pytest.approx(per_array, rel=1e-14, abs=0.0)

@@ -856,6 +856,27 @@ def test_stacked_discrete_pass_slices_bit_identical(reduction):
             assert np.array_equal(grads[k][s], alone_grads[k]), (s, k)
 
 
+def test_a_tiny_clip_limit_scales_every_search_and_retrain_step_to_it(desk, monkeypatch):
+    problem, config = desk
+    config = dataclasses.replace(config, clip_norm=1e-3)
+    module = importlib.import_module("cellsearch.search")
+    clip, seen = module.clip_global_norm, []
+
+    def spy(grads, max_norm):
+        clipped, norm = clip(grads, max_norm)
+        seen.append((norm, float(np.sqrt(np.sum(clipped * clipped)))))
+        return clipped, norm
+
+    monkeypatch.setattr(module, "clip_global_norm", spy)
+    traj = search(config, problem)
+    assert not traj.diverged and len(seen) == config.steps
+    train_genotype(problem, traj.genotype, config)
+    assert len(seen) == config.steps + config.eval_steps
+    for norm, clipped_norm in seen:
+        assert norm > 1e-3
+        assert clipped_norm == pytest.approx(1e-3, rel=1e-12, abs=0.0)
+
+
 def test_taped_passes_leave_no_cyclic_garbage(desk):
     problem, config = desk
     gc.collect()
