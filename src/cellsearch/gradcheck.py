@@ -2,9 +2,10 @@
 
 Every primitive kind gets a family of random cases (random shapes, random
 inputs). For each case the same scalar loss is evaluated twice: once through
-the tape to get reverse-mode gradients, once as a plain function of numpy
-arrays for the central-difference oracle. The oracle never touches the
-backward pass it is checking.
+the tape to get reverse-mode gradients, once untaped for the central-difference
+oracle, which never touches the backward pass it is checking. The oracle runs
+all 2N probes of a case in one call, stacked along a leading probe axis; the
+kinds whose primitive has no slice axis (``_PER_PROBE_KINDS``) run each probe alone.
 """
 
 from __future__ import annotations
@@ -43,12 +44,17 @@ def _rand_shape(rng, max_ndim=3, max_extent=4) -> tuple[int, ...]:
 # a 0-d output (a mean over all axes) still draws its one coefficient but is
 # the loss itself.
 _LOSS_KINDS = ("sum", "select-index", "mean-squared-error", "softmax-cross-entropy")
+# Kinds whose primitive has no slice axis, so the oracle runs each probe alone.
+# ROADMAP item 1 deletes these kinds; this tuple and its loop go with them.
+_PER_PROBE_KINDS = ("select-index", "mean-squared-error", "mean-over-axis")
 
 
 def _scalarize(out: Value, coeffs: np.ndarray | None) -> Value:
-    if out.ndim == 0:
+    """``out`` weighted by ``coeffs`` and summed over their axes, per probe if stacked."""
+    if coeffs is None or coeffs.ndim == 0:
         return out
-    return tensor.sum_all(tensor.multiply(out, Value(coeffs)))
+    weighted = tensor.multiply(out, Value(np.broadcast_to(coeffs, out.shape)))
+    return tensor.sum_all(weighted, axis=tuple(range(-coeffs.ndim, 0)))
 
 
 def _pair_case(rng, fn):
@@ -95,7 +101,7 @@ def _case_for(kind: str, rng):
         return _unary_case(rng, tensor.sigmoid)
     if kind == "softmax-over-axis":
         shape = _rand_shape(rng)
-        axis = int(rng.integers(0, len(shape)))
+        axis = int(rng.integers(0, len(shape))) - len(shape)
         x = rng.normal(size=shape)
         return [x], lambda vals: tensor.softmax(vals[0], axis=axis)
     if kind == "concatenate":
@@ -110,7 +116,7 @@ def _case_for(kind: str, rng):
         return [x], lambda vals: tensor.mean(vals[0], axis=axis)
     if kind == "sum":
         x = rng.normal(size=_rand_shape(rng))
-        return [x], lambda vals: tensor.sum_all(vals[0])
+        return [x], lambda vals: tensor.sum_all(vals[0], axis=tuple(range(-x.ndim, 0)))
     if kind == "select-index":
         n = int(rng.integers(1, 6))
         x = rng.normal(size=(n,))
@@ -141,6 +147,18 @@ def _case_for(kind: str, rng):
     raise ValueError(f"no gradient-check case for kind {kind!r}")
 
 
+def _probe_losses(kind, fn, arrays, coeffs, probes) -> np.ndarray:
+    """A case's loss at every stacked probe, from one untaped call of ``fn``
+    unless ``kind`` runs per probe; a 0-d operand takes its stacked partner's shape."""
+    if kind in _PER_PROBE_KINDS:
+        return np.array([_scalarize(fn([Value(a) for a in point]), coeffs).item()
+                         for point in zip(*probes)])
+    lead = max(probes, key=np.ndim).shape
+    vals = [Value(np.broadcast_to(p.reshape(-1, *[1] * (len(lead) - 1)), lead)
+                  if a.ndim == 0 else p) for a, p in zip(arrays, probes)]
+    return _scalarize(fn(vals), coeffs).data
+
+
 def check_kind(kind: str, seed: int = 0, cases: int = 20,
                tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
     """Compare reverse-mode and central-difference gradients for one kind."""
@@ -157,11 +175,8 @@ def check_kind(kind: str, seed: int = 0, cases: int = 20,
         backward(loss)
         ad_grads = [p.grad for p in params]
 
-        def f(probes):
-            return [_scalarize(fn([Value(a) for a in point]), coeffs).item()
-                    for point in zip(*probes)]
-
-        fd_grads = finite_difference(f, arrays)
+        fd_grads = finite_difference(
+            lambda probes: _probe_losses(kind, fn, arrays, coeffs, probes), arrays)
         for g_ad, g_fd in zip(ad_grads, fd_grads):
             worst = max(worst, relative_error(g_ad, g_fd))
     return CheckReport(kind, cases, worst, tolerance)

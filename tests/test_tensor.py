@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from cellsearch import tensor
-from cellsearch.gradcheck import _case_for, _scalarize, check_all_primitives, check_kind
+from cellsearch.gradcheck import (
+    _LOSS_KINDS,
+    _PER_PROBE_KINDS,
+    _case_for,
+    _probe_losses,
+    _scalarize,
+    check_all_primitives,
+    check_kind,
+)
 from cellsearch.tensor import (
     ShapeError,
     Tape,
@@ -402,3 +410,56 @@ def test_gradcheck_suite_runs_all_kinds():
     reports = check_all_primitives(seed=5, cases_per_kind=5)
     assert {r.name for r in reports} == set(tensor.PRIMITIVES)
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("kind", sorted(set(tensor.PRIMITIVES) - set(_PER_PROBE_KINDS)))
+def test_one_call_oracle_equals_the_per_probe_loop_bit_for_bit(kind):
+    rng = np.random.default_rng(23)
+    cases = scalar_pairs = 0
+    pair = kind in ("add", "subtract", "elementwise-multiply")
+    while cases < 5 or (pair and not scalar_pairs):
+        assert cases < 50, f"{kind}: no pair case with a 0-d operand in 50 draws"
+        arrays, fn = _case_for(kind, rng)
+        out = fn([Value(a) for a in arrays])
+        coeffs = None if kind in _LOSS_KINDS else rng.normal(size=out.shape)
+        captured = []
+        finite_difference(lambda probes: captured.append(probes) or np.zeros(len(probes[0])),
+                          arrays)
+        probes = captured[0]
+        per_probe = np.array([_scalarize(fn([Value(a) for a in point]), coeffs).item()
+                              for point in zip(*probes)])
+        one_call = _probe_losses(kind, fn, arrays, coeffs, probes)
+        assert one_call.shape == per_probe.shape, (kind, cases)
+        assert one_call.tobytes() == per_probe.tobytes(), (kind, cases)
+        cases += 1
+        scalar_pairs += pair and min(a.ndim for a in arrays) == 0
+
+
+def test_finite_difference_moves_each_coordinate_up_then_down_in_order():
+    a = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.5]])
+    s = np.asarray(4.0)
+    ca = np.array([[2.0, -1.0, 3.0], [0.5, -4.0, 1.0]])
+    cs, step = -3.0, 0.25
+    calls = []
+
+    def linear(probes):
+        calls.append(probes)
+        pa, ps = probes
+        return (pa * ca).sum(axis=(1, 2)) + cs * ps
+
+    ga, gs = finite_difference(linear, [a, s], step=step)
+    assert len(calls) == 1
+    pa, ps = calls[0]
+    n = a.size + 1
+    assert pa.shape == (2 * n, *a.shape) and ps.shape == (2 * n,)
+    for i in range(n):
+        for p, sign in ((2 * i, 1.0), (2 * i + 1, -1.0)):
+            want_a, want_s = a.copy(), float(s)
+            if i < a.size:
+                want_a.reshape(-1)[i] += sign * step
+            else:
+                want_s += sign * step
+            assert pa[p].tobytes() == want_a.tobytes(), p
+            assert ps[p] == want_s, p
+    assert ga.tobytes() == ca.tobytes()
+    assert gs.shape == () and float(gs) == cs

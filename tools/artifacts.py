@@ -8,7 +8,7 @@ and the ``out/`` tree the command's ``--out`` wrote. The commands are a search
 per entry of ``SEARCHES``, a random search, a derive and an evaluate of the
 mean and the concat cell, an evaluate whose retraining overflows, an evaluate
 of the dataset-file search's genotype, an evaluate whose retraining clips,
-``grad-check`` and ``count``. The
+``grad-check`` at its default seed and at ``--seed 7``, and ``count``. The
 configs the commands read (one per search, and one for the random search) are
 derived from ``CHECKOUT/configs`` and kept in ``OUTDIR/inputs/``, beside
 ``data.csv``, a small fixed dataset file with no split column, so the file
@@ -124,6 +124,8 @@ def commands(outdir: Path):
                                "--config", "inputs/desk-clipped.cfg",
                                "--out", "evaluate-clipped/out/metrics.txt"]
     yield "grad-check", ["grad-check"]
+    # a second seed draws other case shapes, 0-d pair operands and softmax axes
+    yield "grad-check-seed-7", ["grad-check", "--seed", "7"]
     yield "count", ["count", "--intermediates", "4", "--ops", "7", "--multiplicity", "2"]
 
 
